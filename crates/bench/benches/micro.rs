@@ -144,6 +144,25 @@ fn bench_hash_ring(c: &mut Criterion) {
             black_box(r.members())
         })
     });
+    // The paper-scale ring: 1 600 members × 64 vnodes. The harness
+    // re-enters the closure per timed call, so undoing the change after
+    // `b.iter` keeps every timed join and leave at exactly 1 600 members.
+    let mut fleet = HashRing::new();
+    for i in 0..1_600 {
+        fleet.add(InvokerId(i));
+    }
+    c.bench_function("ring/join_at_1600_members", |b| {
+        b.iter(|| black_box(fleet.add(InvokerId(1_600))));
+        fleet.remove(InvokerId(1_600));
+    });
+    // A rotating victim: the rejoin puts the last victim in the last
+    // slot, and removing that one again would skip the renumbering.
+    let mut victim = 0u32;
+    c.bench_function("ring/leave_at_1600_members", |b| {
+        victim = (victim + 1) % 1_600;
+        b.iter(|| black_box(fleet.remove(InvokerId(victim))));
+        fleet.add(InvokerId(victim));
+    });
 }
 
 fn bench_mws(c: &mut Criterion) {

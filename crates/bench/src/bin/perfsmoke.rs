@@ -14,7 +14,9 @@
 //!    1 000);
 //! 4. **placement** — MWS and sampled-JSQ placement decisions per second
 //!    against a 64-invoker view with live load bookkeeping (the
-//!    dispatch hot path the scratch-buffer work de-allocates);
+//!    dispatch hot path the scratch-buffer work de-allocates), plus
+//!    hash-ring joins per second onto the paper-scale ring (1 600
+//!    members × 64 vnodes — what every `DeployNotice` costs a replica);
 //! 5. **coldstart_policy** — hybrid-histogram cold-start policy
 //!    decisions per second (histogram update per arrival plus two
 //!    percentile walks per idle decision) over a mixed 512-function
@@ -42,7 +44,8 @@
 //!
 //! Usage: `cargo run --release -p hrv-bench --bin perfsmoke`
 
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use harvest_faas::hrv_lb::policy::PolicyKind;
 use harvest_faas::hrv_platform::config::PlatformConfig;
@@ -56,6 +59,7 @@ use hrv_bench::scale::{
     run_platform_scale, run_stream_scale, PlatformScaleReport, StreamScaleConfig, StreamScaleReport,
 };
 use hrv_bench::timing::best_of;
+use hrv_lb::hashring::HashRing;
 use hrv_lb::jsq::{Jsq, JsqMetric};
 use hrv_lb::mws::{Mws, MwsCacheStats};
 use hrv_lb::policy::LoadBalancer;
@@ -252,6 +256,26 @@ fn bench_placement(placements: u64) -> (f64, f64, MwsCacheStats) {
     (mws_rate, jsq_rate, mws_cache)
 }
 
+/// Hash-ring joins per second at paper scale: every timed join lands on a
+/// ring of exactly [`SHARDED_REPLAY_INVOKERS`] members × 64 vnodes (the
+/// leave that undoes it is not timed).
+fn bench_ring_joins(joins: u32) -> f64 {
+    let members = SHARDED_REPLAY_INVOKERS as u32;
+    let mut ring = HashRing::new();
+    for i in 0..members {
+        ring.add(InvokerId(i));
+    }
+    let newcomer = InvokerId(members);
+    let mut busy = Duration::ZERO;
+    for _ in 0..joins {
+        let start = Instant::now();
+        black_box(ring.add(newcomer));
+        busy += start.elapsed();
+        ring.remove(newcomer);
+    }
+    f64::from(joins) / busy.as_secs_f64()
+}
+
 /// Drives a PS queue at steady `concurrency`: every completion is
 /// immediately replaced by a fresh job, with a capacity resize every 64
 /// steps to exercise the harvest path. Shared between the virtual-time
@@ -419,6 +443,15 @@ struct OccRow {
 /// ring's default 64 vnodes per member this is 102 400 ring members —
 /// past the issue's 100 k floor.
 const SHARDED_REPLAY_INVOKERS: u64 = 1_600;
+
+/// The S = 1 row before ring joins became one pass over the ring (commit
+/// a664a08: 64 sorted inserts per join, 6 400 joins per run), kept in the
+/// JSON beside the current row as the before/after of that fix:
+/// `(wall_secs, events_per_sec)` re-measured on the 2-core box the
+/// committed file comes from, and the rate the 1-core file of that
+/// commit recorded.
+const SHARDED_S1_BEFORE_ONE_PASS_JOINS: (f64, f64) = (6.716, 543_748.0);
+const SHARDED_S1_BEFORE_ONE_PASS_JOINS_1CORE: f64 = 466_697.0;
 
 /// Paper-scale multi-core sharded replay: a 1 600-invoker harvest fleet
 /// (102 400 hash-ring members at 64 vnodes each) whose CPU allocations
@@ -589,6 +622,12 @@ fn main() {
     let placements = 200_000u64;
     eprintln!("perfsmoke: placement loop ({placements} placements per policy, best of 3)...");
     let (mws_rate, jsq_rate, mws_cache) = bench_placement(placements);
+    let ring_joins = 2_000u32;
+    eprintln!(
+        "perfsmoke: ring joins at {SHARDED_REPLAY_INVOKERS} members \
+         ({ring_joins} joins, best of 3)..."
+    );
+    let (_, ring_join_rate, ()) = best_of(3, || (0.0, bench_ring_joins(ring_joins), ()));
 
     let policy_decisions = 1_000_000u64;
     eprintln!(
@@ -661,12 +700,16 @@ fn main() {
         ));
     }
     let ring_members = SHARDED_REPLAY_INVOKERS * 64;
+    let (before_secs, before_rate) = SHARDED_S1_BEFORE_ONE_PASS_JOINS;
     let sharded_json = format!(
         "  \"sharded_replay\": {{ \"cores\": {cores}, \"horizon_secs\": 120, \
          \"invokers\": {SHARDED_REPLAY_INVOKERS}, \"ring_members\": {ring_members}, \
          \"replicas\": 4, \"offered_rps\": 10532, \
          \"sim_events\": {sharded_events}, \"speedup\": {sharded_speedup:.2}, \
-         \"rows\": [\n{sharded_rows_json}\n    ] }}",
+         \"rows\": [\n{sharded_rows_json}\n    ],\n    \
+         \"single_shard_before_one_pass_ring_joins\": {{ \"commit\": \"a664a08\", \
+         \"wall_secs\": {before_secs:.3}, \"events_per_sec\": {before_rate:.0}, \
+         \"events_per_sec_1core_file\": {SHARDED_S1_BEFORE_ONE_PASS_JOINS_1CORE:.0} }} }}",
     );
     let max_placements = occupancy_rows
         .iter()
@@ -731,7 +774,9 @@ fn main() {
          \"mws_cache_hits\": {}, \
          \"mws_cache_misses\": {}, \
          \"mws_cache_hit_rate\": {:.4}, \
-         \"jsq_sampled_placements_per_sec\": {jsq_rate:.0} }},\n  \
+         \"jsq_sampled_placements_per_sec\": {jsq_rate:.0}, \
+         \"ring_joins\": {ring_joins}, \"ring_join_members\": {ring_members}, \
+         \"ring_joins_per_sec\": {ring_join_rate:.0} }},\n  \
          \"coldstart_policy\": {{ \"decisions\": {policy_decisions}, \
          \"decisions_per_sec\": {policy_rate:.0} }},\n  \
          \"replay\": {{ \"horizon_secs\": 600, \"wall_secs\": {replay_secs:.3}, \

@@ -476,9 +476,7 @@ impl LoadBalancer for Mws {
     }
 
     fn on_invoker_join(&mut self, id: InvokerId) {
-        if !self.ring.contains(id) {
-            self.ring.add(id);
-        }
+        self.ring.add(id);
     }
 
     fn on_invoker_leave(&mut self, id: InvokerId) {

@@ -193,7 +193,7 @@ impl ClusterView {
 
     /// Removes an invoker (VM evicted/crashed). Returns its last view.
     pub fn remove(&mut self, id: InvokerId) -> Option<InvokerView> {
-        let pos = self.invokers.iter().position(|v| v.id == id)?;
+        let pos = self.invokers.binary_search_by_key(&id, |v| v.id).ok()?;
         self.placeability_epoch += 1;
         let removed = self.invokers.remove(pos);
         if !self.dirty {

@@ -250,6 +250,91 @@ proptest! {
     }
 }
 
+/// Independent model of the ring for the differential test below: one
+/// sorted insert per vnode, removal by filtering, walks deduplicated by a
+/// linear scan. The vnode hash is restated here on purpose — the golden
+/// fingerprints depend on it, so a change to it should fail a test.
+#[derive(Default)]
+struct ModelRing {
+    ring: Vec<(u64, InvokerId)>,
+    epoch: u64,
+}
+
+impl ModelRing {
+    fn contains(&self, id: InvokerId) -> bool {
+        self.ring.iter().any(|&(_, m)| m == id)
+    }
+
+    fn add(&mut self, id: InvokerId, vnodes: u32) -> bool {
+        if self.contains(id) {
+            return false;
+        }
+        self.epoch += 1;
+        for r in 0..vnodes {
+            let packed = (u64::from(id.0) << 32) | u64::from(r);
+            let h = hrv_trace::rng::splitmix64(packed ^ 0xA5A5_5A5A_0F0F_F0F0);
+            let pos = self.ring.partition_point(|&(rh, _)| rh < h);
+            self.ring.insert(pos, (h, id));
+        }
+        true
+    }
+
+    fn remove(&mut self, id: InvokerId) -> bool {
+        if !self.contains(id) {
+            return false;
+        }
+        self.epoch += 1;
+        self.ring.retain(|&(_, m)| m != id);
+        true
+    }
+
+    fn successors(&self, hash: u64) -> Vec<InvokerId> {
+        let start = self.ring.partition_point(|&(rh, _)| rh < hash);
+        let mut walk = Vec::new();
+        for &(_, m) in self.ring[start..].iter().chain(&self.ring[..start]) {
+            if !walk.contains(&m) {
+                walk.push(m);
+            }
+        }
+        walk
+    }
+}
+
+proptest! {
+    /// Differential test of ring membership changes from the outside:
+    /// after every step of a random join/leave interleaving, the return
+    /// value, epoch, membership and the full walk from 32 start hashes
+    /// match the model. (The `(hash, slot)` vector itself is private; the
+    /// unit test `one_pass_membership_matches_reference` in `hashring.rs`
+    /// compares it entry for entry.)
+    #[test]
+    fn ring_membership_changes_match_model(
+        vnodes_idx in 0usize..3,
+        ops in prop::collection::vec((any::<bool>(), 0u32..20), 1..60),
+        starts in prop::collection::vec(any::<u64>(), 30),
+    ) {
+        let vnodes = [1u32, 3, 64][vnodes_idx];
+        let mut ring = HashRing::with_vnodes(vnodes);
+        let mut model = ModelRing::default();
+        let starts: Vec<u64> = starts.into_iter().chain([0, u64::MAX]).collect();
+        for (join, id) in ops {
+            let id = InvokerId(id);
+            if join {
+                prop_assert_eq!(ring.add(id), model.add(id, vnodes));
+            } else {
+                prop_assert_eq!(ring.remove(id), model.remove(id));
+            }
+            prop_assert_eq!(ring.epoch(), model.epoch);
+            prop_assert_eq!(ring.contains(id), model.contains(id));
+            for &h in &starts {
+                let walk: Vec<InvokerId> = ring.successors(h).collect();
+                prop_assert_eq!(ring.members(), walk.len());
+                prop_assert_eq!(walk, model.successors(h));
+            }
+        }
+    }
+}
+
 proptest! {
     /// Ownership-map invariants for the partitioned placement path: the
     /// map is a total, deterministic function of the replica count alone
@@ -290,9 +375,9 @@ proptest! {
         // so it is stable under join/leave at *every* epoch, bumped or
         // not.
         for (id, join) in churn {
-            if join == 1 && !ring.contains(InvokerId(id)) {
+            if join == 1 {
                 ring.add(InvokerId(id));
-            } else if join == 0 {
+            } else {
                 ring.remove(InvokerId(id));
             }
         }
