@@ -14,7 +14,7 @@ use harvest_faas::hrv_lb::hashring::WalkSeen;
 use harvest_faas::hrv_lb::mws::Mws;
 use harvest_faas::hrv_lb::policy::LoadBalancer;
 use harvest_faas::hrv_lb::view::{ClusterView, InvokerId, InvokerView, LoadWeights};
-use harvest_faas::hrv_sim::calendar::Calendar;
+use harvest_faas::hrv_sim::calendar::{Calendar, EnvelopeLane};
 use harvest_faas::hrv_sim::calendar_reference;
 use harvest_faas::hrv_sim::ps::{JobId, PsQueue};
 use harvest_faas::hrv_trace::faas::{AppId, FunctionId};
@@ -50,6 +50,22 @@ fn bench_calendar(c: &mut Criterion) {
                 n += 1;
             }
             black_box(n)
+        })
+    });
+    // The `harvest_replay` shape: 38 invokers' 1 s ping timers spread over
+    // the second, each re-armed when it fires. Every timer sits alone in
+    // a level-3 bucket, so this is the cascade path and little else.
+    c.bench_function("calendar/sparse_timers_1s", |b| {
+        b.iter(|| {
+            let mut cal = Calendar::new();
+            for i in 0..38u64 {
+                cal.schedule(SimTime::from_micros(1_000_000 + i * 26_000), i);
+            }
+            for _ in 0..1_000 {
+                let ev = cal.pop().expect("timers re-arm forever");
+                cal.schedule_after(SimDuration::from_secs(1), ev.event);
+            }
+            black_box(cal.now())
         })
     });
     // The same workloads against the executable spec (heap + tombstone
@@ -263,29 +279,36 @@ fn bench_mailbox(c: &mut Criterion) {
     use std::collections::BinaryHeap;
     use std::sync::Mutex;
 
-    // One barrier round's worth of traffic: route envelopes to per-shard
-    // inboxes, then drain each inbox through the canonical-order heap —
-    // the exact hot path between two sharded rounds.
+    let envs: Vec<Envelope> = (0..1_000u64)
+        .map(|i| Envelope {
+            deliver_at: SimTime::from_micros(1_000 + i % 97),
+            sender: (i % 64) as u32 + 1,
+            seq: i,
+            target: if i % 3 == 0 {
+                CONTROLLER
+            } else {
+                (i % 256) as u32 + 1
+            },
+            event: Event::MonitorTick,
+        })
+        .collect();
+    let route = |envs: &[Envelope], inboxes: &[Mutex<Vec<Envelope>>]| {
+        for env in envs.iter().cloned() {
+            let target = ShardPlan::shard_of(4, env.target) as usize;
+            inboxes[target].lock().unwrap().push(env);
+        }
+    };
+
+    // One barrier round's worth of traffic the way the driver moved it
+    // before the envelope lane: route envelopes to per-shard inboxes, then
+    // drain each inbox through a canonical-order heap. Kept as the
+    // baseline for `calendar/envelope_lane_1k` below — a generous one: it
+    // stops where the old path went on to `schedule` and `pop` every
+    // envelope, which the lane bench includes.
     c.bench_function("mailbox/route_and_drain_1k", |b| {
-        let envs: Vec<Envelope> = (0..1_000u64)
-            .map(|i| Envelope {
-                deliver_at: SimTime::from_micros(1_000 + i % 97),
-                sender: (i % 64) as u32 + 1,
-                seq: i,
-                target: if i % 3 == 0 {
-                    CONTROLLER
-                } else {
-                    (i % 256) as u32 + 1
-                },
-                event: Event::MonitorTick,
-            })
-            .collect();
         let inboxes: Vec<Mutex<Vec<Envelope>>> = (0..4).map(|_| Mutex::new(Vec::new())).collect();
         b.iter(|| {
-            for env in envs.iter().cloned() {
-                let target = ShardPlan::shard_of(4, env.target) as usize;
-                inboxes[target].lock().unwrap().push(env);
-            }
+            route(&envs, &inboxes);
             let mut delivered = 0u64;
             for inbox in &inboxes {
                 let mut heap: BinaryHeap<Reverse<Envelope>> =
@@ -300,6 +323,34 @@ fn bench_mailbox(c: &mut Criterion) {
                     delivered += 1;
                 }
             }
+            black_box(delivered)
+        })
+    });
+    // The same traffic the way it moves now — the exact hot path between
+    // two sharded rounds: route, drain each inbox in place into its
+    // shard's calendar lane, open the window, pop in canonical order.
+    // The calendars persist across rounds as the driver's do, so each
+    // round's traffic is shifted one window further on.
+    c.bench_function("calendar/envelope_lane_1k", |b| {
+        let inboxes: Vec<Mutex<Vec<Envelope>>> = (0..4).map(|_| Mutex::new(Vec::new())).collect();
+        let mut cals: Vec<Calendar<Event>> = (0..4).map(|_| Calendar::new()).collect();
+        let mut base = SimDuration::ZERO;
+        b.iter(|| {
+            route(&envs, &inboxes);
+            let mut delivered = 0u64;
+            for (inbox, cal) in inboxes.iter().zip(&mut cals) {
+                for env in inbox.lock().unwrap().drain(..) {
+                    cal.schedule_envelope(env.deliver_at + base, env.sender, env.seq, env.event);
+                }
+                cal.open_window(SimTime::from_micros(2_000) + base);
+                let mut last = SimTime::ZERO;
+                while let Some(ev) = cal.pop() {
+                    assert!(last <= ev.at);
+                    last = ev.at;
+                    delivered += 1;
+                }
+            }
+            base += SimDuration::from_micros(2_000);
             black_box(delivered)
         })
     });

@@ -453,6 +453,24 @@ const SHARDED_REPLAY_INVOKERS: u64 = 1_600;
 const SHARDED_S1_BEFORE_ONE_PASS_JOINS: (f64, f64) = (6.716, 543_748.0);
 const SHARDED_S1_BEFORE_ONE_PASS_JOINS_1CORE: f64 = 466_697.0;
 
+/// The `replay` row and the sharded S = 1 row at commit 915ff49, before
+/// envelopes moved into the timer wheel (pending heap, eager injection,
+/// nested round loop) and `cascade` learned to jump:
+/// `(wall_secs, events_per_sec)`, the best of five runs on the same
+/// 2-core box, in the same session, as the rows they sit beside as
+/// `before` (that box's speed drifts up to 2× between runs, so only best
+/// against best says anything).
+const REPLAY_BEFORE_ENVELOPE_LANE: (f64, f64) = (0.019, 4_403_115.0);
+const SHARDED_S1_BEFORE_ENVELOPE_LANE: (f64, f64) = (3.884, 940_156.0);
+
+/// A row's `before` field: the same probe at 915ff49.
+fn before_envelope_lane((wall_secs, events_per_sec): (f64, f64)) -> String {
+    format!(
+        "\"before\": {{ \"commit\": \"915ff49\", \"wall_secs\": {wall_secs:.3}, \
+         \"events_per_sec\": {events_per_sec:.0} }}"
+    )
+}
+
 /// Paper-scale multi-core sharded replay: a 1 600-invoker harvest fleet
 /// (102 400 hash-ring members at 64 vnodes each) whose CPU allocations
 /// wobble every 100 ms, fed the full `F_large` offered volume
@@ -693,9 +711,17 @@ fn main() {
         if i > 0 {
             sharded_rows_json.push_str(",\n");
         }
+        let before = if r.shards == 1 {
+            format!(
+                ", {}",
+                before_envelope_lane(SHARDED_S1_BEFORE_ENVELOPE_LANE)
+            )
+        } else {
+            String::new()
+        };
         sharded_rows_json.push_str(&format!(
             "      {{ \"shards\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0}, \
-             \"placements_per_sec\": {:.0} }}",
+             \"placements_per_sec\": {:.0}{before} }}",
             r.shards, r.wall_secs, r.events_per_sec, r.placements_per_sec
         ));
     }
@@ -764,6 +790,7 @@ fn main() {
         scale_plat.events_per_sec,
         fmt_opt(scale_plat.rss_growth_mb),
     );
+    let replay_before = before_envelope_lane(REPLAY_BEFORE_ENVELOPE_LANE);
     let json = format!(
         "{{\n  \"calendar\": {{ \"pops\": {calendar_events}, \"wall_secs\": {cal_secs:.3}, \
          \"pops_per_sec\": {cal_rate:.0} }},\n  \"calendar_churn\": {{ \"ops\": {churn_ops}, \
@@ -781,7 +808,7 @@ fn main() {
          \"decisions_per_sec\": {policy_rate:.0} }},\n  \
          \"replay\": {{ \"horizon_secs\": 600, \"wall_secs\": {replay_secs:.3}, \
          \"sim_events\": {replay_events}, \"events_per_sec\": {:.0}, \
-         \"completed_invocations\": {replay_completed} }},\n  \
+         \"completed_invocations\": {replay_completed}, {replay_before} }},\n  \
          \"telemetry_overhead\": {{ \"off_events_per_sec\": {tel_off_rate:.0}, \
          \"on_events_per_sec\": {tel_on_rate:.0}, \
          \"on_over_off\": {telemetry_ratio:.3} }},\n{sharded_json},\n{occupancy_json},\n{scale_json}\n}}\n",

@@ -5,8 +5,8 @@
 //! cross-entity interactions travel as timestamped [`Envelope`]s instead
 //! of direct calendar schedules, and every envelope carries at least one
 //! bus hop of delay. That minimum delay is the conservative lookahead: a
-//! shard that has drained every envelope due before `stop` can process
-//! its local calendar up to `stop` without ever hearing from a peer about
+//! shard whose calendar already holds every envelope due before `stop`
+//! can process it up to `stop` without ever hearing from a peer about
 //! the past.
 //!
 //! # Canonical ordering
@@ -15,10 +15,15 @@
 //! `seq` is a per-sender counter. A sender's sends happen in its own
 //! (shard-count-invariant) processing order, so this key is the same no
 //! matter which shard executed the sender — the foundation of the
-//! byte-identical-for-any-shard-count guarantee. Same-instant envelopes
-//! are injected into the receiving calendar in this canonical order, so
-//! they are also *delivered* in it.
+//! byte-identical-for-any-shard-count guarantee. The receiving calendar
+//! keeps envelopes in its envelope lane
+//! ([`hrv_sim::calendar::EnvelopeLane`]), whose within-tick sort key
+//! ends in `(sender, seq)`: same-instant envelopes are *delivered* in
+//! this canonical order whatever order they arrived in. [`Envelope`]'s
+//! `Ord` is the same key, for drivers that order envelopes themselves
+//! (the benchmark harness's eager loop, the test oracle in `shard.rs`).
 
+use hrv_sim::calendar::EnvelopeLane;
 use hrv_trace::time::SimTime;
 
 use crate::event::{Event, InvokerIndex};
@@ -74,6 +79,13 @@ impl Envelope {
     /// never ties.
     pub fn key(&self) -> (SimTime, EntityId, u64) {
         (self.deliver_at, self.sender, self.seq)
+    }
+
+    /// Hands the message to the calendar of the shard hosting its target,
+    /// to be delivered in canonical order (routing is done by then, so
+    /// `target` is dropped).
+    pub fn enter_lane<C: EnvelopeLane<Event>>(self, cal: &mut C) {
+        cal.schedule_envelope(self.deliver_at, self.sender, self.seq, self.event);
     }
 }
 

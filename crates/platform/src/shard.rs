@@ -6,45 +6,48 @@
 //! The platform's minimum cross-entity message delay is one bus hop
 //! (`PlatformConfig::bus_latency`, written Δ below); every envelope a
 //! world emits is validated against it. That bound yields a grid-free
-//! conservative-lookahead schedule:
+//! conservative-lookahead schedule. Pending envelopes wait inside their
+//! target's calendar (its envelope lane,
+//! [`hrv_sim::calendar::EnvelopeLane`]), not beside it, so a calendar's
+//! head is the earliest thing its shard knows about:
 //!
-//! 1. Each shard publishes `local_next`, the earliest thing it knows
-//!    about — its calendar head or its earliest pending envelope.
-//! 2. The leader computes `global_next = min(local_next)` and the round
+//! 1. Each shard drains its inbox into the lane and publishes its
+//!    calendar head.
+//! 2. The leader computes `global_next = min(heads)` and the round
 //!    window `stop = min(global_next + Δ, horizon)`.
-//! 3. Each shard injects pending envelopes due before `stop` into its
-//!    calendar (in canonical envelope order) and runs events up to
-//!    `stop`, collecting newly produced envelopes.
+//! 3. Each shard opens the window (`open_window(stop)`: envelopes due in
+//!    it sort, in canonical order, behind everything scheduled so far)
+//!    and runs events up to `stop`, collecting newly produced envelopes.
 //! 4. Envelopes are routed to their target shards; barrier; repeat.
 //!
 //! Safety: every event processed in a round sits at `τ ≥ global_next`,
 //! so any envelope it emits is due at `τ + Δ ≥ stop` — never inside the
-//! current window. Conversely, every envelope due before `stop` was
-//! produced in an earlier round and is already pending when the window
-//! opens. No shard ever hears about its past.
+//! current window (`schedule_envelope` checks it, in release builds
+//! too). Conversely, every envelope due before `stop` was produced in an
+//! earlier round and is already in the lane when the window opens. No
+//! shard ever hears about its past.
 //!
 //! # Shard-count invariance
 //!
 //! Round boundaries depend only on global minima, so they are identical
-//! for every shard count; envelopes are injected in the canonical
-//! `(deliver_at, sender, seq)` order and each entity's local schedule
-//! order is its own; same-instant events of *different* entities touch
-//! disjoint state and commute in everything the run reports (records are
-//! canonically re-sorted, counters are sums). The single-shard
-//! [`run_rounds`] below is the same algorithm without threads — it backs
+//! for every shard count; same-instant envelopes are delivered in the
+//! canonical `(deliver_at, sender, seq)` order and each entity's local
+//! schedule order is its own; same-instant events of *different*
+//! entities touch disjoint state and commute in everything the run
+//! reports (records are canonically re-sorted, counters are sums). The
+//! single-shard [`run_rounds`] below is the same algorithm without
+//! threads or barriers, flattened into one loop — it backs
 //! `Simulation::run`, which is why `S = 1` matches the unsharded
 //! simulation byte for byte.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use hrv_fault::FaultPlan;
 use hrv_lb::owner_of;
 use hrv_lb::policy::PolicyKind;
-use hrv_sim::calendar::{Calendar, EventCalendar};
-use hrv_sim::engine::{run_until, RunStats, StopReason};
+use hrv_sim::calendar::{Calendar, EnvelopeLane};
+use hrv_sim::engine::{run_until, RunStats, StopReason, World};
 use hrv_trace::faas::Invocation;
 use hrv_trace::stream::{ArrivalStream, SortedTraceStream};
 use hrv_trace::time::{SimDuration, SimTime};
@@ -54,38 +57,13 @@ use crate::event::Event;
 use crate::mailbox::{Envelope, ShardPlan};
 use crate::world::{ClusterSpec, PlatformWorld, SimOutput};
 
-/// Min-heap of pending envelopes in canonical order.
-type PendingHeap = BinaryHeap<Reverse<Envelope>>;
-
-/// Moves every pending envelope due before `stop` into the calendar.
-/// The heap pops in canonical `(deliver_at, sender, seq)` order, so
-/// same-instant envelopes are also *scheduled* (and hence delivered) in
-/// that order regardless of which shard contributed them.
-fn inject_due<C: EventCalendar<Event>>(pending: &mut PendingHeap, cal: &mut C, stop: SimTime) {
-    while pending.peek().is_some_and(|e| e.0.deliver_at < stop) {
-        let env = pending.pop().expect("peeked").0;
-        cal.schedule(env.deliver_at, env.event);
-    }
-}
-
-/// The earliest instant a shard knows about: its calendar head or its
-/// earliest pending envelope, as raw microseconds (`u64::MAX` = nothing).
-fn local_next<C: EventCalendar<Event>>(cal: &mut C, pending: &PendingHeap) -> u64 {
-    let cal_next = cal.peek_time().map(SimTime::as_micros);
-    let env_next = pending.peek().map(|e| e.0.deliver_at.as_micros());
-    match (cal_next, env_next) {
-        (None, None) => u64::MAX,
-        (Some(t), None) | (None, Some(t)) => t,
-        (Some(a), Some(b)) => a.min(b),
-    }
-}
-
-/// Drives one solo-plan world to `end` in lookahead rounds, pumping its
-/// outbox back into its own calendar. This is `Simulation::run`'s engine:
-/// identical round boundaries and injection order to the threaded driver,
-/// which is what makes a 1-shard `ShardedSimulation` (and any other shard
-/// count) byte-identical to the plain simulation.
-pub fn run_rounds<C: EventCalendar<Event>>(
+/// Drives one solo-plan world to `end` in lookahead windows, delivering
+/// its outbox through its own calendar's envelope lane. This is
+/// `Simulation::run`'s engine: identical window boundaries and delivery
+/// order to the threaded driver, which is what makes a 1-shard
+/// `ShardedSimulation` (and any other shard count) byte-identical to the
+/// plain simulation.
+pub fn run_rounds<C: EnvelopeLane<Event>>(
     world: &mut PlatformWorld,
     cal: &mut C,
     end: SimTime,
@@ -97,38 +75,31 @@ pub fn run_rounds<C: EventCalendar<Event>>(
         "run_rounds drives solo worlds; sharded worlds go through ShardedSimulation"
     );
     let delta = world.cfg().bus_latency;
-    let mut pending: PendingHeap = BinaryHeap::new();
+    let mut stop = SimTime::ZERO;
     let mut events = 0u64;
-    loop {
-        for env in world.take_outbox() {
-            pending.push(Reverse(env));
+    let reason = loop {
+        world.flush_outbox(cal);
+        if events >= max_events {
+            break StopReason::EventBudget;
         }
-        let next = local_next(cal, &pending);
-        if next == u64::MAX {
-            return RunStats {
-                events,
-                end_time: cal.now(),
-                reason: StopReason::Drained,
-            };
+        let Some(t) = cal.peek_time() else {
+            break StopReason::Drained;
+        };
+        if t >= stop {
+            if t >= end {
+                break StopReason::ReachedEnd;
+            }
+            stop = t.saturating_add(delta).min(end);
+            cal.open_window(stop);
         }
-        if next >= end.as_micros() {
-            return RunStats {
-                events,
-                end_time: cal.now(),
-                reason: StopReason::ReachedEnd,
-            };
-        }
-        let stop = SimTime::from_micros(next).saturating_add(delta).min(end);
-        inject_due(&mut pending, cal, stop);
-        let stats = run_until(world, cal, stop, max_events - events);
-        events += stats.events;
-        if matches!(stats.reason, StopReason::EventBudget) {
-            return RunStats {
-                events,
-                end_time: stats.end_time,
-                reason: StopReason::EventBudget,
-            };
-        }
+        let ev = cal.pop().expect("peeked event exists");
+        world.handle(ev, cal);
+        events += 1;
+    };
+    RunStats {
+        events,
+        end_time: cal.now(),
+        reason,
     }
 }
 
@@ -139,8 +110,9 @@ const ROUND_REACHED_END: u8 = 2;
 
 /// One shard's worker loop: the threaded counterpart of [`run_rounds`],
 /// synchronized with its peers by three barrier waits per round — after
-/// publishing `local_next`, after the leader fixes the window, and after
-/// routing outboxes (so no shard drains an inbox a peer is still filling).
+/// publishing its calendar head, after the leader fixes the window, and
+/// after routing outboxes (so no shard drains an inbox a peer is still
+/// filling).
 #[allow(clippy::too_many_arguments)]
 fn shard_worker(
     s: usize,
@@ -155,13 +127,13 @@ fn shard_worker(
     verdict: &AtomicU8,
     barrier: &Barrier,
 ) -> RunStats {
-    let mut pending: PendingHeap = BinaryHeap::new();
     let mut events = 0u64;
     loop {
-        for env in std::mem::take(&mut *inboxes[s].lock().expect("inbox poisoned")) {
-            pending.push(Reverse(env));
+        for env in inboxes[s].lock().expect("inbox poisoned").drain(..) {
+            env.enter_lane(cal);
         }
-        nexts[s].store(local_next(cal, &pending), Ordering::SeqCst);
+        let next = cal.peek_time().map_or(u64::MAX, SimTime::as_micros);
+        nexts[s].store(next, Ordering::SeqCst);
         barrier.wait();
         if s == 0 {
             let global_next = nexts
@@ -200,7 +172,7 @@ fn shard_worker(
             _ => {}
         }
         let stop = SimTime::from_micros(stop_us.load(Ordering::SeqCst));
-        inject_due(&mut pending, cal, stop);
+        cal.open_window(stop);
         let stats = run_until(world, cal, stop, u64::MAX);
         events += stats.events;
         for env in world.take_outbox() {
@@ -335,7 +307,7 @@ impl ShardedSimulation {
 /// shard 0 absorbs every peer's metrics; counters are sums, records
 /// re-sort into canonical order, and buffered per-invoker utilization
 /// rows coalesce inside `canonicalize_records`.
-fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
+pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
     let events: u64 = results.iter().map(|(_, r)| r.events).sum();
     let end_time = results
         .iter()
@@ -384,5 +356,235 @@ fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
             end_time,
             reason,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hrv_fault::FaultSpec;
+    use hrv_trace::faas::{Workload, WorkloadSpec};
+    use hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
+    use hrv_trace::rng::SeedFactory;
+
+    use crate::world::Simulation;
+
+    /// The round driver as it was before the envelope lane: pending
+    /// envelopes wait outside the calendar and are injected through plain
+    /// `schedule`, in canonical order, at the start of the round they fall
+    /// due in. The oracle the lane is held to (and still how the
+    /// benchmark harness drives the wheel).
+    fn run_rounds_eager(
+        world: &mut PlatformWorld,
+        cal: &mut Calendar<Event>,
+        end: SimTime,
+    ) -> RunStats {
+        let delta = world.cfg().bus_latency;
+        let mut pending: Vec<Envelope> = Vec::new();
+        let mut events = 0u64;
+        let reason = loop {
+            pending.append(&mut world.take_outbox());
+            pending.sort();
+            let next = match (cal.peek_time(), pending.first().map(|e| e.deliver_at)) {
+                (None, None) => break StopReason::Drained,
+                (Some(a), Some(b)) => a.min(b),
+                (a, b) => a.or(b).expect("one is some"),
+            };
+            if next >= end {
+                break StopReason::ReachedEnd;
+            }
+            let stop = next.saturating_add(delta).min(end);
+            let due = pending.partition_point(|e| e.deliver_at < stop);
+            for env in pending.drain(..due) {
+                cal.schedule(env.deliver_at, env.event);
+            }
+            events += run_until(world, cal, stop, u64::MAX).events;
+        };
+        RunStats {
+            events,
+            end_time: cal.now(),
+            reason,
+        }
+    }
+
+    struct Inputs {
+        spec: ClusterSpec,
+        trace: Vec<Invocation>,
+        cfg: PlatformConfig,
+        faults: FaultPlan,
+        horizon: SimDuration,
+    }
+
+    const SEED: u64 = 17;
+
+    fn workload(horizon: SimDuration) -> Vec<Invocation> {
+        let seeds = SeedFactory::new(SEED).child("wl");
+        let spec = WorkloadSpec::paper_fsmall().scaled(30, 4.0);
+        Workload::generate(&spec, &seeds).invocations(horizon, &seeds)
+    }
+
+    fn fleet(horizon: SimDuration, forced_storms: Vec<Storm>) -> ClusterSpec {
+        let config = FleetConfig {
+            horizon,
+            initial_population: 8,
+            final_population: 10,
+            forced_storms,
+            redeploy_check_every: SimDuration::from_secs(30),
+            ..FleetConfig::default()
+        };
+        ClusterSpec::from_traces(FleetTrace::generate(&config, &SeedFactory::new(SEED)).vms)
+    }
+
+    /// Runs `i` through the eager oracle, `Simulation::run` and
+    /// `ShardedSimulation` at S = 2 and 4; returns the oracle's output
+    /// after checking the others against it.
+    fn assert_lane_matches_eager(i: &Inputs, label: &str) -> SimOutput {
+        let eager = {
+            let mut cal = Calendar::new();
+            let mut world = PlatformWorld::from_stream_with_faults_in(
+                i.spec.clone(),
+                Box::new(SortedTraceStream::new(i.trace.clone())),
+                PolicyKind::Mws.build(),
+                i.cfg.clone(),
+                SEED,
+                i.faults.clone(),
+                &mut cal,
+            );
+            let run = run_rounds_eager(&mut world, &mut cal, SimTime::ZERO + i.horizon);
+            merge_outputs(vec![(world, run)])
+        };
+        let solo = Simulation::with_faults(
+            i.spec.clone(),
+            i.trace.clone(),
+            PolicyKind::Mws.build(),
+            i.cfg.clone(),
+            SEED,
+            i.faults.clone(),
+        )
+        .run(i.horizon);
+        assert_eq!(eager.run, solo.run, "{label}: run stats, solo");
+        let sharded = [2u32, 4].map(|shards| {
+            ShardedSimulation::with_faults(
+                i.spec.clone(),
+                i.trace.clone(),
+                PolicyKind::Mws,
+                i.cfg.clone(),
+                SEED,
+                i.faults.clone(),
+                shards,
+            )
+            .run(i.horizon)
+        });
+        for (out, who) in std::iter::once(&solo)
+            .chain(&sharded)
+            .zip(["solo", "S=2", "S=4"])
+        {
+            assert_eq!(eager.run.events, out.run.events, "{label}: events, {who}");
+            assert_eq!(
+                eager.collector.records, out.collector.records,
+                "{label}: records, {who}"
+            );
+            assert_eq!(
+                eager.collector.arrivals, out.collector.arrivals,
+                "{label}: {who}"
+            );
+            assert_eq!(
+                eager.cold_starts, out.cold_starts,
+                "{label}: cold starts, {who}"
+            );
+            assert_eq!(
+                eager.warm_starts, out.warm_starts,
+                "{label}: warm starts, {who}"
+            );
+            assert_eq!(
+                eager.collector.counters, out.collector.counters,
+                "{label}: counters, {who}"
+            );
+            assert_eq!(
+                eager.collector.samples, out.collector.samples,
+                "{label}: samples, {who}"
+            );
+            assert_eq!(
+                eager.collector.migrations, out.collector.migrations,
+                "{label}: migrations, {who}"
+            );
+        }
+        assert!(
+            eager.collector.records.len() > 300,
+            "{label}: only {} records — the comparison degenerated",
+            eager.collector.records.len()
+        );
+        eager
+    }
+
+    #[test]
+    fn lane_matches_eager_injection_on_a_clean_replay() {
+        let horizon = SimDuration::from_mins(4);
+        assert_lane_matches_eager(
+            &Inputs {
+                spec: fleet(horizon, vec![]),
+                trace: workload(horizon),
+                cfg: PlatformConfig::default(),
+                faults: FaultPlan::none(),
+                horizon,
+            },
+            "clean",
+        );
+    }
+
+    #[test]
+    fn lane_matches_eager_injection_under_chaos_with_recovery() {
+        let horizon = SimDuration::from_mins(4);
+        let mut cfg = PlatformConfig::default();
+        cfg.recovery.enabled = true;
+        let faults =
+            FaultSpec::chaos(1.5).compile(6, horizon, &SeedFactory::new(SEED).child("faults"));
+        let out = assert_lane_matches_eager(
+            &Inputs {
+                spec: ClusterSpec::regular(6, 4, 16 * 1024, horizon),
+                trace: workload(SimDuration::from_secs(200)),
+                cfg,
+                faults,
+                horizon,
+            },
+            "chaos",
+        );
+        let c = &out.collector;
+        assert!(
+            c.lost + c.eviction_failures + c.vm_crashes > 0,
+            "chaos plan produced no faults"
+        );
+    }
+
+    #[test]
+    fn lane_matches_eager_injection_with_replicas_migration_sampling_and_storms() {
+        let horizon = SimDuration::from_mins(4);
+        let storm = |mins| Storm {
+            at: SimTime::ZERO + SimDuration::from_mins(mins),
+            fraction: 0.3,
+        };
+        let mut cfg = PlatformConfig::default();
+        cfg.sharding.replicas = 4;
+        cfg.migration.enabled = true;
+        cfg.sample_interval = SimDuration::from_secs(5);
+        cfg.recovery.enabled = true;
+        let out = assert_lane_matches_eager(
+            &Inputs {
+                spec: fleet(horizon, vec![storm(1), storm(3)]),
+                trace: workload(horizon),
+                cfg,
+                faults: FaultPlan::none(),
+                horizon,
+            },
+            "R=4",
+        );
+        let c = &out.collector;
+        assert!(!c.samples.is_empty(), "sampling produced no series");
+        assert!(
+            c.vm_evictions > 0 && c.migrations > 0,
+            "storms produced {} evictions / {} migrations",
+            c.vm_evictions,
+            c.migrations
+        );
     }
 }

@@ -7,7 +7,7 @@ use hrv_fault::{DispatchOutcome, DispatchSampler, FaultKind, FaultPlan, WarningF
 use hrv_lb::owner_of;
 use hrv_lb::policy::LoadBalancer;
 use hrv_lb::view::InvokerId;
-use hrv_sim::calendar::{Calendar, EventCalendar, Scheduled};
+use hrv_sim::calendar::{Calendar, EnvelopeLane, EventCalendar, Scheduled};
 use hrv_sim::engine::{RunStats, World};
 use hrv_trace::faas::{FunctionId, Invocation};
 use hrv_trace::harvest::{VmEnd, VmTrace};
@@ -137,8 +137,8 @@ pub struct PlatformWorld {
     pub metrics: MetricsCollector,
     /// Which entities (controller, invokers) this world instance owns.
     plan: ShardPlan,
-    /// Cross-entity messages produced during the current round; the
-    /// round driver drains and re-injects them (see [`crate::shard`]).
+    /// Cross-entity messages not yet handed to a calendar's envelope lane;
+    /// the round driver drains them (see [`crate::shard`]).
     outbox: Vec<Envelope>,
     /// Per-sender message counters backing the canonical envelope order
     /// (invoker and classic-controller entities, indexed by entity id).
@@ -527,11 +527,19 @@ impl PlatformWorld {
         self.plan
     }
 
-    /// Drains the cross-entity messages produced since the last call.
-    /// The round driver routes them to their target shards and injects
-    /// them at the start of the round they become due in.
+    /// Drains the cross-entity messages produced since the last call, for
+    /// a driver that routes them itself (the threaded driver, to their
+    /// target shards).
     pub fn take_outbox(&mut self) -> Vec<Envelope> {
         std::mem::take(&mut self.outbox)
+    }
+
+    /// Moves the outbox into `cal`'s envelope lane in place, keeping its
+    /// allocation: the solo driver's delivery path.
+    pub(crate) fn flush_outbox<C: EnvelopeLane<Event>>(&mut self, cal: &mut C) {
+        for env in self.outbox.drain(..) {
+            env.enter_lane(cal);
+        }
     }
 
     /// Emits a cross-entity message. Every cross-entity interaction —
@@ -539,6 +547,9 @@ impl PlatformWorld {
     /// `(deliver_at, sender, seq)` delivery order is identical for every
     /// shard count. The delay must be at least one bus hop: that minimum
     /// is the conservative lookahead the round driver's windows rest on.
+    /// Debug builds check it here; every build checks it where it
+    /// matters, when the envelope enters a calendar's lane
+    /// (`schedule_envelope` panics on one due inside the open window).
     fn send(
         &mut self,
         now: SimTime,
@@ -1826,25 +1837,7 @@ impl Simulation {
     pub fn run_with_budget(mut self, horizon: SimDuration, max_events: u64) -> SimOutput {
         let end = SimTime::ZERO + horizon;
         let run = crate::shard::run_rounds(&mut self.world, &mut self.calendar, end, max_events);
-        self.world.censor_remaining(self.calendar.now());
-        self.world.metrics.dropped_completions = self.world.total_dropped_completions();
-        let (spawns, hits, wasted, idle) = (
-            self.world.total_prewarm_spawns(),
-            self.world.total_prewarm_hits(),
-            self.world.total_wasted_prewarms(),
-            self.world.total_idle_mib_secs(),
-        );
-        self.world
-            .metrics
-            .set_coldstart_totals(spawns, hits, wasted, idle);
-        self.world.metrics.canonicalize_records();
-        SimOutput {
-            cold_starts: self.world.total_cold_starts(),
-            warm_starts: self.world.total_warm_starts(),
-            recorder: std::mem::take(&mut self.world.tel.recorder),
-            collector: self.world.metrics,
-            run,
-        }
+        crate::shard::merge_outputs(vec![(self.world, run)])
     }
 
     /// Access to the world before running (for test instrumentation).

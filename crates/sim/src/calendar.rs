@@ -20,6 +20,19 @@
 //! [`crate::calendar_reference`], the executable specification: the
 //! differential proptests in `tests/props.rs` assert that both deliver
 //! byte-identical `Scheduled` sequences under arbitrary interleavings.
+//!
+//! # Envelope lane
+//!
+//! Cross-entity messages ([`EnvelopeLane`]) enter the wheel when they are
+//! *sent*, not when they become due. Their place within a tick comes from
+//! the sort key, not from the insertion moment: a local event sorts by
+//! `2·seq + 1`, an envelope by `(2·window_seq, sender, seq)` where
+//! `window_seq` is the calendar's sequence counter at the last
+//! [`EnvelopeLane::open_window`]. So an envelope runs after every local
+//! event scheduled before its window opened, before every local event
+//! scheduled during it, and in `(sender, seq)` order among envelopes —
+//! exactly where scheduling it through [`Calendar::schedule`] at the
+//! window's start would have put it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -83,6 +96,30 @@ pub trait EventCalendar<E> {
     fn pop(&mut self) -> Option<Scheduled<E>>;
 }
 
+/// The envelope lane: cross-entity messages scheduled when they are sent
+/// and delivered as if injected, in canonical `(at, sender, seq)` order,
+/// at the start of the lookahead window they fall due in.
+///
+/// The round drivers follow one protocol, and the ordering guarantee
+/// holds under it: a window is opened only when nothing is pending before
+/// the previous window's `stop`; events are popped only below the open
+/// window's `stop`; an envelope is never due inside the open window
+/// (`at >= stop`, checked). All events of one instant then share one
+/// window, which is what lets the wheel order by key alone.
+pub trait EnvelopeLane<E>: EventCalendar<E> {
+    /// Schedules a message from `sender` (its `seq`-th) for delivery at
+    /// `at`. `(sender, seq)` must be unique among pending envelopes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies inside the open window — such an envelope
+    /// could not be delivered in canonical order any more.
+    fn schedule_envelope(&mut self, at: SimTime, sender: u32, seq: u64, event: E);
+    /// Opens the lookahead window ending at `stop`: envelopes due before
+    /// `stop` sort behind everything scheduled so far.
+    fn open_window(&mut self, stop: SimTime);
+}
+
 /// Bits per wheel level: 64 slots each.
 const LEVEL_BITS: u32 = 6;
 /// Slots per wheel level.
@@ -109,9 +146,25 @@ struct Slot<E> {
     /// Bumped every time the slot leaves `Live`, so a stale [`EventId`]
     /// can never cancel an unrelated reuse of the same index.
     gen: u32,
+    /// `Some` for an envelope-lane entry, whose `seq` is then the
+    /// sender's own sequence number rather than the calendar's.
+    sender: Option<u32>,
     at: SimTime,
     seq: u64,
     body: Body<E>,
+}
+
+/// Delivery-order key: time, then the lane rank, then `(sender, seq)`
+/// among the envelopes of one window (local ranks are unique already).
+type Key = (SimTime, u64, u32, u64);
+
+impl<E> Slot<E> {
+    fn key(&self, window_seq: u64) -> Key {
+        match self.sender {
+            None => (self.at, 2 * self.seq + 1, 0, 0),
+            Some(sender) => (self.at, 2 * window_seq, sender, self.seq),
+        }
+    }
 }
 
 /// A cancellable, deterministic event calendar with a simulation clock.
@@ -133,6 +186,12 @@ struct Slot<E> {
 pub struct Calendar<E> {
     now: SimTime,
     next_seq: u64,
+    /// `next_seq` when the current lookahead window opened: envelopes
+    /// sort behind local events scheduled before it, ahead of later ones.
+    window_seq: u64,
+    /// End of the current lookahead window; no envelope may be due
+    /// before it.
+    window_stop: SimTime,
     processed: u64,
     /// Live (pending, non-cancelled) entry count.
     live: usize,
@@ -155,7 +214,7 @@ pub struct Calendar<E> {
     /// when their shared tick's bucket is opened.
     overflow: BinaryHeap<Reverse<(u64, u32)>>,
     /// Due events in delivery order: `staging[staging_head..]` is sorted
-    /// by `(at, seq)`; the prefix has already been delivered.
+    /// by [`Slot::key`]; the prefix has already been delivered.
     staging: Vec<u32>,
     staging_head: usize,
     /// Reusable buffer for cascades and purge rebuilds.
@@ -184,6 +243,8 @@ impl<E> Calendar<E> {
         Calendar {
             now: SimTime::ZERO,
             next_seq: 0,
+            window_seq: 0,
+            window_stop: SimTime::ZERO,
             processed: 0,
             live: 0,
             dead: 0,
@@ -235,17 +296,22 @@ impl<E> Calendar<E> {
     ///
     /// Panics if `at` is in the past — the engine never travels backwards.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.insert(at, None, seq, event)
+    }
+
+    fn insert(&mut self, at: SimTime, sender: Option<u32>, seq: u64, event: E) -> EventId {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let idx = match self.free.pop() {
             Some(idx) => {
                 let s = &mut self.slots[idx as usize];
                 debug_assert!(matches!(s.body, Body::Vacant));
+                s.sender = sender;
                 s.at = at;
                 s.seq = seq;
                 s.body = Body::Live(event);
@@ -255,6 +321,7 @@ impl<E> Calendar<E> {
                 debug_assert!(self.slots.len() < u32::MAX as usize);
                 self.slots.push(Slot {
                     gen: 0,
+                    sender,
                     at,
                     seq,
                     body: Body::Live(event),
@@ -393,8 +460,7 @@ impl<E> Calendar<E> {
     }
 
     /// Opens the level-0 bucket at `slot`: advances the cursor to its
-    /// tick and stages its entries in `seq` order (they share one
-    /// timestamp, so `seq` alone is the delivery order).
+    /// tick and stages its entries in key order.
     fn open_tick(&mut self, slot: usize) {
         let tick = (self.elapsed & !(SLOTS as u64 - 1)) | slot as u64;
         debug_assert!(tick >= self.elapsed);
@@ -403,30 +469,51 @@ impl<E> Calendar<E> {
         debug_assert!(self.staging.is_empty());
         // Swap so both the staging and bucket allocations are reused.
         std::mem::swap(&mut self.staging, &mut self.buckets[slot]);
-        let slots = &self.slots;
-        self.staging
-            .sort_unstable_by_key(|&idx| slots[idx as usize].seq);
+        self.sort_staged();
     }
 
-    /// Redistributes the level-`level` bucket at `slot` one level down,
-    /// advancing the cursor to the start of the slot's time range.
+    /// Sorts the undelivered part of `staging` by key.
+    fn sort_staged(&mut self) {
+        let (slots, window_seq) = (&self.slots, self.window_seq);
+        let tail = &mut self.staging[self.staging_head..];
+        if tail.len() > 1 {
+            tail.sort_unstable_by_key(|&idx| slots[idx as usize].key(window_seq));
+        }
+    }
+
+    /// Empties the level-`level` bucket at `slot` — the first occupied
+    /// one, so it holds the earliest pending entry — and moves the cursor
+    /// straight to that entry's tick. Lower levels are empty and every
+    /// other bucket is later in the bits the cursor keeps, so the entries
+    /// land exactly where cascading one level at a time would leave them,
+    /// in one placement instead of one per level.
     fn cascade(&mut self, level: usize, slot: usize) {
-        let shift = LEVEL_BITS * level as u32;
-        let high = self.elapsed & !((1u64 << (shift + LEVEL_BITS)) - 1);
-        let slot_start = high | (slot as u64) << shift;
-        debug_assert!(slot_start >= self.elapsed);
-        self.elapsed = self.elapsed.max(slot_start);
+        debug_assert!(self.staging.is_empty());
         self.occupied[level] &= !(1 << slot);
         let mut moved = std::mem::take(&mut self.scratch);
         std::mem::swap(&mut moved, &mut self.buckets[level * SLOTS + slot]);
+        let earliest = moved
+            .iter()
+            .map(|&idx| &self.slots[idx as usize])
+            .filter(|s| matches!(s.body, Body::Live(_)))
+            .map(|s| s.at.as_micros())
+            .min();
+        if let Some(t) = earliest {
+            debug_assert!(t > self.elapsed);
+            self.elapsed = t;
+        }
         for idx in moved.drain(..) {
-            match self.slots[idx as usize].body {
+            let s = &self.slots[idx as usize];
+            match s.body {
                 Body::Dead => self.free_dead(idx),
+                // The cursor's own tick: staged here, sorted once below.
+                Body::Live(_) if s.at.as_micros() == self.elapsed => self.staging.push(idx),
                 Body::Live(_) => self.place(idx),
                 Body::Vacant => unreachable!("vacant slot in bucket"),
             }
         }
         self.scratch = moved;
+        self.sort_staged();
     }
 
     /// Routes a live slab entry to staging, a wheel bucket, or the
@@ -451,7 +538,7 @@ impl<E> Calendar<E> {
     }
 
     /// Inserts into the staging buffer, keeping `staging[staging_head..]`
-    /// sorted by `(at, seq)`. Appending is O(1) in the common cases —
+    /// sorted by key. Appending is O(1) in the common cases —
     /// bucket opens and schedules at the current tick arrive in key
     /// order; only a schedule squeezed between a peek and a pop at an
     /// earlier instant pays a binary insert.
@@ -470,9 +557,8 @@ impl<E> Calendar<E> {
         }
     }
 
-    fn key(&self, idx: u32) -> (SimTime, u64) {
-        let s = &self.slots[idx as usize];
-        (s.at, s.seq)
+    fn key(&self, idx: u32) -> Key {
+        self.slots[idx as usize].key(self.window_seq)
     }
 
     /// Pulls overflow entries that have come within wheel range of the
@@ -536,11 +622,8 @@ impl<E> Calendar<E> {
                 Body::Vacant => self.free.push(i as u32),
             }
         }
-        let slots = &self.slots;
-        order.sort_unstable_by_key(|&i| {
-            let s = &slots[i as usize];
-            (s.at, s.seq)
-        });
+        let (slots, window_seq) = (&self.slots, self.window_seq);
+        order.sort_unstable_by_key(|&i| slots[i as usize].key(window_seq));
         // Due entries re-stage in ascending key order (O(1) appends).
         for &idx in &order {
             self.place(idx);
@@ -574,6 +657,25 @@ impl<E> EventCalendar<E> for Calendar<E> {
     }
     fn pop(&mut self) -> Option<Scheduled<E>> {
         Calendar::pop(self)
+    }
+}
+
+impl<E> EnvelopeLane<E> for Calendar<E> {
+    fn schedule_envelope(&mut self, at: SimTime, sender: u32, seq: u64, event: E) {
+        assert!(
+            at >= self.window_stop,
+            "envelope from entity {sender} due at {at}, inside the lookahead window ending {}",
+            self.window_stop
+        );
+        self.insert(at, Some(sender), seq, event);
+    }
+
+    fn open_window(&mut self, stop: SimTime) {
+        self.window_stop = stop;
+        self.window_seq = self.next_seq;
+        // A peek just before may have staged the window's first tick
+        // under the old `window_seq`.
+        self.sort_staged();
     }
 }
 
@@ -716,6 +818,172 @@ mod tests {
         assert_eq!(cal.pop().unwrap().event, "early");
         assert_eq!(cal.pop().unwrap().event, "late");
         assert_eq!(cal.pop().unwrap().event, "late-tie");
+    }
+
+    fn drain<E>(cal: &mut Calendar<E>) -> Vec<E> {
+        std::iter::from_fn(|| cal.pop()).map(|s| s.event).collect()
+    }
+
+    #[test]
+    fn envelope_sorts_between_locals_scheduled_before_and_during_its_window() {
+        let mut cal = Calendar::new();
+        let t = SimTime::from_micros(100);
+        cal.schedule(t, "before-send");
+        cal.schedule_envelope(t, 7, 0, "envelope");
+        // Sent earlier, but the window is not open yet: still behind.
+        cal.schedule(t, "before-window");
+        cal.open_window(SimTime::from_micros(150));
+        cal.schedule(t, "during-window");
+        assert_eq!(
+            drain(&mut cal),
+            ["before-send", "before-window", "envelope", "during-window"]
+        );
+    }
+
+    #[test]
+    fn open_window_resorts_a_tick_staged_by_the_preceding_peek() {
+        let mut cal = Calendar::new();
+        let t = SimTime::from_micros(100);
+        cal.open_window(SimTime::from_micros(50));
+        cal.schedule_envelope(t, 7, 0, "envelope");
+        cal.schedule(t, "local");
+        // The peek opens the tick under the first window's `window_seq`,
+        // which would put the envelope first.
+        assert_eq!(cal.peek_time(), Some(t));
+        cal.open_window(SimTime::from_micros(150));
+        assert_eq!(drain(&mut cal), ["local", "envelope"]);
+    }
+
+    #[test]
+    fn envelope_due_exactly_at_a_window_boundary_belongs_to_the_next_window() {
+        let mut cal = Calendar::new();
+        let stop = SimTime::from_micros(100);
+        cal.schedule(SimTime::from_micros(60), "first");
+        cal.open_window(stop);
+        assert_eq!(cal.pop().unwrap().event, "first");
+        // Sent from inside the window, due at its half-open end, tied
+        // with a local scheduled during the same window.
+        cal.schedule_envelope(stop, 3, 0, "envelope");
+        cal.schedule(stop, "local");
+        assert_eq!(cal.peek_time(), Some(stop));
+        cal.open_window(SimTime::from_micros(140));
+        cal.schedule(stop, "next-window-local");
+        assert_eq!(drain(&mut cal), ["local", "envelope", "next-window-local"]);
+    }
+
+    #[test]
+    fn same_instant_envelopes_deliver_in_sender_then_seq_order() {
+        let mut cal = Calendar::new();
+        let t = SimTime::from_micros(4_242);
+        for (sender, seq) in [(2, 0), (1, 5), (9, 1), (1, 2), (0, 7)] {
+            cal.schedule_envelope(t, sender, seq, (sender, seq));
+        }
+        cal.schedule_envelope(SimTime::from_micros(4_000), 9, 0, (9, 0));
+        cal.open_window(SimTime::from_micros(5_000));
+        assert_eq!(
+            drain(&mut cal),
+            [(9, 0), (0, 7), (1, 2), (1, 5), (2, 0), (9, 1)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "envelope from entity 7 due at")]
+    fn envelope_inside_the_open_window_panics() {
+        let mut cal = Calendar::new();
+        cal.open_window(SimTime::from_micros(2_000));
+        cal.schedule_envelope(SimTime::from_micros(1_999), 7, 0, ());
+    }
+
+    #[test]
+    fn cascade_moves_a_lone_entry_straight_to_staging_from_any_level() {
+        for level in 1..LEVELS as u32 {
+            let mut cal = Calendar::new();
+            let at = SimTime::from_micros((1 << (LEVEL_BITS * level)) + 5);
+            cal.schedule(at, level);
+            assert_ne!(cal.occupied[level as usize], 0, "level {level}");
+            assert_eq!(cal.peek_time(), Some(at));
+            // One cascade: cursor on the entry's tick, the wheel empty.
+            assert_eq!(cal.elapsed, at.as_micros());
+            assert_eq!(cal.occupied, [0; LEVELS]);
+            assert_eq!(cal.staging.len(), 1);
+            assert_eq!(cal.pop().unwrap().event, level);
+        }
+    }
+
+    #[test]
+    fn cascade_skips_dead_entries_when_picking_the_cursor() {
+        let mut cal = Calendar::new();
+        // All three share the level-2 bucket [4096, 8192).
+        let dead = cal.schedule(SimTime::from_micros(5_000), "dead");
+        cal.schedule(SimTime::from_micros(5_010), "live");
+        cal.schedule(SimTime::from_micros(7_000), "later");
+        assert!(cal.cancel(dead));
+        assert_eq!(cal.peek_time(), Some(SimTime::from_micros(5_010)));
+        assert_eq!(cal.elapsed, 5_010);
+        assert_eq!(cal.tombstones(), 0, "the dead entry was freed on the way");
+        // A schedule between the old and the new cursor still comes first.
+        cal.schedule(SimTime::from_micros(5_005), "squeezed");
+        assert_eq!(drain(&mut cal), ["squeezed", "live", "later"]);
+    }
+
+    #[test]
+    fn cascade_of_an_all_dead_bucket_moves_on_to_the_next() {
+        let mut cal = Calendar::new();
+        let a = cal.schedule(SimTime::from_micros(5_000), "a");
+        let b = cal.schedule(SimTime::from_micros(6_000), "b");
+        cal.schedule(SimTime::from_micros(300_000), "survivor");
+        assert!(cal.cancel(a) && cal.cancel(b));
+        assert_eq!(cal.peek_time(), Some(SimTime::from_micros(300_000)));
+        assert_eq!(cal.tombstones(), 0);
+        assert_eq!(drain(&mut cal), ["survivor"]);
+    }
+
+    #[test]
+    fn cascade_stages_equal_time_entries_in_key_order() {
+        let mut cal = Calendar::new();
+        let t = SimTime::from_micros((1 << 30) + 17);
+        cal.schedule_envelope(t, 2, 0, "env-2");
+        cal.schedule(t, "local-0");
+        cal.schedule_envelope(t, 1, 4, "env-1");
+        cal.schedule(t + SimDuration::from_micros(1), "next-tick");
+        cal.schedule(t, "local-1");
+        cal.open_window(t + SimDuration::from_micros(1));
+        cal.schedule(t, "local-2");
+        assert_eq!(
+            drain(&mut cal),
+            [
+                "local-0",
+                "local-1",
+                "env-1",
+                "env-2",
+                "local-2",
+                "next-tick"
+            ]
+        );
+    }
+
+    #[test]
+    fn envelopes_survive_the_overflow_ladder_and_a_purge() {
+        let mut cal = Calendar::new();
+        let far = SimTime::from_micros((1 << 45) + 3);
+        cal.schedule_envelope(far, 5, 1, u64::MAX);
+        cal.schedule_envelope(far, 5, 0, u64::MAX - 1);
+        cal.schedule(far, u64::MAX - 2);
+        let n = 2 * Calendar::<u64>::PURGE_MIN_DEAD as u64;
+        let ids: Vec<EventId> = (0..n)
+            .map(|i| cal.schedule(SimTime::from_micros(10 + i), i))
+            .collect();
+        for id in ids {
+            assert!(cal.cancel(id));
+        }
+        assert!(
+            cal.tombstones() < Calendar::<u64>::PURGE_MIN_DEAD,
+            "no purge ran: {} tombstones",
+            cal.tombstones()
+        );
+        assert_eq!(cal.len(), 3);
+        cal.open_window(SimTime::MAX);
+        assert_eq!(drain(&mut cal), [u64::MAX - 2, u64::MAX - 1, u64::MAX]);
     }
 
     #[test]

@@ -9,13 +9,19 @@
 //! whole harvest simulations against it. This implementation is O(log n)
 //! per operation plus a hash probe on every pop/cancel — correct, slow,
 //! and obviously so.
+//!
+//! Its [`EnvelopeLane`] is the *eager* one the round drivers used to
+//! implement themselves: envelopes wait in their own `(at, sender, seq)`
+//! heap and are injected through the ordinary [`Calendar::schedule`] when
+//! the window they fall due in opens. The wheel's key-ordered lane is
+//! differentially tested against exactly this.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 
 use hrv_trace::time::{SimDuration, SimTime};
 
-use crate::calendar::{EventCalendar, EventId, Scheduled};
+use crate::calendar::{EnvelopeLane, EventCalendar, EventId, Scheduled};
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -43,6 +49,37 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A sent-but-not-yet-injected envelope, ordered by `(at, sender, seq)`.
+#[derive(Debug)]
+struct Pending<E> {
+    at: SimTime,
+    sender: u32,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Pending<E> {
+    fn key(&self) -> (SimTime, u32, u64) {
+        (self.at, self.sender, self.seq)
+    }
+}
+impl<E> PartialEq for Pending<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Pending<E> {}
+impl<E> PartialOrd for Pending<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Pending<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
 /// The specification calendar: a max-heap over reversed `(time, seq)` with
 /// a `HashSet` of still-pending sequence numbers for cancellation.
 ///
@@ -56,6 +93,11 @@ pub struct Calendar<E> {
     /// Ids scheduled but neither delivered nor cancelled yet.
     pending: HashSet<u64>,
     processed: u64,
+    /// Envelopes not yet injected, earliest first.
+    lane: BinaryHeap<Reverse<Pending<E>>>,
+    /// End of the open lookahead window; every `lane` entry is due at or
+    /// after it.
+    window_stop: SimTime,
 }
 
 impl<E> Default for Calendar<E> {
@@ -83,6 +125,8 @@ impl<E> Calendar<E> {
             next_seq: 0,
             pending: HashSet::with_capacity(capacity),
             processed: 0,
+            lane: BinaryHeap::new(),
+            window_stop: SimTime::ZERO,
         }
     }
 
@@ -96,9 +140,9 @@ impl<E> Calendar<E> {
         self.processed
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (non-cancelled) events, envelopes included.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.lane.len()
     }
 
     /// True if no events are pending.
@@ -143,17 +187,27 @@ impl<E> Calendar<E> {
         was_pending
     }
 
-    /// Delivery time of the next pending event, if any.
+    /// Delivery time of the next pending event or envelope, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.skim_cancelled();
-        self.heap.peek().map(|e| e.at)
+        let local = self.heap.peek().map(|e| e.at);
+        let lane = self.lane.peek().map(|e| e.0.at);
+        match (local, lane) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Pops the next event, advancing the clock to its delivery time.
+    /// Envelopes are delivered only once their window has been opened.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.skim_cancelled();
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now);
+        debug_assert!(
+            self.lane.is_empty() || entry.at < self.window_stop,
+            "popped past the open window with envelopes pending"
+        );
         self.pending.remove(&entry.seq);
         self.now = entry.at;
         self.processed += 1;
@@ -212,6 +266,36 @@ impl<E> EventCalendar<E> for Calendar<E> {
     }
 }
 
+impl<E> EnvelopeLane<E> for Calendar<E> {
+    fn schedule_envelope(&mut self, at: SimTime, sender: u32, seq: u64, event: E) {
+        assert!(
+            at >= self.window_stop,
+            "envelope from entity {sender} due at {at}, inside the lookahead window ending {}",
+            self.window_stop
+        );
+        self.lane.push(Reverse(Pending {
+            at,
+            sender,
+            seq,
+            event,
+        }));
+    }
+
+    /// Injects every envelope due before `stop`, in canonical order, as
+    /// ordinary events.
+    fn open_window(&mut self, stop: SimTime) {
+        debug_assert!(
+            self.peek_time().is_none_or(|t| t >= self.window_stop),
+            "window opened with events still pending before the last one's stop"
+        );
+        self.window_stop = stop;
+        while self.lane.peek().is_some_and(|e| e.0.at < stop) {
+            let env = self.lane.pop().expect("peeked").0;
+            self.schedule(env.at, env.event);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +321,36 @@ mod tests {
         assert_eq!(cal.pop().unwrap().event, "keep");
         assert!(cal.pop().is_none());
         assert!(!cal.cancel(keep));
+    }
+
+    #[test]
+    fn lane_injects_in_canonical_order_when_the_window_opens() {
+        let mut cal = Calendar::new();
+        let t = SimTime::from_micros(100);
+        cal.schedule(t, "local-before");
+        cal.schedule_envelope(t, 2, 0, "env-2");
+        cal.schedule_envelope(t, 1, 9, "env-1");
+        cal.schedule_envelope(SimTime::from_micros(200), 0, 0, "next-window");
+        assert_eq!(cal.len(), 4);
+        assert_eq!(cal.peek_time(), Some(t));
+        cal.open_window(SimTime::from_micros(150));
+        cal.schedule(t, "local-during");
+        for expected in ["local-before", "env-1", "env-2", "local-during"] {
+            assert_eq!(cal.pop().unwrap().event, expected);
+        }
+        // Not injected yet, but visible to the driver picking the window.
+        assert_eq!(cal.peek_time(), Some(SimTime::from_micros(200)));
+        cal.open_window(SimTime::from_micros(250));
+        assert_eq!(cal.pop().unwrap().event, "next-window");
+        assert!(cal.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "envelope from entity 7 due at")]
+    fn envelope_inside_the_open_window_panics() {
+        let mut cal = Calendar::new();
+        cal.open_window(SimTime::from_micros(2_000));
+        cal.schedule_envelope(SimTime::from_micros(1_999), 7, 0, ());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hrv_sim::calendar::{Calendar, EventId};
+use hrv_sim::calendar::{Calendar, EnvelopeLane, EventId};
 use hrv_sim::calendar_reference;
 use hrv_sim::ps::{JobId, PsQueue};
 use hrv_sim::ps_reference;
@@ -64,6 +64,39 @@ fn assert_tie_or_equal(
     Ok(())
 }
 
+/// The lookahead the differential calendar test opens its windows with.
+const LANE_DELTA: SimDuration = SimDuration::from_micros(3);
+
+/// One round-driver step on both calendars: peek, open the next window if
+/// the head is at or past the open one's end, pop. Returns whether an
+/// event was delivered.
+fn lane_step(
+    wheel: &mut Calendar<u64>,
+    spec: &mut calendar_reference::Calendar<u64>,
+    stop: &mut SimTime,
+) -> Result<bool, TestCaseError> {
+    let head = wheel.peek_time();
+    prop_assert_eq!(head, spec.peek_time(), "peek diverged");
+    if let Some(t) = head.filter(|&t| t >= *stop) {
+        *stop = t.saturating_add(LANE_DELTA);
+        wheel.open_window(*stop);
+        spec.open_window(*stop);
+    }
+    let wp = wheel.pop();
+    let rp = spec.pop();
+    match (&wp, &rp) {
+        (None, None) => Ok(false),
+        (Some(w), Some(r)) => {
+            prop_assert_eq!((w.at, w.event), (r.at, r.event), "pop diverged");
+            Ok(true)
+        }
+        _ => {
+            prop_assert!(false, "pop presence diverged: {:?} vs {:?}", wp, rp);
+            Ok(false)
+        }
+    }
+}
+
 proptest! {
     /// Events always pop in (time, insertion) order, whatever the
     /// scheduling order was.
@@ -122,10 +155,17 @@ proptest! {
     /// at every pop, same clock, same counters — under arbitrary
     /// interleavings of schedules (same-instant ties, far-future overflow
     /// delays, `SimTime::MAX` sentinels), cancels (including double
-    /// cancels and cancel-after-pop via stale ids), peeks, and pops.
+    /// cancels and cancel-after-pop via stale ids), peeks, and pops —
+    /// and of envelope-lane traffic under the round drivers' protocol:
+    /// envelopes due at, just past and far past the open window's end
+    /// (tying with locals scheduled before and after the window that
+    /// delivers them opens), windows opened right after a peek or ahead
+    /// of an idle calendar, envelopes through the overflow ladder and
+    /// across tombstone purges. The reference injects eagerly at
+    /// `open_window`; the wheel orders by key.
     #[test]
     fn calendar_matches_reference_implementation(
-        ops in prop::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..250),
+        ops in prop::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..250),
     ) {
         let mut wheel: Calendar<u64> = Calendar::new();
         let mut spec: calendar_reference::Calendar<u64> = calendar_reference::Calendar::new();
@@ -133,17 +173,24 @@ proptest! {
         // exercise the stale-id (cancel-after-pop, double-cancel) paths.
         let mut ids: Vec<(EventId, EventId)> = Vec::new();
         let mut payload = 0u64;
+        // End of the open lookahead window, as a driver would track it.
+        let mut stop = SimTime::ZERO;
         for &(kind, a, b) in &ops {
             match kind {
                 // Schedule, biased across delay classes: same-instant
-                // ties, wheel near/far levels, and the overflow ladder.
+                // ties, wheel near/far levels, the overflow ladder, and
+                // the first instants of the next window.
                 0..=3 => {
-                    let delay = match a % 6 {
+                    let delay = match a % 7 {
                         0 => SimDuration::from_micros(0),
                         1 => SimDuration::from_micros(b % 64),
                         2 => SimDuration::from_micros(b % 1_000_000),
                         3 => SimDuration::from_micros((1 << 41) + b % 1_000),
                         4 => SimDuration::from_micros((1 << 43) + b % 1_000),
+                        5 => {
+                            let to_stop = stop.saturating_since(wheel.now()).as_micros();
+                            SimDuration::from_micros(to_stop.saturating_add(b % 4))
+                        }
                         _ => SimDuration::from_micros(u64::MAX),
                     };
                     let w = wheel.schedule_after(delay, payload);
@@ -155,20 +202,61 @@ proptest! {
                     prop_assert_eq!(wheel.peek_time(), spec.peek_time(), "peek diverged");
                 }
                 5 | 6 => {
-                    let wp = wheel.pop();
-                    let rp = spec.pop();
-                    match (&wp, &rp) {
-                        (None, None) => {}
-                        (Some(w), Some(r)) => {
-                            prop_assert_eq!((w.at, w.event), (r.at, r.event), "pop diverged");
-                        }
-                        _ => prop_assert!(false, "pop presence diverged: {:?} vs {:?}", wp, rp),
-                    }
+                    lane_step(&mut wheel, &mut spec, &mut stop)?;
                 }
-                _ => {
+                7 => {
                     if !ids.is_empty() {
                         let (w, r) = ids[(a % ids.len() as u64) as usize];
                         prop_assert_eq!(wheel.cancel(w), spec.cancel(r), "cancel diverged");
+                    }
+                }
+                // Envelope: never inside the open window; four senders,
+                // two of them numbering downwards so canonical order is
+                // not insertion order.
+                8 | 9 => {
+                    let extra = match a % 4 {
+                        0 => 0,
+                        1 => b % 4,
+                        2 => b % 1_000,
+                        _ => (1 << 43) + b % 1_000,
+                    };
+                    let at = stop.max(wheel.now()).saturating_add(SimDuration::from_micros(extra));
+                    let sender = (a >> 8) as u32 % 4;
+                    let seq = if sender.is_multiple_of(2) { payload } else { u64::MAX - payload };
+                    // No window ends past `SimTime::MAX`, so none could
+                    // deliver an envelope due then.
+                    if at < SimTime::MAX {
+                        wheel.schedule_envelope(at, sender, seq, payload);
+                        spec.schedule_envelope(at, sender, seq, payload);
+                        payload += 1;
+                    }
+                }
+                // A window opened without a pop, as on a shard whose
+                // peers hold the global minimum: allowed once nothing is
+                // pending before the last window's end, and it may end
+                // short of this calendar's own head.
+                10 => {
+                    let head = wheel.peek_time();
+                    prop_assert_eq!(head, spec.peek_time(), "peek diverged");
+                    if head.is_none_or(|t| t >= stop) {
+                        let room = head.map_or(10, |t| t.since(stop).as_micros().saturating_add(1));
+                        stop = stop
+                            .saturating_add(SimDuration::from_micros(b % room))
+                            .saturating_add(LANE_DELTA);
+                        wheel.open_window(stop);
+                        spec.open_window(stop);
+                    }
+                }
+                // Cancel storm: enough tombstones to force a purge with
+                // whatever is pending — envelopes included — in place.
+                _ => {
+                    if a % 4 == 0 {
+                        for i in 0..1_100 {
+                            let delay = SimDuration::from_micros((1 << 20) + i);
+                            let w = wheel.schedule_after(delay, u64::MAX);
+                            let r = spec.schedule_after(delay, u64::MAX);
+                            prop_assert!(wheel.cancel(w) && spec.cancel(r));
+                        }
                     }
                 }
             }
@@ -177,17 +265,7 @@ proptest! {
             prop_assert_eq!(wheel.processed(), spec.processed(), "processed diverged");
         }
         // Drain the tail completely.
-        loop {
-            let wp = wheel.pop();
-            let rp = spec.pop();
-            match (&wp, &rp) {
-                (None, None) => break,
-                (Some(w), Some(r)) => {
-                    prop_assert_eq!((w.at, w.event), (r.at, r.event), "tail pop diverged");
-                }
-                _ => prop_assert!(false, "tail presence diverged: {:?} vs {:?}", wp, rp),
-            }
-        }
+        while lane_step(&mut wheel, &mut spec, &mut stop)? {}
         prop_assert!(wheel.is_empty() && spec.is_empty());
     }
 
