@@ -1,7 +1,8 @@
 //! Microbenchmarks of the core data structures: event calendar,
-//! processor-sharing queue, consistent-hash ring, the statistics
-//! histograms, and the sharded driver's cross-shard mailbox and barrier
-//! round-trip. These are the hot paths of every simulation.
+//! processor-sharing queue, consistent-hash ring, the controller's fleet
+//! view, an invoker's container table, the statistics histograms, and the
+//! sharded driver's cross-shard mailbox and barrier round-trip. These are
+//! the hot paths of every simulation.
 
 use std::time::Duration;
 
@@ -179,6 +180,132 @@ fn bench_hash_ring(c: &mut Criterion) {
         b.iter(|| black_box(fleet.remove(InvokerId(victim))));
         fleet.add(InvokerId(victim));
     });
+}
+
+/// A fleet start as a controller replica sees it: 1 600 joins at one
+/// instant, then the first placement, which is what puts the buffered
+/// burst on the ring (one sort and one merge of 102 400 vnodes).
+fn bench_fleet_start(c: &mut Criterion) {
+    let mut view = ClusterView::new();
+    for i in 0..1_600 {
+        view.add(InvokerView::register(
+            InvokerId(i),
+            8,
+            64 * 1024,
+            SimTime::ZERO,
+        ));
+    }
+    let f = FunctionId {
+        app: AppId(42),
+        func: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    c.bench_function("ring/fleet_start_1600_joins", |b| {
+        b.iter(|| {
+            let mut mws = Mws::new(LoadWeights::default(), 1);
+            for i in 0..1_600 {
+                mws.on_invoker_join(InvokerId(i));
+            }
+            black_box(mws.place(SimTime::ZERO, f, 256, &view, &mut rng))
+        })
+    });
+}
+
+/// `ClusterView::update` at fleet size — one call per ping, placement
+/// charge and completion report. Dense ids resolve at the probed row;
+/// after removals the rows above a removed id sit left of their id and
+/// the lookup gallops back to them.
+fn bench_view(c: &mut Criterion) {
+    let mut dense = ClusterView::new();
+    for i in 0..1_600 {
+        dense.add(InvokerView::register(
+            InvokerId(i),
+            8,
+            64 * 1024,
+            SimTime::ZERO,
+        ));
+    }
+    let mut holed = dense.clone();
+    for i in 0..32 {
+        holed.remove(InvokerId(i * 50));
+    }
+    for (name, mut view) in [
+        ("view/update_dense_n1600", dense),
+        ("view/update_after_32_removals_n1600", holed),
+    ] {
+        c.bench_function(name, |b| {
+            let mut i = 0u32;
+            b.iter(|| {
+                // A stride coprime to the fleet size visits every id.
+                i = (i + 611) % 1_600;
+                black_box(view.update(InvokerId(i), |v| v.cpu_in_use += 0.001))
+            })
+        });
+    }
+}
+
+/// One warm invocation through an invoker holding 50 idle containers of
+/// 50 functions (the `fleet_s1` operating point): the delivery scans the
+/// container table for the warm container, the completion tick parks it
+/// again and asks the keep-alive policy.
+fn bench_invoker(c: &mut Criterion) {
+    use harvest_faas::hrv_platform::config::PlatformConfig;
+    use harvest_faas::hrv_platform::event::Event;
+    use harvest_faas::hrv_platform::invoker::InvokerState;
+    use harvest_faas::hrv_trace::faas::Invocation;
+
+    let cfg = PlatformConfig {
+        keep_alive: SimDuration::from_hours(24 * 30),
+        ..PlatformConfig::default()
+    };
+    let mut cal: Calendar<Event> = Calendar::new();
+    let mut iv = InvokerState::new(0, 1 << 20);
+    iv.deploy(SimTime::ZERO, 64);
+    let mut next_id = 0u64;
+    // Delivers one 1 ms invocation of `app` at `now` and runs the
+    // invoker's own timers up to and including its completion tick.
+    let mut serve = |iv: &mut InvokerState, cal: &mut Calendar<Event>, now: SimTime, app: u32| {
+        next_id += 1;
+        let invocation = Invocation {
+            id: next_id,
+            function: FunctionId {
+                app: AppId(app),
+                func: 0,
+            },
+            arrival: now,
+            duration: SimDuration::from_millis(1),
+            memory_mb: 256,
+            cpu_demand: 1.0,
+        };
+        iv.deliver(now, invocation, cal, &cfg);
+        while let Some(ev) = cal.pop() {
+            match ev.event {
+                Event::StartupDone { container, .. } => {
+                    iv.startup_done(ev.at, container, cal, &cfg)
+                }
+                Event::Completion { .. } => return iv.completion_tick(ev.at, cal, &cfg).len(),
+                _ => {}
+            }
+        }
+        0
+    };
+    let mut now = SimTime::ZERO;
+    for app in 0..50 {
+        now += SimDuration::from_secs(10);
+        assert_eq!(serve(&mut iv, &mut cal, now, app), 1);
+    }
+    assert_eq!((iv.container_count(), iv.cold_starts), (50, 50));
+    // Past the last cold start's completion.
+    now += SimDuration::from_secs(10);
+    c.bench_function("invoker/completion_tick_50_containers", |b| {
+        let mut app = 0u32;
+        b.iter(|| {
+            app = (app + 7) % 50;
+            now += SimDuration::from_millis(10);
+            black_box(serve(&mut iv, &mut cal, now, app))
+        })
+    });
+    assert_eq!((iv.container_count(), iv.cold_starts), (50, 50));
 }
 
 fn bench_mws(c: &mut Criterion) {
@@ -399,7 +526,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_calendar, bench_ps_queue, bench_hash_ring, bench_mws, bench_histograms,
-        bench_mailbox, bench_barrier
+    targets = bench_calendar, bench_ps_queue, bench_hash_ring, bench_fleet_start, bench_view,
+        bench_invoker, bench_mws, bench_histograms, bench_mailbox, bench_barrier
 }
 criterion_main!(benches);

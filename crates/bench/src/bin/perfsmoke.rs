@@ -42,6 +42,10 @@
 //!    CI-sized runs) plus a constant-memory full-platform replay, both
 //!    under an RSS-growth assertion.
 //!
+//! The report opens with a `machine` object — core count, CPU model,
+//! rustc version, git commit — naming what the wall-clock rows were
+//! measured on.
+//!
 //! Usage: `cargo run --release -p hrv-bench --bin perfsmoke`
 
 use std::hint::black_box;
@@ -620,6 +624,43 @@ fn bench_sharded_replay() -> (u64, Vec<ShardRow>, Vec<OccRow>) {
     )
 }
 
+/// First line of `program args...`'s stdout, or "unknown" when it cannot
+/// be run (no toolchain or checkout next to a copied binary).
+fn first_line_of(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+/// The `machine` object of the report: what the wall-clock rows below
+/// were measured on, so two files can be told apart before their rates
+/// are compared.
+fn machine_json(cores: usize) -> String {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let quoted = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+    format!(
+        "  \"machine\": {{ \"nproc\": {cores}, \"cpu_model\": \"{}\", \
+         \"rustc\": \"{}\", \"git_commit\": \"{}\" }}",
+        quoted(&cpu_model),
+        quoted(&first_line_of("rustc", &["--version"])),
+        quoted(&first_line_of("git", &["describe", "--always", "--dirty"])),
+    )
+}
+
 fn main() {
     let scale_invocations = scale_target();
     let calendar_events = 1_000_000usize;
@@ -791,8 +832,9 @@ fn main() {
         fmt_opt(scale_plat.rss_growth_mb),
     );
     let replay_before = before_envelope_lane(REPLAY_BEFORE_ENVELOPE_LANE);
+    let machine = machine_json(cores);
     let json = format!(
-        "{{\n  \"calendar\": {{ \"pops\": {calendar_events}, \"wall_secs\": {cal_secs:.3}, \
+        "{{\n{machine},\n  \"calendar\": {{ \"pops\": {calendar_events}, \"wall_secs\": {cal_secs:.3}, \
          \"pops_per_sec\": {cal_rate:.0} }},\n  \"calendar_churn\": {{ \"ops\": {churn_ops}, \
          \"wall_secs\": {churn_secs:.3}, \"ops_per_sec\": {churn_rate:.0}, \
          \"max_tombstones\": {churn_max_tombstones} }},\n  \"ps\": [\n{ps_json}\n  ],\n  \

@@ -6,11 +6,10 @@
 //! are *learned online from samples* — the load balancer never peeks at the
 //! workload model's ground truth.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use hrv_trace::faas::FunctionId;
+use hrv_trace::rng::IdMap;
 use hrv_trace::time::{SimDuration, SimTime};
 
 /// A small positive-valued histogram over log-spaced bins with an exact
@@ -229,7 +228,7 @@ impl Default for StatsPriors {
 /// Per-function statistics registry for one controller.
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
-    stats: HashMap<FunctionId, FunctionStats>,
+    stats: IdMap<FunctionId, FunctionStats>,
     priors: StatsPriors,
     /// Number of controllers in the deployment; each controller sees
     /// `1/controllers` of the arrivals and multiplies its local estimate
@@ -242,7 +241,7 @@ impl StatsRegistry {
     pub fn new(priors: StatsPriors, controllers: u32) -> Self {
         assert!(controllers >= 1);
         StatsRegistry {
-            stats: HashMap::new(),
+            stats: IdMap::default(),
             priors,
             controllers,
         }

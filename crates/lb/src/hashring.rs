@@ -11,16 +11,23 @@
 //! deduplication uses an epoch-stamped mark table ([`WalkSeen`]) that a
 //! caller can reuse across placements — a full walk allocates nothing.
 //!
-//! Membership changes are one pass over the ring each. A join hashes its
-//! `v` vnodes, sorts them and merges them in from the back, so every
-//! existing entry moves at most once: O(ring + v log v), against
-//! O(v · ring) for `v` sorted inserts (at 1 600 members × 64 vnodes,
-//! ≈ 46 µs against ≈ 1 ms). A leave drops the member's vnodes and
-//! renumbers the slot that takes its place in a single sweep. The merge
-//! lays the ring out exactly as per-vnode `partition_point` + `insert`
-//! would: a new vnode lands before every equal-hash entry already on the
-//! ring, and equal hashes within one join carry the same slot, so their
-//! mutual order (later replica first) is not observable.
+//! Membership changes are one pass over the ring each. A join — of one
+//! member or of a whole burst ([`HashRing::extend`]) — hashes the `v`
+//! vnodes of every new member, sorts them once and merges them in from
+//! the back, so every existing entry moves at most once: O(ring + b·v
+//! log b·v) for `b` joiners, against O(b · ring) for `b` separate joins
+//! (a 1 600-invoker fleet start is one sort of 102 400 pairs instead of
+//! 1 600 memmoves of a growing vector; a lone join at 1 600 members stays
+//! ≈ 46 µs). A leave drops the member's vnodes and renumbers the slot
+//! that takes its place in a single sweep. The merge lays the ring out
+//! exactly as per-vnode `partition_point` + `insert`, one member after
+//! the other in argument order, would: a new vnode lands before every
+//! equal-hash entry already on the ring, a later joiner's before an
+//! earlier joiner's of the same burst (the batch is sorted by hash, then
+//! by slot descending), and equal hashes within one member carry the same
+//! slot, so their mutual order is not observable.
+
+use std::cmp::Reverse;
 
 use hrv_trace::faas::FunctionId;
 use hrv_trace::rng::{label_id, splitmix64};
@@ -132,15 +139,45 @@ impl HashRing {
     /// Adds an invoker's virtual nodes in one pass over the ring. Returns
     /// `false` — no change, no epoch bump — if it was already present.
     pub fn add(&mut self, id: InvokerId) -> bool {
-        if self.contains(id) {
-            return false;
+        self.extend([id]) == 1
+    }
+
+    /// Adds a burst of invokers with one sort and one merge pass over the
+    /// ring, leaving `ring`, `members` and `epoch` exactly as calling
+    /// [`HashRing::add`] on each id in argument order would: ids already
+    /// on the ring (or repeated in the burst) are skipped, every new
+    /// member takes the next slot and bumps the epoch once. Returns how
+    /// many joined.
+    pub fn extend(&mut self, ids: impl IntoIterator<Item = InvokerId>) -> usize {
+        let fresh = self.not_yet_members(ids);
+        self.epoch += fresh.len() as u64;
+        let mut incoming = Vec::with_capacity(fresh.len() * self.vnodes as usize);
+        for &id in &fresh {
+            let slot = self.members.len() as u32;
+            self.members.push(id);
+            incoming.extend((0..self.vnodes).map(|r| (Self::vnode_hash(id, r), slot)));
         }
-        self.epoch += 1;
-        let slot = self.members.len() as u32;
-        self.members.push(id);
-        let mut hashes: Vec<u64> = (0..self.vnodes).map(|r| Self::vnode_hash(id, r)).collect();
-        merge_vnodes(&mut self.ring, &mut hashes, slot);
-        true
+        merge_batch(&mut self.ring, &mut incoming);
+        fresh.len()
+    }
+
+    /// The ids of `ids` that are not members, first occurrences only, in
+    /// argument order. Sorts the burst and probes it once per member —
+    /// O((b + members) log b), where a `contains` per id is O(b · members).
+    fn not_yet_members(&self, ids: impl IntoIterator<Item = InvokerId>) -> Vec<InvokerId> {
+        const MEMBER: usize = usize::MAX;
+        let mut burst: Vec<(InvokerId, usize)> = ids.into_iter().zip(0..).collect();
+        // By id, then argument position: `dedup` keeps the first of a run.
+        burst.sort_unstable();
+        burst.dedup_by_key(|&mut (id, _)| id);
+        for m in &self.members {
+            if let Ok(i) = burst.binary_search_by_key(m, |&(id, _)| id) {
+                burst[i].1 = MEMBER;
+            }
+        }
+        burst.retain(|&(_, pos)| pos != MEMBER);
+        burst.sort_unstable_by_key(|&(_, pos)| pos);
+        burst.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Removes an invoker's virtual nodes in one pass over the ring.
@@ -228,19 +265,21 @@ impl HashRing {
     }
 }
 
-/// Merges one member's vnode `hashes` into the sorted `ring`, laying it
-/// out exactly as inserting each at `partition_point(rh < h)` would.
+/// Merges the `(hash, slot)` vnodes of a burst of joiners into the sorted
+/// `ring`, laying it out exactly as inserting each at
+/// `partition_point(rh < h)`, member by member in slot order, would.
 /// Works from the back: the run of existing entries at or above each new
 /// hash is moved to its final place with one `copy_within`, so every
 /// entry moves at most once.
-fn merge_vnodes(ring: &mut Vec<(u64, u32)>, hashes: &mut [u64], slot: u32) {
-    hashes.sort_unstable();
+fn merge_batch(ring: &mut Vec<(u64, u32)>, incoming: &mut [(u64, u32)]) {
+    // Among equal hashes the later joiner (higher slot) goes first.
+    incoming.sort_unstable_by_key(|&(h, slot)| (h, Reverse(slot)));
     // `ring[..src]` is the not-yet-placed prefix of the old ring and
     // `ring[dst..]` the finished suffix of the new one.
     let mut src = ring.len();
-    ring.resize(src + hashes.len(), (0, slot));
+    ring.resize(src + incoming.len(), (0, 0));
     let mut dst = ring.len();
-    for &h in hashes.iter().rev() {
+    for &(h, slot) in incoming.iter().rev() {
         let keep = ring[..src].partition_point(|&(rh, _)| rh < h);
         let run = src - keep;
         ring.copy_within(keep..src, dst - run);
@@ -492,8 +531,8 @@ mod tests {
         assert_eq!(ring.epoch(), before.epoch() + 1);
     }
 
-    /// The per-vnode sorted insert `merge_vnodes` replaced — the layout
-    /// (and tie order) the merge must reproduce entry for entry.
+    /// The per-vnode sorted insert the merge replaced — the layout (and
+    /// tie order) it must reproduce entry for entry.
     fn insert_vnodes(ring: &mut Vec<(u64, u32)>, hashes: &[u64], slot: u32) {
         for &h in hashes {
             let pos = ring.partition_point(|&(rh, _)| rh < h);
@@ -501,6 +540,7 @@ mod tests {
         }
     }
 
+    /// The one-member-at-a-time join `extend` replaced.
     fn reference_add(ring: &mut HashRing, id: InvokerId) -> bool {
         if ring.contains(id) {
             return false;
@@ -535,30 +575,42 @@ mod tests {
 
     #[test]
     fn merge_places_new_vnodes_before_equal_hashes() {
-        // splitmix64 never collides in practice, so ties are crafted:
-        // against old entries at index 0, mid-ring and at the end of the
-        // ring, twice within the join itself (replicas 0 and 3 share hash
-        // 10, replicas 1 and 5 share `u64::MAX`), plus hashes below and
-        // between everything already present.
+        // splitmix64 never collides in practice, so ties are crafted, for
+        // two joiners (slots 2 and 3) of one burst: against old entries at
+        // index 0, mid-ring and at the end of the ring, within one joiner
+        // (slot 2 holds hash 10 and `u64::MAX` twice each), between the
+        // two joiners (10, 25, `u64::MAX`), plus hashes below and between
+        // everything already present.
         let old = vec![(10, 0), (10, 1), (20, 0), (30, 1), (u64::MAX, 0)];
-        let incoming = [10, u64::MAX, 30, 10, 0, u64::MAX, 25];
+        let first = [10, u64::MAX, 30, 10, 0, u64::MAX, 25];
+        let second = [25, u64::MAX, 10, 5];
         let mut expected = old.clone();
-        insert_vnodes(&mut expected, &incoming, 2);
+        insert_vnodes(&mut expected, &first, 2);
+        insert_vnodes(&mut expected, &second, 3);
         let mut merged = old;
-        merge_vnodes(&mut merged, &mut incoming.clone(), 2);
+        let mut incoming: Vec<(u64, u32)> = first
+            .iter()
+            .map(|&h| (h, 2))
+            .chain(second.iter().map(|&h| (h, 3)))
+            .collect();
+        merge_batch(&mut merged, &mut incoming);
         assert_eq!(merged, expected);
         assert_eq!(
             merged,
             vec![
                 (0, 2),
+                (5, 3),
+                (10, 3),
                 (10, 2),
                 (10, 2),
                 (10, 0),
                 (10, 1),
                 (20, 0),
+                (25, 3),
                 (25, 2),
                 (30, 2),
                 (30, 1),
+                (u64::MAX, 3),
                 (u64::MAX, 2),
                 (u64::MAX, 2),
                 (u64::MAX, 0),
@@ -566,10 +618,24 @@ mod tests {
         );
         // Into an empty ring, and nothing into a ring.
         let mut empty = Vec::new();
-        merge_vnodes(&mut empty, &mut [7, 3, 7], 0);
-        assert_eq!(empty, vec![(3, 0), (7, 0), (7, 0)]);
-        merge_vnodes(&mut empty, &mut [], 1);
-        assert_eq!(empty.len(), 3);
+        merge_batch(&mut empty, &mut [(7, 0), (3, 1), (7, 1), (3, 0)]);
+        assert_eq!(empty, vec![(3, 1), (3, 0), (7, 1), (7, 0)]);
+        merge_batch(&mut empty, &mut []);
+        assert_eq!(empty.len(), 4);
+    }
+
+    #[test]
+    fn extend_skips_members_and_repeats_in_argument_order() {
+        let mut ring = ring_of(3);
+        let before = ring.clone();
+        assert_eq!(ring.extend([]), 0);
+        assert_eq!(ring.extend([InvokerId(1), InvokerId(1), InvokerId(0)]), 0);
+        assert_eq!(ring.ring, before.ring);
+        assert_eq!(ring.epoch(), before.epoch());
+        let burst = [9, 1, 4, 9, 7, 4, 2].map(InvokerId);
+        assert_eq!(ring.extend(burst), 3);
+        assert_eq!(ring.members, [0, 1, 2, 9, 4, 7].map(InvokerId));
+        assert_eq!(ring.epoch(), before.epoch() + 3);
     }
 
     proptest! {
@@ -596,6 +662,58 @@ mod tests {
                 prop_assert_eq!(&ring.members, &reference.members);
                 prop_assert_eq!(ring.epoch, reference.epoch);
             }
+        }
+
+        /// A burst through `extend` is the same ring as its ids joined
+        /// one at a time: bursts of 0–12 ids (members, repeats and
+        /// newcomers mixed) interleaved with leaves, compared field for
+        /// field after every step.
+        #[test]
+        fn extend_matches_sequential_adds(
+            vnodes_idx in 0usize..3,
+            steps in prop::collection::vec(
+                (prop::collection::vec(0u32..24, 0..12), any::<bool>(), 0u32..24),
+                1..24,
+            ),
+        ) {
+            let vnodes = [1u32, 3, 64][vnodes_idx];
+            let mut ring = HashRing::with_vnodes(vnodes);
+            let mut reference = HashRing::with_vnodes(vnodes);
+            for (burst, leave, leaver) in steps {
+                let joined = ring.extend(burst.iter().map(|&i| InvokerId(i)));
+                let expected = burst
+                    .iter()
+                    .filter(|&&i| reference_add(&mut reference, InvokerId(i)))
+                    .count();
+                prop_assert_eq!(joined, expected);
+                if leave {
+                    let id = InvokerId(leaver);
+                    prop_assert_eq!(ring.remove(id), reference_remove(&mut reference, id));
+                }
+                prop_assert_eq!(&ring.ring, &reference.ring);
+                prop_assert_eq!(&ring.members, &reference.members);
+                prop_assert_eq!(ring.epoch, reference.epoch);
+            }
+        }
+
+        /// The burst merge against per-vnode inserts on rings where
+        /// hashes collide constantly (eight distinct values): ties inside
+        /// a joiner, between joiners and against entries already present.
+        #[test]
+        fn merge_batch_matches_per_vnode_inserts_under_ties(
+            old in prop::collection::vec(0u64..8, 0..20),
+            joiners in prop::collection::vec(prop::collection::vec(0u64..8, 0..6), 0..5),
+        ) {
+            let mut ring: Vec<(u64, u32)> = Vec::new();
+            insert_vnodes(&mut ring, &old, 0);
+            let mut expected = ring.clone();
+            let mut incoming = Vec::new();
+            for (hashes, slot) in joiners.iter().zip(1u32..) {
+                insert_vnodes(&mut expected, hashes, slot);
+                incoming.extend(hashes.iter().map(|&h| (h, slot)));
+            }
+            merge_batch(&mut ring, &mut incoming);
+            prop_assert_eq!(ring, expected);
         }
     }
 

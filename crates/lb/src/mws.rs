@@ -34,10 +34,22 @@
 //! placements are **byte-identical** to the retained reference path
 //! ([`Mws::place_uncached`]); a differential proptest and a
 //! platform-level same-seed record-identity test enforce it.
-
-use std::collections::HashMap;
+//!
+//! # Burst joins
+//!
+//! A fleet start is hundreds of [`LoadBalancer::on_invoker_join`] calls
+//! at one instant with no placement in between. `Mws` buffers them and
+//! hands the whole burst to [`HashRing::extend`] — one sort and one merge
+//! pass instead of one ring memmove per joiner — before anything reads
+//! the ring: `place`, `place_uncached`, `home` and `on_invoker_leave` all
+//! flush first. The buffer lives here and not in the ring because every
+//! one of those takes `&mut self`, while [`HashRing::walk`] is `&self`
+//! and must see every member `add` returned `true` for. `extend` lays
+//! the ring out (and counts epochs) exactly as the same joins one at a
+//! time would, so buffering is unobservable.
 
 use hrv_trace::faas::FunctionId;
+use hrv_trace::rng::IdMap;
 use hrv_trace::time::{SimDuration, SimTime};
 
 use crate::estimate::{StatsPriors, StatsRegistry};
@@ -163,9 +175,11 @@ impl MwsCacheStats {
 #[derive(Debug)]
 pub struct Mws {
     ring: HashRing,
+    /// Joins not yet on the ring, in arrival order; see "Burst joins".
+    joining: Vec<InvokerId>,
     stats: StatsRegistry,
     weights: LoadWeights,
-    sets: HashMap<FunctionId, SetState>,
+    sets: IdMap<FunctionId, SetState>,
     /// Reused ring-walk dedup scratch (only the miss path walks).
     walk_seen: WalkSeen,
     /// Reused worker-set member buffer, emptied between placements.
@@ -184,9 +198,10 @@ impl Mws {
     pub fn new(weights: LoadWeights, controllers: u32) -> Self {
         Mws {
             ring: HashRing::new(),
+            joining: Vec::new(),
             stats: StatsRegistry::new(StatsPriors::default(), controllers),
             weights,
-            sets: HashMap::new(),
+            sets: IdMap::default(),
             walk_seen: WalkSeen::new(),
             scratch: Vec::new(),
             cache_enabled: true,
@@ -210,8 +225,17 @@ impl Mws {
         }
     }
 
+    /// Puts the buffered joins on the ring. Every reader of the ring
+    /// calls this first.
+    fn flush_joins(&mut self) {
+        if !self.joining.is_empty() {
+            self.ring.extend(self.joining.drain(..));
+        }
+    }
+
     /// The home invoker currently assigned to `function`, if any.
-    pub fn home(&self, function: FunctionId) -> Option<InvokerId> {
+    pub fn home(&mut self, function: FunctionId) -> Option<InvokerId> {
+        self.flush_joins();
         self.ring.home(function)
     }
 
@@ -238,6 +262,7 @@ impl Mws {
         _memory_mb: u64,
         view: &ClusterView,
     ) -> Option<InvokerId> {
+        self.flush_joins();
         let usage = self.stats.usage_estimate(function, now);
         self.place_walk(now, function, usage, view, false)
     }
@@ -456,6 +481,7 @@ impl LoadBalancer for Mws {
         view: &ClusterView,
         _rng: &mut dyn rand::Rng,
     ) -> Option<InvokerId> {
+        self.flush_joins();
         let usage = self.stats.usage_estimate(function, now);
         if self.cache_enabled {
             if let Some(choice) = self.place_cached(now, function, usage, view) {
@@ -476,10 +502,11 @@ impl LoadBalancer for Mws {
     }
 
     fn on_invoker_join(&mut self, id: InvokerId) {
-        self.ring.add(id);
+        self.joining.push(id);
     }
 
     fn on_invoker_leave(&mut self, id: InvokerId) {
+        self.flush_joins();
         self.ring.remove(id);
     }
 }
@@ -489,6 +516,7 @@ mod tests {
     use super::*;
     use hrv_trace::faas::AppId;
     use hrv_trace::time::SimTime;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -825,5 +853,91 @@ mod tests {
             mws.place(now, f(7), 256, &view, &mut r).unwrap();
         }
         assert_eq!(mws.cache_stats(), MwsCacheStats::default());
+    }
+
+    #[test]
+    fn joins_are_buffered_until_the_ring_is_read() {
+        let mut mws = Mws::new(LoadWeights::default(), 1);
+        for i in [3, 1, 3, 2] {
+            mws.on_invoker_join(InvokerId(i));
+        }
+        assert_eq!(mws.ring.members(), 0);
+        assert_eq!(mws.joining.len(), 4);
+        // A leave must see the buffered join it undoes.
+        mws.on_invoker_leave(InvokerId(1));
+        assert!(mws.joining.is_empty());
+        assert_eq!(mws.ring.members(), 2);
+        assert_eq!(mws.ring.epoch(), 4);
+        mws.on_invoker_join(InvokerId(1));
+        assert!(mws.home(f(0)).is_some());
+        assert_eq!(mws.ring.members(), 3);
+    }
+
+    proptest! {
+        /// Buffered joins are unobservable: a balancer that batches its
+        /// joins and a twin that puts each on the ring at once, fed the
+        /// same random join / leave / warn / place interleaving (repeat
+        /// joins and leaves of absent ids included), place identically
+        /// and agree on cache counters and worker-set sizes throughout.
+        #[test]
+        fn buffered_joins_match_eager_joins(
+            ops in prop::collection::vec((0u32..8, 0u32..12), 1..200),
+        ) {
+            let mut buffered = Mws::new(LoadWeights::default(), 1);
+            let mut eager = Mws::new(LoadWeights::default(), 1);
+            let mut view = ClusterView::new();
+            let mut r = rng();
+            for app in 0..3 {
+                for _ in 0..10 {
+                    buffered.on_completion(f(app), SimDuration::from_secs(4), 1.0);
+                    eager.on_completion(f(app), SimDuration::from_secs(4), 1.0);
+                }
+            }
+            for (step, (op, arg)) in ops.into_iter().enumerate() {
+                let now = SimTime::from_micros(step as u64 * 100_000);
+                let id = InvokerId(arg);
+                match op {
+                    0 | 1 => {
+                        buffered.on_invoker_join(id);
+                        eager.on_invoker_join(id);
+                        eager.flush_joins();
+                        if view.get(id).is_none() {
+                            view.add(InvokerView::register(id, 4, 64 * 1024, now));
+                        }
+                    }
+                    2 => {
+                        buffered.on_invoker_leave(id);
+                        eager.on_invoker_leave(id);
+                        view.remove(id);
+                    }
+                    3 => {
+                        view.update(id, |v| v.eviction_pending = !v.eviction_pending);
+                    }
+                    _ => {
+                        let func = f(arg % 3);
+                        buffered.on_arrival(func, now);
+                        eager.on_arrival(func, now);
+                        let a = buffered.place(now, func, 256, &view, &mut r);
+                        let b = eager.place(now, func, 256, &view, &mut r);
+                        prop_assert_eq!(a, b, "diverged at step {}", step);
+                        if let Some(id) = a {
+                            view.update(id, |v| v.cpu_in_use = (v.cpu_in_use + 0.6).min(4.0));
+                        }
+                    }
+                }
+                prop_assert_eq!(buffered.cache_stats(), eager.cache_stats());
+                for app in 0..3 {
+                    prop_assert_eq!(
+                        buffered.worker_set_size(f(app)),
+                        eager.worker_set_size(f(app))
+                    );
+                }
+            }
+            buffered.flush_joins();
+            prop_assert_eq!(buffered.ring.epoch(), eager.ring.epoch());
+            for app in 0..40 {
+                prop_assert_eq!(buffered.home(f(app)), eager.home(f(app)));
+            }
+        }
     }
 }

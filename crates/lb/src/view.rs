@@ -5,6 +5,8 @@
 //! up to a ping interval stale, exactly like the modified OpenWhisk
 //! controller in Section 6.2.
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use hrv_trace::time::SimTime;
@@ -191,9 +193,42 @@ impl ClusterView {
         }
     }
 
+    /// The row holding `id`, if registered. Rows are unique and id-sorted,
+    /// so a row never sits to the right of its own id, and fleets number
+    /// their invokers densely, so it sits exactly there until lower ids
+    /// are removed: probe `min(id, len − 1)`, and only when that row's id
+    /// is larger gallop left (1, 2, 4, … rows) to bracket a binary
+    /// search. A dense fleet resolves in one comparison; `k` removed
+    /// lower ids cost O(log k).
+    fn position(&self, id: InvokerId) -> Option<usize> {
+        let rows = &self.invokers;
+        let mut hi = (id.0 as usize).min(rows.len().checked_sub(1)?);
+        match rows[hi].id.cmp(&id) {
+            Ordering::Equal => return Some(hi),
+            // The probe is the last row, or `rows[id] < id`, which
+            // unique ascending ids rule out: nothing further right.
+            Ordering::Less => return None,
+            Ordering::Greater => {}
+        }
+        // Invariant: `rows[hi].id > id`.
+        let mut step = 1;
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if rows[lo].id <= id {
+                return rows[lo..hi]
+                    .binary_search_by_key(&id, |v| v.id)
+                    .ok()
+                    .map(|i| lo + i);
+            }
+            hi = lo;
+            step *= 2;
+        }
+        None
+    }
+
     /// Removes an invoker (VM evicted/crashed). Returns its last view.
     pub fn remove(&mut self, id: InvokerId) -> Option<InvokerView> {
-        let pos = self.invokers.binary_search_by_key(&id, |v| v.id).ok()?;
+        let pos = self.position(id)?;
         self.placeability_epoch += 1;
         let removed = self.invokers.remove(pos);
         if !self.dirty {
@@ -210,10 +245,7 @@ impl ClusterView {
 
     /// Immutable lookup.
     pub fn get(&self, id: InvokerId) -> Option<&InvokerView> {
-        self.invokers
-            .binary_search_by_key(&id, |v| v.id)
-            .ok()
-            .map(|i| &self.invokers[i])
+        self.position(id).map(|i| &self.invokers[i])
     }
 
     /// Like [`ClusterView::get`], but also returns the invoker's position
@@ -222,10 +254,7 @@ impl ClusterView {
     /// and both bump the epoch (as does the conservative `get_mut`), so
     /// epoch-validated caches may index directly instead of re-searching.
     pub fn get_indexed(&self, id: InvokerId) -> Option<(usize, &InvokerView)> {
-        self.invokers
-            .binary_search_by_key(&id, |v| v.id)
-            .ok()
-            .map(|i| (i, &self.invokers[i]))
+        self.position(id).map(|i| (i, &self.invokers[i]))
     }
 
     /// Mutable lookup. Marks the placeable index dirty and conservatively
@@ -233,14 +262,10 @@ impl ClusterView {
     /// hot paths should use [`ClusterView::update`], which keeps the
     /// index intact and only bumps the epoch on an actual flip.
     pub fn get_mut(&mut self, id: InvokerId) -> Option<&mut InvokerView> {
-        self.invokers
-            .binary_search_by_key(&id, |v| v.id)
-            .ok()
-            .map(move |i| {
-                self.dirty = true;
-                self.placeability_epoch += 1;
-                &mut self.invokers[i]
-            })
+        let i = self.position(id)?;
+        self.dirty = true;
+        self.placeability_epoch += 1;
+        Some(&mut self.invokers[i])
     }
 
     /// Mutates one invoker through a closure, patching the placeable
@@ -248,7 +273,7 @@ impl ClusterView {
     /// id is unknown. Rebuilds the index first if a prior `get_mut` left
     /// it dirty.
     pub fn update(&mut self, id: InvokerId, f: impl FnOnce(&mut InvokerView)) -> bool {
-        let Ok(i) = self.invokers.binary_search_by_key(&id, |v| v.id) else {
+        let Some(i) = self.position(id) else {
             return false;
         };
         if self.dirty {
@@ -358,6 +383,7 @@ impl<'a> Iterator for Placeable<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(id: u32, cpus: u32, in_use: f64) -> InvokerView {
         let mut view = InvokerView::register(InvokerId(id), cpus, 1024, SimTime::ZERO);
@@ -530,5 +556,74 @@ mod tests {
         // Any update() rebuilds and resumes incremental maintenance.
         assert!(cv.update(InvokerId(2), |x| x.quarantined = true));
         assert_eq!(cv.placeable_positions(), Some(&[1u32][..]));
+    }
+
+    #[test]
+    fn position_probes_dense_and_gallops_past_removed_rows() {
+        let mut cv = ClusterView::new();
+        assert_eq!(cv.position(InvokerId(0)), None);
+        for i in 0..100 {
+            cv.add(v(i, 4, 0.0));
+        }
+        cv.add(v(u32::MAX, 4, 0.0));
+        // Dense: row == id; the far id resolves at the last row.
+        assert_eq!(cv.position(InvokerId(0)), Some(0));
+        assert_eq!(cv.position(InvokerId(99)), Some(99));
+        assert_eq!(cv.position(InvokerId(u32::MAX)), Some(100));
+        assert_eq!(cv.position(InvokerId(100)), None);
+        assert_eq!(cv.position(InvokerId(u32::MAX - 1)), None);
+        // Remove 33 low ids: rows shift left by up to 33.
+        for i in (0..99).step_by(3) {
+            cv.remove(InvokerId(i)).unwrap();
+        }
+        assert_eq!(cv.position(InvokerId(0)), None);
+        assert_eq!(cv.position(InvokerId(1)), Some(0));
+        assert_eq!(cv.position(InvokerId(98)), Some(65));
+        assert_eq!(cv.position(InvokerId(96)), None);
+        assert_eq!(cv.position(InvokerId(u32::MAX)), Some(67));
+    }
+
+    proptest! {
+        /// `position` against the plain binary search it replaced, over
+        /// sparse id sets under adds and removes: ids 0, 1 and `u32::MAX`,
+        /// dense low ids, scattered ones, and lookups of absent ids
+        /// below, between and above the rows.
+        #[test]
+        fn position_matches_binary_search(
+            ops in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    prop_oneof![
+                        4 => 0u32..48,
+                        2 => 0u32..4_000,
+                        1 => (u32::MAX - 2)..=u32::MAX,
+                    ],
+                ),
+                1..120,
+            ),
+        ) {
+            let mut cv = ClusterView::new();
+            for (add, id) in ops {
+                let registered = cv.get(InvokerId(id)).is_some();
+                if add && !registered {
+                    cv.add(v(id, 4, 0.0));
+                } else if !add {
+                    prop_assert_eq!(cv.remove(InvokerId(id)).is_some(), registered);
+                }
+                let probes = (0..52)
+                    .chain([id.saturating_sub(1), id, id.saturating_add(1)])
+                    .chain([3_999, 4_000, u32::MAX - 3, u32::MAX - 1, u32::MAX]);
+                for probe in probes {
+                    let probe = InvokerId(probe);
+                    prop_assert_eq!(
+                        cv.position(probe),
+                        cv.invokers.binary_search_by_key(&probe, |x| x.id).ok(),
+                        "{:?} in {:?}",
+                        probe,
+                        cv.invokers.iter().map(|x| x.id.0).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! and tracks the fleet through health pings and completion reports
 //! (Section 6.2).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use hrv_lb::policy::LoadBalancer;
 use hrv_lb::view::{ClusterView, InvokerId, InvokerView};
 use hrv_trace::faas::{FunctionId, Invocation};
+use hrv_trace::rng::IdMap;
 use hrv_trace::time::SimTime;
 
 use crate::event::{CompletionReport, ViewDeltaRow};
@@ -51,10 +52,10 @@ pub struct Controller {
     lb: Box<dyn LoadBalancer>,
     queue: VecDeque<QueuedInvocation>,
     /// In-flight placements by invocation id.
-    inflight: HashMap<u64, PlacementInfo>,
+    inflight: IdMap<u64, PlacementInfo>,
     /// Simple learned expectation of per-function exec time (seconds) for
     /// view bookkeeping.
-    expected_secs: HashMap<FunctionId, (u64, f64)>,
+    expected_secs: IdMap<FunctionId, (u64, f64)>,
     rng: StdRng,
     /// When true, every placement-charge mutation also accumulates into
     /// `dirty` — the per-invoker deltas a controller replica broadcasts
@@ -84,8 +85,8 @@ impl Controller {
             view: ClusterView::new(),
             lb,
             queue: VecDeque::new(),
-            inflight: HashMap::new(),
-            expected_secs: HashMap::new(),
+            inflight: IdMap::default(),
+            expected_secs: IdMap::default(),
             rng: StdRng::seed_from_u64(seed),
             track_deltas: false,
             dirty: BTreeMap::new(),
@@ -272,8 +273,13 @@ impl Controller {
         }
     }
 
-    /// Registers a newly deployed invoker.
+    /// Registers a newly deployed invoker. A notice for an invoker the
+    /// view already holds (a replayed `DeployNotice`) is ignored, as the
+    /// policy's ring would ignore the repeated join.
     pub fn on_invoker_up(&mut self, now: SimTime, id: InvokerId, cpus: u32, memory_mb: u64) {
+        if self.view.get(id).is_some() {
+            return;
+        }
         self.view
             .add(InvokerView::register(id, cpus, memory_mb, now));
         self.lb.on_invoker_join(id);
@@ -516,6 +522,29 @@ mod tests {
         c.on_invoker_down(InvokerId(0));
         assert!(c.view.get(InvokerId(0)).is_none());
         assert!(c.inflight_len() < before);
+    }
+
+    #[test]
+    fn repeated_deploy_notice_is_ignored() {
+        let mut c = Controller::new(PolicyKind::Mws.build(), 7);
+        c.on_invoker_up(SimTime::ZERO, InvokerId(0), 8, 64 * 1024);
+        let RouteOutcome::Placed(id) = c.route(SimTime::ZERO, inv(0, 1)) else {
+            panic!("expected placement")
+        };
+        let epoch = c.view.placeability_epoch();
+        // The replay neither panics nor resets the row's bookkeeping.
+        c.on_invoker_up(SimTime::from_secs(5), InvokerId(0), 2, 1_024);
+        assert_eq!(c.view.len(), 1);
+        assert_eq!(c.view.placeability_epoch(), epoch);
+        let v = c.view.get(id).unwrap();
+        assert_eq!(
+            (v.total_cpus, v.inflight, v.last_ping),
+            (8, 1, SimTime::ZERO)
+        );
+        assert!(matches!(
+            c.route(SimTime::from_secs(5), inv(1, 1)),
+            RouteOutcome::Placed(_)
+        ));
     }
 
     #[test]

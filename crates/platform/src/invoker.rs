@@ -61,6 +61,83 @@ pub struct Container {
     pub served: u64,
 }
 
+/// One invoker's containers, kept sorted by id in one contiguous slab.
+///
+/// Ids come from the invoker's monotone counter, so an insert is a
+/// `push`, a lookup a binary search and a removal a `Vec::remove`; the
+/// scans (`find_idle`, `idle_peers`, `lru_idle`) run in ascending id
+/// order — the order, and therefore the tie-breaks, of the
+/// `BTreeMap<u64, Container>` this replaced. At the paper's operating
+/// point an invoker holds ≈ 50 containers, ≈ 3 KB.
+#[derive(Debug, Default)]
+struct ContainerStore {
+    slab: Vec<Container>,
+}
+
+impl ContainerStore {
+    fn len(&self) -> usize {
+        self.slab.len()
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, Container> {
+        self.slab.iter()
+    }
+
+    fn clear(&mut self) {
+        self.slab.clear();
+    }
+
+    fn position(&self, cid: u64) -> Option<usize> {
+        self.slab.binary_search_by_key(&cid, |c| c.id).ok()
+    }
+
+    fn get(&self, cid: u64) -> Option<&Container> {
+        self.position(cid).map(|i| &self.slab[i])
+    }
+
+    fn get_mut(&mut self, cid: u64) -> Option<&mut Container> {
+        self.position(cid).map(|i| &mut self.slab[i])
+    }
+
+    /// Adds a container whose id is above every id present.
+    fn insert(&mut self, c: Container) {
+        debug_assert!(
+            self.slab.last().is_none_or(|last| last.id < c.id),
+            "container ids must be inserted in ascending order"
+        );
+        self.slab.push(c);
+    }
+
+    fn remove(&mut self, cid: u64) -> Option<Container> {
+        self.position(cid).map(|i| self.slab.remove(i))
+    }
+
+    /// The lowest-id idle container of `function`.
+    fn find_idle(&self, function: FunctionId) -> Option<u64> {
+        self.slab
+            .iter()
+            .find(|c| c.state == ContainerState::Idle && c.function == function)
+            .map(|c| c.id)
+    }
+
+    /// How many containers of `function` are idle.
+    fn idle_peers(&self, function: FunctionId) -> usize {
+        self.slab
+            .iter()
+            .filter(|c| c.state == ContainerState::Idle && c.function == function)
+            .count()
+    }
+
+    /// The least recently used idle container (lowest id among equals).
+    fn lru_idle(&self) -> Option<u64> {
+        self.slab
+            .iter()
+            .filter(|c| c.state == ContainerState::Idle)
+            .min_by_key(|c| (c.last_used, c.id))
+            .map(|c| c.id)
+    }
+}
+
 /// A prewarm order decided at an idle transition, drained by the world
 /// into a cross-entity [`Event::Prewarm`] envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +212,7 @@ pub struct InvokerState {
     /// `allocated_cpus * derate`. 1.0 outside fault windows.
     derate: f64,
     ps: PsQueue,
-    containers: BTreeMap<u64, Container>,
+    containers: ContainerStore,
     /// Invocation parked in each starting container.
     starting: BTreeMap<u64, Invocation>,
     /// Invocations accepted but not yet started (admission / memory).
@@ -195,7 +272,7 @@ impl InvokerState {
             allocated_cpus: 0,
             derate: 1.0,
             ps: PsQueue::new(0.0),
-            containers: BTreeMap::new(),
+            containers: ContainerStore::default(),
             starting: BTreeMap::new(),
             queue: VecDeque::new(),
             running: BTreeMap::new(),
@@ -315,7 +392,7 @@ impl InvokerState {
             if self.admission_pressure_now() >= cfg.admission_pressure && committed > 0.0 {
                 break;
             }
-            if let Some(cid) = self.find_idle_container(front.function) {
+            if let Some(cid) = self.containers.find_idle(front.function) {
                 self.queue.pop_front();
                 self.start_warm(now, cid, front, cal);
             } else if self.make_room(now, front.memory_mb, cal) {
@@ -327,14 +404,6 @@ impl InvokerState {
             }
         }
         self.rearm_completion(cal);
-    }
-
-    /// Finds an idle warm container for `function`.
-    fn find_idle_container(&self, function: FunctionId) -> Option<u64> {
-        self.containers
-            .values()
-            .find(|c| c.state == ContainerState::Idle && c.function == function)
-            .map(|c| c.id)
     }
 
     /// Frees memory for a new container by reaping idle (LRU-first)
@@ -351,13 +420,7 @@ impl InvokerState {
             return false;
         }
         while self.memory_mb - self.memory_used < needed_mb {
-            let victim = self
-                .containers
-                .values()
-                .filter(|c| c.state == ContainerState::Idle)
-                .min_by_key(|c| (c.last_used, c.id))
-                .map(|c| c.id);
-            match victim {
+            match self.containers.lru_idle() {
                 Some(cid) => self.destroy_container(now, cid, cal),
                 None => return false,
             }
@@ -368,7 +431,7 @@ impl InvokerState {
     fn destroy_container(&mut self, now: SimTime, cid: u64, cal: &mut impl EventCalendar<Event>) {
         let c = self
             .containers
-            .remove(&cid)
+            .remove(cid)
             .expect("destroying unknown container");
         debug_assert_eq!(
             c.state,
@@ -392,10 +455,7 @@ impl InvokerState {
         invocation: Invocation,
         cal: &mut impl EventCalendar<Event>,
     ) {
-        let c = self
-            .containers
-            .get_mut(&cid)
-            .expect("warm container exists");
+        let c = self.containers.get_mut(cid).expect("warm container exists");
         if let Some(ev) = c.keepalive.take() {
             cal.cancel(ev);
         }
@@ -432,19 +492,16 @@ impl InvokerState {
         cfg: &PlatformConfig,
     ) {
         let cid = self.container_id();
-        self.containers.insert(
-            cid,
-            Container {
-                id: cid,
-                function: invocation.function,
-                memory_mb: invocation.memory_mb,
-                state: ContainerState::Starting,
-                last_used: now,
-                keepalive: None,
-                prewarmed: false,
-                served: 0,
-            },
-        );
+        self.containers.insert(Container {
+            id: cid,
+            function: invocation.function,
+            memory_mb: invocation.memory_mb,
+            state: ContainerState::Starting,
+            last_used: now,
+            keepalive: None,
+            prewarmed: false,
+            served: 0,
+        });
         self.memory_used += invocation.memory_mb;
         self.cold_starts += 1;
         if self.tel_enabled {
@@ -484,7 +541,7 @@ impl InvokerState {
         self.starting_cap = (self.starting_cap - invocation.cpu_demand).max(0.0);
         let c = self
             .containers
-            .get_mut(&cid)
+            .get_mut(cid)
             .expect("starting container exists");
         c.state = ContainerState::Busy;
         self.ps.advance(now);
@@ -537,22 +594,23 @@ impl InvokerState {
                 .expect("completed job has a running record");
             let function = run.invocation.function;
             // Ask the lifecycle policy what to do with the idle
-            // container. The peer count excludes this one (still Busy).
+            // container. The peer count excludes this one (still Busy)
+            // and is only taken for a policy that reads it.
             let ctx = IdleCtx {
                 now,
                 fixed_keep_alive: cfg.keep_alive,
                 cold_start_delay: cfg.cold_start_delay,
                 bus_latency: cfg.bus_latency,
-                idle_peers: self
-                    .containers
-                    .values()
-                    .filter(|c| c.state == ContainerState::Idle && c.function == function)
-                    .count(),
+                idle_peers: if self.policy.reads_idle_peers() {
+                    self.containers.idle_peers(function)
+                } else {
+                    0
+                },
             };
             let decision = self.policy.on_idle(function, &ctx);
             let c = self
                 .containers
-                .get_mut(&cid)
+                .get_mut(cid)
                 .expect("completed job has a container");
             c.state = ContainerState::Idle;
             c.last_used = now;
@@ -591,7 +649,7 @@ impl InvokerState {
         for cid in reap_now {
             if self
                 .containers
-                .get(&cid)
+                .get(cid)
                 .is_some_and(|c| c.state == ContainerState::Idle)
             {
                 self.destroy_container(now, cid, cal);
@@ -626,7 +684,7 @@ impl InvokerState {
         // invocation already cold-started one).
         if self
             .containers
-            .values()
+            .iter()
             .any(|c| c.function == function && c.state != ContainerState::Busy)
         {
             return false;
@@ -635,19 +693,16 @@ impl InvokerState {
             return false;
         }
         let cid = self.container_id();
-        self.containers.insert(
-            cid,
-            Container {
-                id: cid,
-                function,
-                memory_mb,
-                state: ContainerState::Starting,
-                last_used: now,
-                keepalive: None,
-                prewarmed: true,
-                served: 0,
-            },
-        );
+        self.containers.insert(Container {
+            id: cid,
+            function,
+            memory_mb,
+            state: ContainerState::Starting,
+            last_used: now,
+            keepalive: None,
+            prewarmed: true,
+            served: 0,
+        });
         self.memory_used += memory_mb;
         self.prewarm_spawns += 1;
         self.prewarming.insert(cid, ttl);
@@ -682,7 +737,7 @@ impl InvokerState {
         };
         let c = self
             .containers
-            .get_mut(&cid)
+            .get_mut(cid)
             .expect("prewarming container exists");
         debug_assert_eq!(c.state, ContainerState::Starting);
         c.state = ContainerState::Idle;
@@ -709,7 +764,7 @@ impl InvokerState {
         }
         // The timer may have been cancelled logically but already popped;
         // only reap genuinely idle containers.
-        if let Some(c) = self.containers.get_mut(&cid) {
+        if let Some(c) = self.containers.get_mut(cid) {
             if c.state == ContainerState::Idle {
                 c.keepalive = None;
                 self.destroy_container(now, cid, cal);
@@ -778,7 +833,7 @@ impl InvokerState {
             cal.cancel(ev);
         }
         self.armed = None;
-        for c in self.containers.values() {
+        for c in self.containers.iter() {
             if let Some(ev) = c.keepalive {
                 cal.cancel(ev);
             }
@@ -867,7 +922,7 @@ impl InvokerState {
         let run = self.running.remove(&cid)?;
         let c = self
             .containers
-            .remove(&cid)
+            .remove(cid)
             .expect("running container exists");
         debug_assert_eq!(c.state, ContainerState::Busy);
         self.memory_used -= c.memory_mb;
@@ -894,19 +949,16 @@ impl InvokerState {
             return false;
         }
         let cid = self.container_id();
-        self.containers.insert(
-            cid,
-            Container {
-                id: cid,
-                function: run.invocation.function,
-                memory_mb: run.invocation.memory_mb,
-                state: ContainerState::Busy,
-                last_used: now,
-                keepalive: None,
-                prewarmed: false,
-                served: 1,
-            },
-        );
+        self.containers.insert(Container {
+            id: cid,
+            function: run.invocation.function,
+            memory_mb: run.invocation.memory_mb,
+            state: ContainerState::Busy,
+            last_used: now,
+            keepalive: None,
+            prewarmed: false,
+            served: 1,
+        });
         self.memory_used += run.invocation.memory_mb;
         self.ps
             .add(JobId(cid), remaining, run.invocation.cpu_demand);
@@ -952,8 +1004,11 @@ impl InvokerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrv_policy::IdleDecision;
     use hrv_trace::faas::AppId;
     use hrv_trace::time::SimDuration;
+    use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     fn cfg() -> PlatformConfig {
         PlatformConfig {
@@ -1355,5 +1410,197 @@ mod tests {
         assert_eq!(finished.len(), 3);
         assert_eq!(iv.container_count(), 1);
         assert_eq!(iv.snapshot().memory_used_mb, 256);
+    }
+
+    #[test]
+    fn warm_pool_of_two_keeps_the_second_and_reaps_the_third() {
+        let (mut iv, mut cal) = fresh(8, 64 * 1024);
+        let c = PlatformConfig {
+            admission_pressure: 10.0,
+            ..cfg()
+        };
+        iv.set_policy(
+            hrv_policy::ColdStartConfig::WarmPool(hrv_policy::WarmPoolConfig {
+                per_function: 2,
+                ..hrv_policy::WarmPoolConfig::default()
+            })
+            .build(),
+        );
+        // Three concurrent calls finishing one after the other: the
+        // first two idle containers see 0 and 1 peers and are pooled,
+        // the third sees 2 and is reaped.
+        for i in 0..3 {
+            iv.deliver(SimTime::ZERO, inv(i, 5, 1.0 + i as f64, 256), &mut cal, &c);
+        }
+        let finished = drive(&mut iv, &mut cal, &c, SimTime::from_secs(30));
+        assert_eq!(finished.len(), 3);
+        assert_eq!(iv.container_count(), 2);
+        assert_eq!(iv.snapshot().memory_used_mb, 512);
+    }
+
+    /// [`FixedKeepAlive`] behind the trait's default `reads_idle_peers`
+    /// (true), logging the peer count each idle transition was shown.
+    #[derive(Debug)]
+    struct PeerLog(Arc<Mutex<Vec<usize>>>);
+
+    impl ColdStartPolicy for PeerLog {
+        fn observe_arrival(&mut self, _function: FunctionId, _now: SimTime) {}
+
+        fn on_idle(&mut self, function: FunctionId, ctx: &IdleCtx) -> IdleDecision {
+            self.0.lock().unwrap().push(ctx.idle_peers);
+            FixedKeepAlive.on_idle(function, ctx)
+        }
+
+        fn name(&self) -> &'static str {
+            "peer-log"
+        }
+    }
+
+    /// Two functions, staggered and same-tick completions, warm reuse.
+    fn idle_peer_scenario(iv: &mut InvokerState) -> (Vec<RunningInvocation>, Vec<SimTime>) {
+        let mut cal = hrv_sim::calendar::Calendar::new();
+        let c = PlatformConfig {
+            admission_pressure: 10.0,
+            ..cfg()
+        };
+        for (i, (app, dur)) in [(5, 1.0), (5, 2.0), (5, 2.0), (6, 1.5)]
+            .into_iter()
+            .enumerate()
+        {
+            iv.deliver(SimTime::ZERO, inv(i as u64, app, dur, 256), &mut cal, &c);
+        }
+        let mut finished = drive(iv, &mut cal, &c, SimTime::from_secs(10));
+        iv.deliver(SimTime::from_secs(10), inv(4, 5, 1.0, 256), &mut cal, &c);
+        finished.extend(drive(iv, &mut cal, &c, SimTime::from_secs(20)));
+        // What is left on the calendar: the armed keep-alive expiries.
+        let mut timers = Vec::new();
+        while let Some(ev) = cal.pop() {
+            timers.push(ev.at);
+        }
+        (finished, timers)
+    }
+
+    #[test]
+    fn policy_on_the_default_sees_the_true_idle_peer_count() {
+        let (mut iv, _) = fresh(8, 64 * 1024);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        iv.set_policy(Box::new(PeerLog(Arc::clone(&log))));
+        idle_peer_scenario(&mut iv);
+        // App 5 idles at 1.5 s (no peer), app 6 at 2 s (none of its
+        // own), app 5 twice in the 2.5 s tick (one peer, then two — the
+        // first of the tick already counts), and after the warm reuse at
+        // 10 s the returning container finds the other two idle.
+        assert_eq!(*log.lock().unwrap(), vec![0, 0, 1, 2, 2]);
+    }
+
+    #[test]
+    fn fixed_keep_alive_is_unchanged_by_the_unfilled_peer_count() {
+        // `FixedKeepAlive` opts out of the count; `PeerLog` is the same
+        // policy with the count filled in.
+        let (mut lazy, _) = fresh(8, 64 * 1024);
+        let (mut filled, _) = fresh(8, 64 * 1024);
+        filled.set_policy(Box::new(PeerLog(Arc::default())));
+        let a = idle_peer_scenario(&mut lazy);
+        let b = idle_peer_scenario(&mut filled);
+        assert_eq!(a, b);
+        assert_eq!(a.0.len(), 5);
+        assert_eq!(lazy.container_count(), filled.container_count());
+        assert_eq!(
+            (lazy.cold_starts, lazy.warm_starts),
+            (filled.cold_starts, filled.warm_starts)
+        );
+        assert_eq!(lazy.idle_mib_secs, filled.idle_mib_secs);
+    }
+
+    /// The `BTreeMap<u64, Container>` the slab replaced, with the scans
+    /// written as the invoker used to write them.
+    #[derive(Default)]
+    struct ModelStore(BTreeMap<u64, Container>);
+
+    impl ModelStore {
+        fn find_idle(&self, function: FunctionId) -> Option<u64> {
+            self.0
+                .values()
+                .find(|c| c.state == ContainerState::Idle && c.function == function)
+                .map(|c| c.id)
+        }
+
+        fn idle_peers(&self, function: FunctionId) -> usize {
+            self.0
+                .values()
+                .filter(|c| c.state == ContainerState::Idle && c.function == function)
+                .count()
+        }
+
+        fn lru_idle(&self) -> Option<u64> {
+            self.0
+                .values()
+                .filter(|c| c.state == ContainerState::Idle)
+                .min_by_key(|c| (c.last_used, c.id))
+                .map(|c| c.id)
+        }
+    }
+
+    fn container(id: u64, app: u32, state: ContainerState, last_used: u64) -> Container {
+        Container {
+            id,
+            function: fid(app),
+            memory_mb: 256,
+            state,
+            last_used: SimTime::from_secs(last_used),
+            keepalive: None,
+            prewarmed: false,
+            served: 0,
+        }
+    }
+
+    proptest! {
+        /// The slab against the map it replaced under random inserts,
+        /// removals and state flips: the same warm container from
+        /// `find_idle`, the same peer count, the same LRU victim (few
+        /// distinct `last_used` values, so id tie-breaks are exercised)
+        /// and the same contents in the same order after every step.
+        #[test]
+        fn container_store_matches_btreemap_model(
+            ops in prop::collection::vec((0u32..6, 0u32..4, (0usize..3, 0u64..3), 0usize..64), 1..150),
+        ) {
+            const STATES: [ContainerState; 3] =
+                [ContainerState::Starting, ContainerState::Busy, ContainerState::Idle];
+            let mut store = ContainerStore::default();
+            let mut model = ModelStore::default();
+            let mut next_id = 7u64 << 32;
+            for (op, app, (state, last_used), pick) in ops {
+                let state = STATES[state];
+                let picked = model.0.keys().nth(pick % (model.0.len() + 1)).copied();
+                match (op, picked) {
+                    (0..=2, _) => {
+                        store.insert(container(next_id, app, state, last_used));
+                        model.0.insert(next_id, container(next_id, app, state, last_used));
+                        next_id += 1;
+                    }
+                    (3, Some(cid)) => {
+                        let (a, b) = (store.remove(cid), model.0.remove(&cid));
+                        prop_assert_eq!(a.map(|c| c.id), b.map(|c| c.id));
+                    }
+                    (_, Some(cid)) => {
+                        for c in [store.get_mut(cid).unwrap(), model.0.get_mut(&cid).unwrap()] {
+                            c.state = state;
+                            c.last_used = SimTime::from_secs(last_used);
+                        }
+                    }
+                    (_, None) => {
+                        prop_assert!(store.remove(next_id).is_none());
+                        prop_assert!(store.get(next_id - 1).is_some() == model.0.contains_key(&(next_id - 1)));
+                    }
+                }
+                prop_assert_eq!(store.find_idle(fid(app)), model.find_idle(fid(app)));
+                prop_assert_eq!(store.idle_peers(fid(app)), model.idle_peers(fid(app)));
+                prop_assert_eq!(store.lru_idle(), model.lru_idle());
+                prop_assert_eq!(store.len(), model.0.len());
+                let slab: Vec<(u64, ContainerState)> = store.iter().map(|c| (c.id, c.state)).collect();
+                let map: Vec<(u64, ContainerState)> = model.0.values().map(|c| (c.id, c.state)).collect();
+                prop_assert_eq!(slab, map);
+            }
+        }
     }
 }

@@ -18,9 +18,9 @@
 //! back to the platform's fixed keep-alive.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use hrv_trace::faas::FunctionId;
+use hrv_trace::rng::IdMap;
 use hrv_trace::time::{SimDuration, SimTime};
 
 use crate::{ColdStartPolicy, IdleCtx, IdleDecision, PrewarmPlan};
@@ -177,7 +177,7 @@ struct FnState {
 #[derive(Debug)]
 pub struct HybridHistogram {
     cfg: HybridHistogramConfig,
-    functions: HashMap<FunctionId, FnState>,
+    functions: IdMap<FunctionId, FnState>,
 }
 
 impl HybridHistogram {
@@ -185,7 +185,7 @@ impl HybridHistogram {
     pub fn new(cfg: HybridHistogramConfig) -> Self {
         HybridHistogram {
             cfg,
-            functions: HashMap::new(),
+            functions: IdMap::default(),
         }
     }
 
@@ -267,6 +267,10 @@ impl ColdStartPolicy for HybridHistogram {
                 ttl: tail.saturating_sub(warm_at).max(self.cfg.prewarm_window),
             }),
         }
+    }
+
+    fn reads_idle_peers(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {

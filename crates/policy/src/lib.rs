@@ -64,7 +64,10 @@ pub struct IdleCtx {
     /// therefore the earliest a prewarm order can take effect.
     pub bus_latency: SimDuration,
     /// Other containers of the same function currently idle on this
-    /// invoker (the one going idle excluded).
+    /// invoker (the one going idle excluded). Counting them is a scan of
+    /// the invoker's container table, so the invoker fills this in only
+    /// for a policy whose [`ColdStartPolicy::reads_idle_peers`] is true
+    /// (the default); a policy that opted out sees 0 and must not read it.
     pub idle_peers: usize,
 }
 
@@ -120,6 +123,14 @@ pub trait ColdStartPolicy: std::fmt::Debug + Send {
     /// `ctx.now`.
     fn on_idle(&mut self, function: FunctionId, ctx: &IdleCtx) -> IdleDecision;
 
+    /// Whether [`ColdStartPolicy::on_idle`] reads [`IdleCtx::idle_peers`].
+    /// Defaults to the safe answer; a policy that never looks at the
+    /// count returns false and spares the invoker a container scan per
+    /// completion.
+    fn reads_idle_peers(&self) -> bool {
+        true
+    }
+
     /// Short policy name for tables and CLI flags.
     fn name(&self) -> &'static str;
 }
@@ -135,6 +146,10 @@ impl ColdStartPolicy for FixedKeepAlive {
 
     fn on_idle(&mut self, _function: FunctionId, ctx: &IdleCtx) -> IdleDecision {
         IdleDecision::keep(ctx.fixed_keep_alive)
+    }
+
+    fn reads_idle_peers(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -153,6 +168,10 @@ impl ColdStartPolicy for NullPolicy {
 
     fn on_idle(&mut self, _function: FunctionId, _ctx: &IdleCtx) -> IdleDecision {
         IdleDecision::reap()
+    }
+
+    fn reads_idle_peers(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -277,6 +296,11 @@ mod tests {
             assert_eq!(ColdStartConfig::parse(cfg.label()), Some(cfg));
             assert_eq!(cfg.build().name(), cfg.label());
             cfg.validate(SimDuration::from_millis(2));
+            // Only the pool reads the idle-peer count.
+            assert_eq!(
+                cfg.build().reads_idle_peers(),
+                matches!(cfg, ColdStartConfig::WarmPool(_))
+            );
         }
         assert_eq!(ColdStartConfig::parse("bogus"), None);
         assert_eq!(ColdStartConfig::default(), ColdStartConfig::Fixed);

@@ -21,6 +21,43 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Multiplicative hasher for [`IdMap`] keys: each integer written is
+/// added to the state and multiplied by the golden-ratio constant, and
+/// `finish` rotates the well-mixed high bits down to where the table
+/// takes its bucket index. No protection against crafted collisions —
+/// for the simulator's own ids only, never for keys read from outside.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A `HashMap` keyed by a simulator-assigned integer id (invocation ids,
+/// `FunctionId`s) that skips SipHash. The maps it replaces were
+/// `RandomState` while the simulator is byte-deterministic, so nothing
+/// depends on their iteration order; keep it that way — point lookups and
+/// `retain` only, sort before anything ordered leaves the map.
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// Hashes a label string to a 64-bit stream identifier (FNV-1a).
 pub fn label_id(label: &str) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
@@ -132,6 +169,33 @@ mod tests {
         let c0 = f.child_indexed("run", 0);
         let c1 = f.child_indexed("run", 1);
         assert_ne!(c0.seed_for("arrivals"), c1.seed_for("arrivals"));
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_ids_over_buckets() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // hashbrown takes the bucket from the low bits and its control
+        // tag from the top seven: sequential ids must not pile up in
+        // either.
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let mut low = [0u32; 256];
+        let mut top = [0u32; 128];
+        for id in 0..65_536u64 {
+            let h = build.hash_one(id);
+            low[(h & 0xFF) as usize] += 1;
+            top[(h >> 57) as usize] += 1;
+        }
+        assert!(low.iter().all(|&n| (128..=384).contains(&n)), "{low:?}");
+        assert!(top.iter().all(|&n| (256..=768).contains(&n)), "{top:?}");
+        // Two-field keys (`FunctionId` hashes as two `u32` writes).
+        let mut map: IdMap<(u32, u32), u32> = IdMap::default();
+        for app in 0..2_000u32 {
+            for func in 0..3u32 {
+                map.insert((app, func), app * 3 + func);
+            }
+        }
+        assert_eq!(map.len(), 6_000);
+        assert_eq!(map[&(1_999, 2)], 5_999);
     }
 
     #[test]
