@@ -141,7 +141,7 @@ fn strat3_reliability(c: &mut Criterion) {
                 1,
             )
             .run(horizon);
-            black_box(out.collector.eviction_failures)
+            black_box(out.collector.streaming.eviction_failures)
         })
     });
 }

@@ -402,8 +402,6 @@ fn bench_histograms(c: &mut Criterion) {
 fn bench_mailbox(c: &mut Criterion) {
     use harvest_faas::hrv_platform::event::Event;
     use harvest_faas::hrv_platform::mailbox::{Envelope, ShardPlan, CONTROLLER};
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use std::sync::Mutex;
 
     let envs: Vec<Envelope> = (0..1_000u64)
@@ -426,34 +424,7 @@ fn bench_mailbox(c: &mut Criterion) {
         }
     };
 
-    // One barrier round's worth of traffic the way the driver moved it
-    // before the envelope lane: route envelopes to per-shard inboxes, then
-    // drain each inbox through a canonical-order heap. Kept as the
-    // baseline for `calendar/envelope_lane_1k` below — a generous one: it
-    // stops where the old path went on to `schedule` and `pop` every
-    // envelope, which the lane bench includes.
-    c.bench_function("mailbox/route_and_drain_1k", |b| {
-        let inboxes: Vec<Mutex<Vec<Envelope>>> = (0..4).map(|_| Mutex::new(Vec::new())).collect();
-        b.iter(|| {
-            route(&envs, &inboxes);
-            let mut delivered = 0u64;
-            for inbox in &inboxes {
-                let mut heap: BinaryHeap<Reverse<Envelope>> =
-                    std::mem::take(&mut *inbox.lock().unwrap())
-                        .into_iter()
-                        .map(Reverse)
-                        .collect();
-                let mut last = None;
-                while let Some(Reverse(env)) = heap.pop() {
-                    assert!(last.map(|k| k <= env.key()).unwrap_or(true));
-                    last = Some(env.key());
-                    delivered += 1;
-                }
-            }
-            black_box(delivered)
-        })
-    });
-    // The same traffic the way it moves now — the exact hot path between
+    // One barrier round's worth of traffic — the exact hot path between
     // two sharded rounds: route, drain each inbox in place into its
     // shard's calendar lane, open the window, pop in canonical order.
     // The calendars persist across rounds as the driver's do, so each

@@ -8,7 +8,7 @@
 //! 2. **calendar_churn** — a cancel-dominated mix with far-future
 //!    (overflow-ladder) timers, asserting the tombstone bound
 //!    `tombstones ≤ max(live, 1024)` after every operation batch;
-//! 3. **ps** — completion throughput of the virtual-time [`PsQueue`]
+//! 3. **ps** — completion throughput of the virtual-time `PsQueue`
 //!    against the segment-walking reference implementation at 10, 100,
 //!    1 000 and 10 000 concurrent jobs (the rewrite must clear 3× at
 //!    1 000);

@@ -296,7 +296,7 @@ pub fn all(scale: Scale) -> String {
     out.push_str(&t5.render());
     let failures: Vec<String> = results
         .iter()
-        .map(|(k, o)| format!("{k}: {}", o.collector.eviction_failures))
+        .map(|(k, o)| format!("{k}: {}", o.collector.streaming.eviction_failures))
         .collect();
     out.push_str(&format!(
         "eviction failures — {} (paper: Harvest and Spot-48 ran with no failure)\n",

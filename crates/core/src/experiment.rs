@@ -196,9 +196,8 @@ pub struct SweepConfig {
     /// Root seed.
     pub seed: u64,
     /// Shards (worker cores) per simulation point; results are
-    /// byte-identical for any value. Configurations that need
-    /// cross-shard-synchronous features (live migration, utilization
-    /// sampling) silently fall back to one shard.
+    /// byte-identical for any value (0 and 1 both run the unsharded
+    /// driver).
     pub shards: u32,
 }
 
@@ -227,17 +226,6 @@ impl SweepConfig {
             ..SweepConfig::default()
         }
     }
-}
-
-/// Shards actually usable for a platform configuration. Live migration
-/// and utilization sampling are envelope-based and shard-aware
-/// (owner-resolved migration, per-invoker sample rows coalesced after
-/// the merge), so multi-shard requests no longer degrade for them; only
-/// the floor of one shard remains. The streaming driver is the one
-/// surface that still degrades — [`run_point_streaming`] reports it via
-/// [`note_shard_degrade`].
-fn effective_shards(_platform: &PlatformConfig, shards: u32) -> u32 {
-    shards.max(1)
 }
 
 /// Makes a degraded shard request visible: warns on stderr and bumps the
@@ -270,15 +258,14 @@ pub fn run_point(
     let trace = workload.invocations(cfg.duration, &seeds.child("arrivals"));
     // Allow a drain tail after the offered-load window.
     let horizon = cfg.duration + SimDuration::from_mins(3);
-    let shards = effective_shards(&cfg.platform, cfg.shards);
-    let out = if shards > 1 {
+    let out = if cfg.shards > 1 {
         ShardedSimulation::new(
             cluster.clone(),
             trace,
             policy,
             cfg.platform.clone(),
             seeds.seed_for("platform"),
-            shards,
+            cfg.shards,
         )
         .run(horizon)
     } else {
@@ -527,8 +514,7 @@ pub fn chaos_point(
     let plan = fault.compile(cluster.vms.len() as u32, horizon, &seeds.child("faults"));
     let mut platform = cfg.platform.clone();
     platform.recovery.enabled = recovery;
-    let shards = effective_shards(&platform, cfg.shards);
-    let out = if shards > 1 {
+    let out = if cfg.shards > 1 {
         ShardedSimulation::with_faults(
             cluster.clone(),
             trace,
@@ -536,7 +522,7 @@ pub fn chaos_point(
             platform,
             seeds.seed_for("platform"),
             plan,
-            shards,
+            cfg.shards,
         )
         .run(horizon)
     } else {
@@ -744,22 +730,6 @@ mod tests {
         assert_eq!(solo.completed, sharded.completed);
         assert_eq!(solo.p99, sharded.p99);
         assert_eq!(solo.cold_rate, sharded.cold_rate);
-    }
-
-    #[test]
-    fn migration_and_sampling_run_at_the_requested_shard_count() {
-        // Both used to pin the run to one shard; they are envelope-based
-        // now and keep the full count.
-        let mut migrating = PlatformConfig::default();
-        migrating.migration.enabled = true;
-        assert_eq!(effective_shards(&migrating, 8), 8);
-        let sampling = PlatformConfig {
-            sample_interval: SimDuration::from_secs(1),
-            ..PlatformConfig::default()
-        };
-        assert_eq!(effective_shards(&sampling, 8), 8);
-        assert_eq!(effective_shards(&PlatformConfig::default(), 8), 8);
-        assert_eq!(effective_shards(&PlatformConfig::default(), 0), 1);
     }
 
     #[test]

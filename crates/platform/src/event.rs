@@ -4,11 +4,14 @@
 //! messages, container lifecycle timers, VM resizes and evictions, and
 //! periodic monitors — is one of these events on the shared calendar.
 
+use hrv_lb::owner_of;
 use hrv_trace::faas::{FunctionId, Invocation};
 use hrv_trace::time::{SimDuration, SimTime};
 
 use crate::config::VmTemplate;
 use crate::invoker::{HealthSnapshot, RunningInvocation};
+use crate::mailbox::{invoker_entity, replica_entity, EntityId, CONTROLLER};
+use crate::telemetry::Hop;
 
 /// Index of a controller replica (`0 <= replica < replicas`). Replica 0
 /// is the classic controller; with one replica every `replica` field in
@@ -273,10 +276,15 @@ pub enum Event {
         dst: InvokerIndex,
         /// Source invoker (for the bounce path if the implant fails).
         src: InvokerIndex,
-        /// The extracted running-invocation state.
-        run: RunningInvocation,
+        /// The extracted running-invocation state. Boxed: migrations are
+        /// rare and this is by far the largest payload, which every
+        /// calendar slot would otherwise be sized for.
+        run: Box<RunningInvocation>,
         /// Remaining CPU-seconds of demand at extraction time.
         remaining: f64,
+        /// The dispatch hop the source noted at delivery (telemetry-enabled
+        /// runs), so the phase row is cut where the invocation finishes.
+        hop: Option<Hop>,
     },
     /// A failed implant bounces the extracted invocation back to its
     /// source, which re-implants it (or reports it lost if the source is
@@ -285,9 +293,11 @@ pub enum Event {
         /// The original source invoker.
         src: InvokerIndex,
         /// The extracted running-invocation state.
-        run: RunningInvocation,
+        run: Box<RunningInvocation>,
         /// Remaining CPU-seconds of demand.
         remaining: f64,
+        /// The dispatch hop, on its way back with the state.
+        hop: Option<Hop>,
     },
     /// A successful implant notifies the owning replica so its in-flight
     /// bookkeeping follows the invocation to the destination.
@@ -369,13 +379,282 @@ pub enum Event {
 }
 
 impl Event {
-    /// The delay this event type typically travels with, given the bus
-    /// latency — a helper so senders agree on message costs.
-    pub fn message_delay(bus_latency: SimDuration, is_message: bool) -> SimDuration {
-        if is_message {
-            bus_latency
-        } else {
-            SimDuration::ZERO
+    /// The entity that handles this event: the platform's one routing
+    /// table. The router dispatches on it and `Ctx::send` addresses
+    /// envelopes with it, so a payload cannot be sent to an entity other
+    /// than the one that will handle it. Placement-path events go to the
+    /// replica owning the function; broadcast copies and replica timers
+    /// name their replica; the monitor and the view-freeze fault are
+    /// replica 0's; everything else names its invoker.
+    pub(crate) fn target(&self, replicas: u32) -> EntityId {
+        match self {
+            Event::Arrival(invocation)
+            | Event::Redispatch { invocation }
+            | Event::WorkLost { invocation, .. } => {
+                replica_entity(owner_of(replicas, invocation.function))
+            }
+            Event::Report { report, .. } => replica_entity(owner_of(replicas, report.function)),
+            Event::MigrateAsk { function, .. } | Event::MigrateCommit { function, .. } => {
+                replica_entity(owner_of(replicas, *function))
+            }
+            Event::PingReport { replica, .. }
+            | Event::InvokerDown { replica, .. }
+            | Event::DeployNotice { replica, .. }
+            | Event::ViewDelta { replica, .. }
+            | Event::HealthSweep { replica }
+            | Event::RetryQueue { replica }
+            | Event::ReconcileTick { replica } => replica_entity(*replica),
+            Event::MonitorTick | Event::FaultViewFreeze { .. } => CONTROLLER,
+            Event::Deliver { invoker, .. }
+            | Event::StartupDone { invoker, .. }
+            | Event::Completion { invoker }
+            | Event::KeepAliveExpired { invoker, .. }
+            | Event::Prewarm { invoker, .. }
+            | Event::PrewarmReady { invoker, .. }
+            | Event::Ping { invoker }
+            | Event::VmDeploy { invoker }
+            | Event::SpawnVm { invoker, .. }
+            | Event::VmCpu { invoker, .. }
+            | Event::VmWarn { invoker }
+            | Event::VmEvict { invoker }
+            | Event::MigratePlan { invoker }
+            | Event::FaultCrash { invoker }
+            | Event::FaultStraggler { invoker, .. }
+            | Event::Sample { invoker } => invoker_entity(*invoker),
+            Event::MigrateExtract { src, .. } | Event::MigrateBounce { src, .. } => {
+                invoker_entity(*src)
+            }
+            Event::MigrateImplant { dst, .. } => invoker_entity(*dst),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mailbox::Entity;
+    use hrv_trace::faas::AppId;
+
+    const FUNCTION: FunctionId = FunctionId {
+        app: AppId(7),
+        func: 1,
+    };
+    const T: SimTime = SimTime::ZERO;
+
+    fn invocation() -> Invocation {
+        Invocation {
+            id: 1,
+            function: FUNCTION,
+            arrival: T,
+            duration: SimDuration::from_secs(1),
+            memory_mb: 256,
+            cpu_demand: 1.0,
+        }
+    }
+
+    /// What DESIGN.md's message taxonomy (and its list of entity-local
+    /// timers) says handles `ev`, and a value of the variant declared after
+    /// `ev`'s. The match has no wildcard, so a new variant does not compile
+    /// until it has a row here — and the walk below then holds
+    /// `Event::target` to it.
+    fn row(ev: &Event, replicas: u32) -> (Entity, Option<Event>) {
+        let owner = Entity::Replica(owner_of(replicas, FUNCTION));
+        // Broadcast copies and replica timers name the last replica;
+        // invoker events name invoker 5, migrations run 5 -> 9.
+        let replica = replicas - 1;
+        let named = Entity::Replica(replica);
+        let (invoker, src, dst) = (5, 5, 9);
+        let on_invoker = Entity::Invoker(invoker);
+        let invocation = invocation();
+        let run = Box::new(RunningInvocation {
+            invocation,
+            cold: false,
+            exec_start: T,
+        });
+        let container = 0;
+        let (expected, next) = match ev {
+            Event::Arrival(_) => (
+                owner,
+                Event::Deliver {
+                    invoker,
+                    invocation,
+                    sent_at: T,
+                },
+            ),
+            Event::Deliver { .. } => (on_invoker, Event::StartupDone { invoker, container }),
+            Event::StartupDone { .. } => (on_invoker, Event::Completion { invoker }),
+            Event::Completion { .. } => {
+                (on_invoker, Event::KeepAliveExpired { invoker, container })
+            }
+            Event::KeepAliveExpired { .. } => (
+                on_invoker,
+                Event::Prewarm {
+                    invoker,
+                    function: FUNCTION,
+                    memory_mb: 256,
+                    ttl: SimDuration::ZERO,
+                },
+            ),
+            Event::Prewarm { .. } => (on_invoker, Event::PrewarmReady { invoker, container }),
+            Event::PrewarmReady { .. } => (on_invoker, Event::Ping { invoker }),
+            Event::Ping { .. } => (
+                on_invoker,
+                Event::PingReport {
+                    invoker,
+                    snap: HealthSnapshot {
+                        cpus: 4,
+                        cpus_in_use: 0.0,
+                        memory_used_mb: 0,
+                        eviction_pending: false,
+                        pressure: 0.0,
+                    },
+                    replica,
+                },
+            ),
+            Event::PingReport { .. } => (
+                named,
+                Event::Report {
+                    invoker,
+                    report: CompletionReport {
+                        function: FUNCTION,
+                        invocation: 1,
+                        memory_mb: 256,
+                        exec_duration: SimDuration::ZERO,
+                        cpu_cores: 1.0,
+                        cold: false,
+                        arrival: T,
+                    },
+                },
+            ),
+            Event::Report { .. } => (owner, Event::InvokerDown { invoker, replica }),
+            Event::InvokerDown { .. } => (named, Event::VmDeploy { invoker }),
+            Event::VmDeploy { .. } => (
+                on_invoker,
+                Event::DeployNotice {
+                    invoker,
+                    cpus: 4,
+                    memory_mb: 1024,
+                    from_monitor: false,
+                    replica,
+                },
+            ),
+            Event::DeployNotice { .. } => (
+                named,
+                Event::SpawnVm {
+                    invoker,
+                    template: VmTemplate {
+                        cpus: 4,
+                        memory_mb: 1024,
+                        deploy_delay: SimDuration::from_secs(60),
+                    },
+                },
+            ),
+            Event::SpawnVm { .. } => (
+                on_invoker,
+                Event::WorkLost {
+                    invocation,
+                    exec_started: false,
+                    cold: false,
+                    cause: LossCause::Crash,
+                },
+            ),
+            Event::WorkLost { .. } => (owner, Event::VmCpu { invoker, cpus: 2 }),
+            Event::VmCpu { .. } => (on_invoker, Event::VmWarn { invoker }),
+            Event::VmWarn { .. } => (on_invoker, Event::VmEvict { invoker }),
+            Event::VmEvict { .. } => (on_invoker, Event::MigratePlan { invoker }),
+            Event::MigratePlan { .. } => (
+                on_invoker,
+                Event::MigrateAsk {
+                    src,
+                    container,
+                    function: FUNCTION,
+                    invocation: 1,
+                    memory_mb: 256,
+                    warned_at: T,
+                },
+            ),
+            Event::MigrateAsk { .. } => (
+                owner,
+                Event::MigrateExtract {
+                    src,
+                    dst,
+                    container,
+                    transfer: SimDuration::from_secs(1),
+                },
+            ),
+            Event::MigrateExtract { .. } => (
+                Entity::Invoker(src),
+                Event::MigrateImplant {
+                    dst,
+                    src,
+                    run: run.clone(),
+                    remaining: 1.0,
+                    hop: None,
+                },
+            ),
+            Event::MigrateImplant { .. } => (
+                Entity::Invoker(dst),
+                Event::MigrateBounce {
+                    src,
+                    run,
+                    remaining: 1.0,
+                    hop: None,
+                },
+            ),
+            Event::MigrateBounce { .. } => (
+                Entity::Invoker(src),
+                Event::MigrateCommit {
+                    invocation: 1,
+                    function: FUNCTION,
+                    dst,
+                },
+            ),
+            Event::MigrateCommit { .. } => (owner, Event::FaultCrash { invoker }),
+            Event::FaultCrash { .. } => (
+                on_invoker,
+                Event::FaultStraggler {
+                    invoker,
+                    factor: 0.5,
+                },
+            ),
+            Event::FaultStraggler { .. } => (on_invoker, Event::FaultViewFreeze { frozen: true }),
+            Event::FaultViewFreeze { .. } => (Entity::Replica(0), Event::Redispatch { invocation }),
+            Event::Redispatch { .. } => (owner, Event::HealthSweep { replica }),
+            Event::HealthSweep { .. } => (named, Event::RetryQueue { replica }),
+            Event::RetryQueue { .. } => (named, Event::MonitorTick),
+            Event::MonitorTick => (Entity::Replica(0), Event::Sample { invoker }),
+            Event::Sample { .. } => (on_invoker, Event::ReconcileTick { replica }),
+            Event::ReconcileTick { .. } => (
+                named,
+                Event::ViewDelta {
+                    replica,
+                    deltas: vec![],
+                },
+            ),
+            Event::ViewDelta { .. } => return (named, None),
+        };
+        (expected, Some(next))
+    }
+
+    #[test]
+    fn every_variant_routes_to_the_entity_the_taxonomy_names() {
+        for replicas in [1u32, 4] {
+            let mut walked = 0;
+            let mut next = Some(Event::Arrival(invocation()));
+            while let Some(ev) = next {
+                let (expected, after) = row(&ev, replicas);
+                let target = ev.target(replicas);
+                assert_eq!(Entity::of(target), expected, "{ev:?} at R={replicas}");
+                if replicas == 1 && matches!(expected, Entity::Replica(_)) {
+                    assert_eq!(target, CONTROLLER, "{ev:?}: one replica is entity 0");
+                }
+                walked += 1;
+                next = after;
+            }
+            assert_eq!(walked, 34, "the walk must visit every variant");
+        }
+        // The owner-routed rows are only a test if the owner is not
+        // always replica 0.
+        assert_ne!(owner_of(4, FUNCTION), 0);
     }
 }

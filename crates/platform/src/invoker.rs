@@ -10,18 +10,30 @@
 //! * admission control — when CPU pressure is at or above the threshold,
 //!   new invocations wait in the invoker queue;
 //! * health snapshots for the controller's pings.
+//!
+//! The state machine comes first (`deliver`, `completion_tick`, `evict`,
+//! ...: plain methods over a calendar and the config, unit-tested on
+//! their own); the entity layer at the end of the file is what the
+//! platform's router calls — one handler per invoker-bound [`Event`],
+//! reaching the rest of the platform only through a `Ctx`.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use hrv_policy::{ColdStartPolicy, FixedKeepAlive, IdleCtx};
 use hrv_sim::calendar::{EventCalendar, EventId};
 use hrv_sim::ps::{JobId, PsQueue};
-use hrv_telemetry::SpanKind;
+use hrv_telemetry::{PhaseRecord, SpanKind, NO_INVOCATION};
 use hrv_trace::faas::{FunctionId, Invocation};
+use hrv_trace::harvest::{VmTrace, EVICTION_GRACE};
+use hrv_trace::rng::IdMap;
 use hrv_trace::time::{SimDuration, SimTime};
 
-use crate::config::PlatformConfig;
-use crate::event::{Event, InvokerIndex};
+use crate::config::{PlatformConfig, VmTemplate};
+use crate::event::{CompletionReport, Event, InvokerIndex, LossCause};
+use crate::mailbox::{invoker_entity, EntityId};
+use crate::metrics::{InvocationRecord, Outcome};
+use crate::telemetry::Hop;
+use crate::world::Ctx;
 
 /// Slack for completion detection: the timer is rounded up to the next
 /// microsecond, so finished jobs may retain up to ~rate·1 µs of demand.
@@ -138,8 +150,8 @@ impl ContainerStore {
     }
 }
 
-/// A prewarm order decided at an idle transition, drained by the world
-/// into a cross-entity [`Event::Prewarm`] envelope.
+/// A prewarm order decided at an idle transition, drained by the
+/// completion handler into a cross-entity [`Event::Prewarm`] envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrewarmRequest {
     /// The function to pre-spawn for.
@@ -189,6 +201,21 @@ pub struct HealthSnapshot {
     pub pressure: f64,
 }
 
+/// Where an invoker slot's VM definition came from.
+#[derive(Debug, Clone)]
+pub(crate) enum SlotSource {
+    Trace(VmTrace),
+    Monitor(VmTemplate),
+}
+
+/// The first tick of the shared utilization-sampling grid at or after
+/// `t` (grid alignment keeps the merged per-invoker rows coalescible).
+pub(crate) fn first_sample_at(t: SimTime, interval: SimDuration) -> SimTime {
+    let step = interval.as_micros();
+    let us = t.since(SimTime::ZERO).as_micros();
+    SimTime::ZERO + SimDuration::from_micros(us.div_ceil(step) * step)
+}
+
 /// The invoker state machine.
 #[derive(Debug)]
 pub struct InvokerState {
@@ -235,8 +262,8 @@ pub struct InvokerState {
     /// Container lifecycle policy (one instance per invoker; see
     /// `hrv_policy` for the determinism contract).
     policy: Box<dyn ColdStartPolicy>,
-    /// Prewarm orders decided this completion tick, drained by the world
-    /// into cross-entity envelopes.
+    /// Prewarm orders decided this completion tick, drained by the
+    /// completion handler into cross-entity envelopes.
     prewarm_requests: Vec<PrewarmRequest>,
     /// TTL to arm when each in-flight prewarmed container becomes warm.
     prewarming: BTreeMap<u64, SimDuration>,
@@ -252,11 +279,19 @@ pub struct InvokerState {
     pub idle_mib_secs: f64,
     /// Whether lifecycle spans are being collected.
     tel_enabled: bool,
-    /// Buffered `(at, invocation, kind)` span events; the world drains
+    /// Buffered `(at, invocation, kind)` span events; the router drains
     /// them into the flight recorder under this invoker's entity id
     /// after each event it forwards here. Always empty when telemetry
     /// is off.
     pub(crate) tel: Vec<(SimTime, u64, SpanKind)>,
+    /// Dispatch hop of each invocation delivered here and not yet
+    /// finished, for the phase split. Always empty when telemetry is off.
+    hops: IdMap<u64, Hop>,
+    /// Messages this invoker has sent (the canonical envelope tiebreak).
+    seq: u64,
+    /// The VM definition this slot deploys from; `None` for a bare state
+    /// machine the platform never deploys (unit tests, micro-benches).
+    slot: Option<SlotSource>,
 }
 
 impl InvokerState {
@@ -292,13 +327,10 @@ impl InvokerState {
             idle_mib_secs: 0.0,
             tel_enabled: false,
             tel: Vec::new(),
+            hops: IdMap::default(),
+            seq: 0,
+            slot: None,
         }
-    }
-
-    /// Turns span collection on or off (default: off). Set at
-    /// construction time, alongside [`InvokerState::set_policy`].
-    pub fn set_telemetry(&mut self, enabled: bool) {
-        self.tel_enabled = enabled;
     }
 
     /// Installs the container lifecycle policy (default:
@@ -658,8 +690,9 @@ impl InvokerState {
         finished
     }
 
-    /// Drains the prewarm orders decided since the last call; the world
-    /// turns each into a cross-entity [`Event::Prewarm`] envelope.
+    /// Drains the prewarm orders decided since the last call; the
+    /// completion handler turns each into a cross-entity
+    /// [`Event::Prewarm`] envelope.
     pub fn take_prewarm_requests(&mut self) -> Vec<PrewarmRequest> {
         std::mem::take(&mut self.prewarm_requests)
     }
@@ -849,6 +882,7 @@ impl InvokerState {
         }
         self.prewarming.clear();
         self.prewarm_requests.clear();
+        self.hops.clear();
         let mut started: Vec<RunningInvocation> =
             std::mem::take(&mut self.running).into_values().collect();
         for (_, invocation) in std::mem::take(&mut self.starting) {
@@ -998,6 +1032,487 @@ impl InvokerState {
                 self.armed = None;
             }
         }
+    }
+}
+
+/// The entity layer: one handler per invoker-bound [`Event`]. A handler
+/// owns this invoker and nothing else; the calendar, the config and the
+/// sinks come through `ctx`.
+impl InvokerState {
+    /// Builds the invoker for a platform slot, with the lifecycle policy
+    /// and the span switch the config asks for.
+    pub(crate) fn for_slot(index: InvokerIndex, slot: SlotSource, cfg: &PlatformConfig) -> Self {
+        let memory_mb = match &slot {
+            SlotSource::Trace(vm) => vm.memory_mb,
+            SlotSource::Monitor(t) => t.memory_mb,
+        };
+        InvokerState {
+            policy: cfg.coldstart.build(),
+            tel_enabled: cfg.telemetry.enabled(),
+            slot: Some(slot),
+            ..InvokerState::new(index, memory_mb)
+        }
+    }
+
+    fn entity(&self) -> EntityId {
+        invoker_entity(self.index)
+    }
+
+    fn send<C: EventCalendar<Event>>(
+        &mut self,
+        delay: SimDuration,
+        event: Event,
+        ctx: &mut Ctx<'_, C>,
+    ) {
+        ctx.send(self.entity(), &mut self.seq, delay, event);
+    }
+
+    /// Tells the owning replica that `invocation`'s placement here was
+    /// destroyed; it decides between re-dispatch and a loss record.
+    fn report_lost<C: EventCalendar<Event>>(
+        &mut self,
+        invocation: Invocation,
+        exec_started: bool,
+        cold: bool,
+        cause: LossCause,
+        ctx: &mut Ctx<'_, C>,
+    ) {
+        let event = Event::WorkLost {
+            invocation,
+            exec_started,
+            cold,
+            cause,
+        };
+        self.send(ctx.cfg.bus_latency, event, ctx);
+    }
+
+    /// Handles one event addressed to this invoker.
+    pub(crate) fn handle<C: EventCalendar<Event>>(&mut self, event: Event, ctx: &mut Ctx<'_, C>) {
+        let (now, cfg) = (ctx.now, ctx.cfg);
+        match event {
+            Event::Deliver {
+                invocation,
+                sent_at,
+                ..
+            } => self.on_deliver(invocation, sent_at, ctx),
+            Event::StartupDone { container, .. } => {
+                self.startup_done(now, container, ctx.cal, cfg);
+            }
+            Event::Completion { .. } => self.on_completion(ctx),
+            Event::KeepAliveExpired { container, .. } => {
+                self.keepalive_expired(now, container, ctx.cal);
+            }
+            Event::Prewarm {
+                function,
+                memory_mb,
+                ttl,
+                ..
+            } => {
+                self.start_prewarm(now, function, memory_mb, ttl, ctx.cal, cfg);
+            }
+            Event::PrewarmReady { container, .. } => {
+                self.prewarm_ready(now, container, ctx.cal, cfg);
+            }
+            Event::Ping { .. } => self.on_ping(ctx),
+            Event::VmDeploy { .. } => self.on_deploy(ctx),
+            Event::SpawnVm { .. } => {
+                // The router has just made this slot; join the shared
+                // sampling grid, then come up like any other VM.
+                if !cfg.sample_interval.is_zero() {
+                    let invoker = self.index;
+                    let at = first_sample_at(now, cfg.sample_interval);
+                    ctx.cal.schedule(at, Event::Sample { invoker });
+                }
+                self.on_deploy(ctx);
+            }
+            Event::VmCpu { cpus, .. } => {
+                if self.alive {
+                    ctx.record(self.entity(), NO_INVOCATION, SpanKind::Resize { cpus });
+                }
+                self.resize(now, cpus, ctx.cal, cfg);
+            }
+            Event::VmWarn { invoker } => {
+                self.warn(now);
+                if cfg.migration.enabled {
+                    // Defer planning one ping round so the controller's
+                    // view reflects every VM warned in the same burst —
+                    // otherwise storm migrations land on doomed peers.
+                    ctx.cal
+                        .schedule_after(cfg.ping_interval, Event::MigratePlan { invoker });
+                }
+            }
+            Event::MigratePlan { .. } => self.plan_migrations(ctx),
+            Event::MigrateExtract {
+                dst,
+                container,
+                transfer,
+                ..
+            } => self.on_migrate_extract(dst, container, transfer, ctx),
+            Event::MigrateImplant {
+                src,
+                run,
+                remaining,
+                hop,
+                ..
+            } => self.on_migrate_implant(src, *run, remaining, hop, ctx),
+            Event::MigrateBounce {
+                run,
+                remaining,
+                hop,
+                ..
+            } => {
+                // A failed implant comes home: re-implant here, or — if
+                // this VM died while the state was in flight — report the
+                // work lost.
+                if !self.implant(*run, remaining, hop, ctx) {
+                    self.report_lost(run.invocation, true, run.cold, LossCause::Eviction, ctx);
+                }
+            }
+            Event::VmEvict { invoker } => {
+                if !self.alive {
+                    return;
+                }
+                ctx.metrics.vm_evictions += 1;
+                self.destroy(LossCause::Eviction, ctx);
+                // Every controller replica notices the dead invoker after
+                // a ping interval (each keeps its own full cluster view).
+                ctx.broadcast(self.entity(), &mut self.seq, cfg.ping_interval, |replica| {
+                    Event::InvokerDown { invoker, replica }
+                });
+            }
+            Event::FaultCrash { .. } => {
+                // Crash-stop kill: the VM vanishes mid-flight with no
+                // warning and — unlike an eviction — no `InvokerDown`
+                // follows. Nothing announces the death, so without the
+                // health-probe sweep the controller keeps routing work at
+                // the corpse indefinitely.
+                if !self.alive {
+                    return;
+                }
+                ctx.metrics.vm_crashes += 1;
+                self.destroy(LossCause::Crash, ctx);
+            }
+            Event::FaultStraggler { factor, .. } => {
+                self.set_derate(now, factor, ctx.cal, cfg);
+            }
+            Event::Sample { invoker } => {
+                // One tick on the shared utilization-sampling grid. The
+                // partial rows are coalesced into fleet-wide samples after
+                // the run (after cross-shard merge), summed in invoker
+                // order so the totals are bit-identical for every shard
+                // count. The chain dies with the invoker.
+                if !self.alive {
+                    return;
+                }
+                let used = self.snapshot().cpus_in_use;
+                ctx.metrics
+                    .push_partial_sample(now, invoker, self.cpus(), used);
+                ctx.cal
+                    .schedule_after(cfg.sample_interval, Event::Sample { invoker });
+            }
+            other => unreachable!("{other:?} is not addressed to an invoker"),
+        }
+    }
+
+    fn on_deliver<C: EventCalendar<Event>>(
+        &mut self,
+        inv: Invocation,
+        sent_at: SimTime,
+        ctx: &mut Ctx<'_, C>,
+    ) {
+        if !self.alive {
+            // The VM died while the message was in flight.
+            self.report_lost(inv, false, false, LossCause::DeadDelivery, ctx);
+            return;
+        }
+        ctx.record(self.entity(), inv.id, SpanKind::Delivered);
+        if self.tel_enabled {
+            let delivered_at = ctx.now;
+            let hop = Hop {
+                sent_at,
+                delivered_at,
+            };
+            self.hops.insert(inv.id, hop);
+        }
+        self.deliver(ctx.now, inv, ctx.cal, ctx.cfg);
+    }
+
+    fn on_completion<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
+        let now = ctx.now;
+        let finished = self.completion_tick(now, ctx.cal, ctx.cfg);
+        // Prewarm orders travel as self-addressed envelopes so sharded
+        // runs deliver them in canonical order at the exact delay the
+        // policy asked for.
+        for pw in self.take_prewarm_requests() {
+            let order = Event::Prewarm {
+                invoker: self.index,
+                function: pw.function,
+                memory_mb: pw.memory_mb,
+                ttl: pw.ttl,
+            };
+            self.send(pw.spawn_delay, order, ctx);
+        }
+        for run in finished {
+            let inv = run.invocation;
+            let latency = now.since(inv.arrival).as_secs_f64();
+            let exec = now.since(run.exec_start).as_secs_f64();
+            if run.cold {
+                ctx.metrics.cold_starts += 1;
+            } else {
+                ctx.metrics.warm_starts += 1;
+            }
+            if self.tel_enabled {
+                ctx.record(
+                    self.entity(),
+                    inv.id,
+                    SpanKind::Completed { cold: run.cold },
+                );
+                if let Some(hop) = self.hops.remove(&inv.id) {
+                    ctx.metrics
+                        .push_phase(phase_split(&run, hop, now, ctx.cfg.cold_start_delay));
+                }
+            }
+            ctx.metrics.push(InvocationRecord {
+                id: inv.id,
+                arrival: inv.arrival,
+                finished: now,
+                latency_secs: latency,
+                exec_secs: exec,
+                cold: run.cold,
+                exec_started: true,
+                outcome: Outcome::Completed,
+            });
+            let report = CompletionReport {
+                function: inv.function,
+                invocation: inv.id,
+                memory_mb: inv.memory_mb,
+                exec_duration: SimDuration::from_secs_f64(exec),
+                // Reported as the cgroup's cores-while-running reading.
+                cpu_cores: inv.cpu_demand,
+                cold: run.cold,
+                arrival: inv.arrival,
+            };
+            let invoker = self.index;
+            self.send(ctx.cfg.bus_latency, Event::Report { invoker, report }, ctx);
+        }
+    }
+
+    fn on_ping<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
+        if !self.alive {
+            return;
+        }
+        let (invoker, snap) = (self.index, self.snapshot());
+        // Every replica tracks the full fleet, so pings fan out to all of
+        // them.
+        ctx.broadcast(
+            self.entity(),
+            &mut self.seq,
+            ctx.cfg.bus_latency,
+            |replica| Event::PingReport {
+                invoker,
+                snap,
+                replica,
+            },
+        );
+        ctx.cal
+            .schedule_after(ctx.cfg.ping_interval, Event::Ping { invoker });
+    }
+
+    fn on_deploy<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
+        let slot = self
+            .slot
+            .as_ref()
+            .expect("the platform deploys only invokers built for a slot");
+        let (cpus, memory_mb, from_monitor) = match slot {
+            SlotSource::Trace(vm) => (vm.cpus_at(ctx.now).max(vm.base_cpus), vm.memory_mb, false),
+            SlotSource::Monitor(t) => (t.cpus, t.memory_mb, true),
+        };
+        self.deploy(ctx.now, cpus);
+        let invoker = self.index;
+        ctx.cal
+            .schedule_after(ctx.cfg.ping_interval, Event::Ping { invoker });
+        // Every controller replica hears about the new capacity one bus
+        // hop later.
+        ctx.broadcast(
+            self.entity(),
+            &mut self.seq,
+            ctx.cfg.bus_latency,
+            |replica| Event::DeployNotice {
+                invoker,
+                cpus,
+                memory_mb,
+                from_monitor,
+                replica,
+            },
+        );
+    }
+
+    /// Tears the VM down and tells the owning replicas about every
+    /// invocation it took with it, one [`Event::WorkLost`] per victim.
+    fn destroy<C: EventCalendar<Event>>(&mut self, cause: LossCause, ctx: &mut Ctx<'_, C>) {
+        let work = self.evict(ctx.now, ctx.cal);
+        for run in work.started {
+            ctx.record(
+                self.entity(),
+                run.invocation.id,
+                SpanKind::WorkDestroyed { exec_started: true },
+            );
+            self.report_lost(run.invocation, true, run.cold, cause, ctx);
+        }
+        for inv in work.queued {
+            ctx.record(
+                self.entity(),
+                inv.id,
+                SpanKind::WorkDestroyed {
+                    exec_started: false,
+                },
+            );
+            self.report_lost(inv, false, false, cause, ctx);
+        }
+    }
+
+    /// On an eviction warning, asks the owning replicas to resolve live
+    /// migrations for the long invocations that would otherwise die
+    /// (Section 4.4 extension). The decision is the owner's: it holds the
+    /// authoritative in-flight bookkeeping and the view to pick a
+    /// destination from, so migration works unchanged when the controller
+    /// is sharded.
+    fn plan_migrations<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
+        let m = ctx.cfg.migration;
+        if !m.enabled {
+            return;
+        }
+        let Some(warned_at) = self.warned_at else {
+            return; // raced with the eviction itself
+        };
+        if ctx.now >= warned_at + EVICTION_GRACE {
+            return;
+        }
+        for (container, _remaining, memory_mb) in
+            self.migration_candidates(ctx.now, m.min_remaining_secs)
+        {
+            let Some(run) = self.running_invocation(container) else {
+                continue;
+            };
+            let ask = Event::MigrateAsk {
+                src: self.index,
+                container,
+                function: run.invocation.function,
+                invocation: run.invocation.id,
+                memory_mb,
+                warned_at,
+            };
+            self.send(ctx.cfg.bus_latency, ask, ctx);
+        }
+    }
+
+    /// Source side of a migration: pull the running invocation out (if it
+    /// is still running) and ship its state, hop included, to the
+    /// destination; the implant envelope travels with the transfer delay.
+    fn on_migrate_extract<C: EventCalendar<Event>>(
+        &mut self,
+        dst: InvokerIndex,
+        container: u64,
+        transfer: SimDuration,
+        ctx: &mut Ctx<'_, C>,
+    ) {
+        let Some((run, remaining)) = self.extract_running(ctx.now, container, ctx.cal) else {
+            return; // completed or source already evicted
+        };
+        let implant = Event::MigrateImplant {
+            dst,
+            src: self.index,
+            run: Box::new(run),
+            remaining,
+            hop: self.hops.remove(&run.invocation.id),
+        };
+        self.send(transfer.max(ctx.cfg.bus_latency), implant, ctx);
+    }
+
+    /// Destination side: resume the shipped invocation, then tell the
+    /// owning replica so its in-flight bookkeeping follows; if this
+    /// invoker cannot take it, bounce the state back to the source.
+    fn on_migrate_implant<C: EventCalendar<Event>>(
+        &mut self,
+        src: InvokerIndex,
+        run: RunningInvocation,
+        remaining: f64,
+        hop: Option<Hop>,
+        ctx: &mut Ctx<'_, C>,
+    ) {
+        let answer = if self.implant(run, remaining, hop, ctx) {
+            ctx.metrics.migrations += 1;
+            Event::MigrateCommit {
+                invocation: run.invocation.id,
+                function: run.invocation.function,
+                dst: self.index,
+            }
+        } else {
+            Event::MigrateBounce {
+                src,
+                run: Box::new(run),
+                remaining,
+                hop,
+            }
+        };
+        self.send(ctx.cfg.bus_latency, answer, ctx);
+    }
+
+    /// [`InvokerState::implant_running`] plus the hop that travelled with
+    /// the state.
+    fn implant<C: EventCalendar<Event>>(
+        &mut self,
+        run: RunningInvocation,
+        remaining: f64,
+        hop: Option<Hop>,
+        ctx: &mut Ctx<'_, C>,
+    ) -> bool {
+        let implanted = self.implant_running(ctx.now, run, remaining, ctx.cal);
+        if let (true, Some(hop)) = (implanted, hop) {
+            self.hops.insert(run.invocation.id, hop);
+        }
+        implanted
+    }
+}
+
+/// Additive phase split of a finished invocation in integer
+/// microseconds. The queue phase is the residual, which is exact: the
+/// other four tile [arrival, sent], [sent, delivered],
+/// [start, start + cold_delay], and [exec_start, now], leaving exactly the
+/// invoker-local wait.
+fn phase_split(
+    run: &RunningInvocation,
+    hop: Hop,
+    now: SimTime,
+    cold_start_delay: SimDuration,
+) -> PhaseRecord {
+    let inv = run.invocation;
+    let total_us = now.since(inv.arrival).as_micros();
+    let sched_us = hop.sent_at.since(inv.arrival).as_micros();
+    let bus_us = hop.delivered_at.since(hop.sent_at).as_micros();
+    let coldstart_us = if run.cold {
+        cold_start_delay.as_micros()
+    } else {
+        0
+    };
+    let exec_us = now.since(run.exec_start).as_micros();
+    let queue_us = total_us.saturating_sub(sched_us + bus_us + coldstart_us + exec_us);
+    debug_assert_eq!(
+        sched_us + bus_us + queue_us + coldstart_us + exec_us,
+        total_us,
+        "phase components must tile invocation {}'s latency",
+        inv.id
+    );
+    PhaseRecord {
+        id: inv.id,
+        arrival: inv.arrival,
+        finished: now,
+        cold: run.cold,
+        sched_us,
+        bus_us,
+        queue_us,
+        coldstart_us,
+        exec_us,
     }
 }
 

@@ -1,12 +1,17 @@
 //! # hrv-platform
 //!
 //! An OpenWhisk-like FaaS platform model running inside a deterministic
-//! discrete-event simulation: [`controller`] (placement, fleet view,
-//! health pings), [`invoker`] (container pool, processor-sharing CPU
-//! contention, admission control), [`world`] (cluster wiring, VM resize
-//! and eviction handling, resource monitor), [`metrics`], and
-//! [`config`]. The platform is the testbed substitute for the paper's
-//! modified OpenWhisk deployment (Section 6).
+//! discrete-event simulation. Two kinds of entity do the work: controller
+//! replicas (`replica`, wrapping [`controller`]: placement, fleet view,
+//! health pings, recovery, the resource monitor) and invokers
+//! ([`invoker`]: container pool, processor-sharing CPU contention,
+//! admission control, VM resize and eviction handling). [`world`] wires a
+//! cluster and a workload to them and routes each [`event`] to the one
+//! entity it names; entities talk only through [`mailbox`] envelopes.
+//! [`shard`] drives one world or several, [`metrics`] and [`telemetry`]
+//! are what they write to, [`config`] what they read. The platform is the
+//! testbed substitute for the paper's modified OpenWhisk deployment
+//! (Section 6).
 
 pub mod config;
 pub mod controller;
@@ -14,6 +19,7 @@ pub mod event;
 pub mod invoker;
 pub mod mailbox;
 pub mod metrics;
+mod replica;
 pub mod shard;
 pub mod telemetry;
 pub mod world;

@@ -20,8 +20,8 @@
 //! ([`hrv_sim::calendar::EnvelopeLane`]), whose within-tick sort key
 //! ends in `(sender, seq)`: same-instant envelopes are *delivered* in
 //! this canonical order whatever order they arrived in. [`Envelope`]'s
-//! `Ord` is the same key, for drivers that order envelopes themselves
-//! (the benchmark harness's eager loop, the test oracle in `shard.rs`).
+//! `Ord` is the same key, for a driver that orders envelopes itself (the
+//! benchmark harness's eager loop).
 
 use hrv_sim::calendar::EnvelopeLane;
 use hrv_trace::time::SimTime;
@@ -59,6 +59,28 @@ pub fn replica_entity(r: u32) -> EntityId {
     }
 }
 
+/// An [`EntityId`] decoded into the entity it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entity {
+    /// Controller replica `r`.
+    Replica(u32),
+    /// Invoker `i`.
+    Invoker(InvokerIndex),
+}
+
+impl Entity {
+    /// Inverse of [`replica_entity`] and [`invoker_entity`].
+    pub(crate) fn of(id: EntityId) -> Entity {
+        if id == CONTROLLER {
+            Entity::Replica(0)
+        } else if id >= REPLICA_BASE {
+            Entity::Replica(id - REPLICA_BASE)
+        } else {
+            Entity::Invoker(id - 1)
+        }
+    }
+}
+
 /// A timestamped cross-entity message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
@@ -68,7 +90,8 @@ pub struct Envelope {
     pub sender: EntityId,
     /// Per-sender sequence number (canonical tiebreak).
     pub seq: u64,
-    /// Receiving entity (routing: decides the target shard).
+    /// Receiving entity (routing: decides the target shard). Always
+    /// `event`'s own `Event::target`: `Ctx::send` fills it in.
     pub target: EntityId,
     /// The payload, delivered as an ordinary calendar event.
     pub event: Event,
@@ -155,12 +178,9 @@ impl ShardPlan {
 
     /// The shard hosting `entity`.
     pub fn shard_of(shards: u32, entity: EntityId) -> u32 {
-        if entity == CONTROLLER {
-            0
-        } else if entity >= REPLICA_BASE {
-            (entity - REPLICA_BASE) % shards
-        } else {
-            (entity - 1) % shards
+        match Entity::of(entity) {
+            Entity::Replica(r) => r % shards,
+            Entity::Invoker(i) => i % shards,
         }
     }
 }

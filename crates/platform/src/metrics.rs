@@ -64,6 +64,28 @@ pub struct InvocationRecord {
     pub outcome: Outcome,
 }
 
+impl InvocationRecord {
+    /// The row of an invocation that never completed (lost, rejected,
+    /// censored): no latency, no execution time, finalized at `finished`.
+    pub(crate) fn unfinished(
+        id: u64,
+        arrival: SimTime,
+        finished: SimTime,
+        outcome: Outcome,
+    ) -> Self {
+        InvocationRecord {
+            id,
+            arrival,
+            finished,
+            latency_secs: 0.0,
+            exec_secs: 0.0,
+            cold: false,
+            exec_started: false,
+            outcome,
+        }
+    }
+}
+
 /// A point of the cluster utilization time series (Figure 20).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UtilizationSample {
@@ -406,12 +428,6 @@ pub struct MetricsCollector {
     pub vm_evictions: u64,
     /// Number of crash-stop kills injected by a fault plan.
     pub vm_crashes: u64,
-    /// Invocations killed by evictions.
-    pub eviction_failures: u64,
-    /// Invocations rejected at placement.
-    pub rejections: u64,
-    /// Invocations permanently lost to faults.
-    pub lost: u64,
     /// Live migrations completed (invocations moved off warned VMs).
     pub migrations: u64,
     /// Times recovery put an invoker into quarantine.
@@ -450,9 +466,6 @@ impl Default for MetricsCollector {
             cold_starts: 0,
             vm_evictions: 0,
             vm_crashes: 0,
-            eviction_failures: 0,
-            rejections: 0,
-            lost: 0,
             migrations: 0,
             quarantines: 0,
             dropped_completions: 0,
@@ -488,12 +501,6 @@ impl MetricsCollector {
 
     /// Records a finished invocation.
     pub fn push(&mut self, record: InvocationRecord) {
-        match record.outcome {
-            Outcome::FailedEviction => self.eviction_failures += 1,
-            Outcome::Rejected => self.rejections += 1,
-            Outcome::Lost => self.lost += 1,
-            Outcome::Completed | Outcome::Censored => {}
-        }
         self.streaming.record(&record);
         if self.record_sink {
             self.records.push(record);
@@ -618,9 +625,6 @@ impl MetricsCollector {
         self.cold_starts += other.cold_starts;
         self.vm_evictions += other.vm_evictions;
         self.vm_crashes += other.vm_crashes;
-        self.eviction_failures += other.eviction_failures;
-        self.rejections += other.rejections;
-        self.lost += other.lost;
         self.migrations += other.migrations;
         self.quarantines += other.quarantines;
         self.dropped_completions += other.dropped_completions;
@@ -1038,7 +1042,6 @@ mod tests {
         c.push(rec(0, 1, 1.0, false, Outcome::Completed));
         c.push(rec(1, 2, 0.0, false, Outcome::Lost));
         c.push(rec(2, 3, 0.0, false, Outcome::Censored));
-        assert_eq!(c.lost, 1);
         assert_eq!(c.streaming.lost, 1);
         assert_eq!(c.aggregate(SimTime::ZERO).lost, 1);
         c.assert_conservation();

@@ -369,44 +369,6 @@ mod tests {
 
     use crate::world::Simulation;
 
-    /// The round driver as it was before the envelope lane: pending
-    /// envelopes wait outside the calendar and are injected through plain
-    /// `schedule`, in canonical order, at the start of the round they fall
-    /// due in. The oracle the lane is held to (and still how the
-    /// benchmark harness drives the wheel).
-    fn run_rounds_eager(
-        world: &mut PlatformWorld,
-        cal: &mut Calendar<Event>,
-        end: SimTime,
-    ) -> RunStats {
-        let delta = world.cfg().bus_latency;
-        let mut pending: Vec<Envelope> = Vec::new();
-        let mut events = 0u64;
-        let reason = loop {
-            pending.append(&mut world.take_outbox());
-            pending.sort();
-            let next = match (cal.peek_time(), pending.first().map(|e| e.deliver_at)) {
-                (None, None) => break StopReason::Drained,
-                (Some(a), Some(b)) => a.min(b),
-                (a, b) => a.or(b).expect("one is some"),
-            };
-            if next >= end {
-                break StopReason::ReachedEnd;
-            }
-            let stop = next.saturating_add(delta).min(end);
-            let due = pending.partition_point(|e| e.deliver_at < stop);
-            for env in pending.drain(..due) {
-                cal.schedule(env.deliver_at, env.event);
-            }
-            events += run_until(world, cal, stop, u64::MAX).events;
-        };
-        RunStats {
-            events,
-            end_time: cal.now(),
-            reason,
-        }
-    }
-
     struct Inputs {
         spec: ClusterSpec,
         trace: Vec<Invocation>,
@@ -435,22 +397,28 @@ mod tests {
         ClusterSpec::from_traces(FleetTrace::generate(&config, &SeedFactory::new(SEED)).vms)
     }
 
-    /// Runs `i` through the eager oracle, `Simulation::run` and
-    /// `ShardedSimulation` at S = 2 and 4; returns the oracle's output
-    /// after checking the others against it.
+    /// Runs `i` through the eager oracle — `run_rounds` over the reference
+    /// calendar, whose lane *is* eager injection: pending envelopes wait
+    /// in a heap beside the calendar and enter it through plain
+    /// `schedule`, in canonical order, when the window they fall due in
+    /// opens — then through `Simulation::run` and `ShardedSimulation` at
+    /// S = 2 and 4; returns the oracle's output after checking the others
+    /// against it.
     fn assert_lane_matches_eager(i: &Inputs, label: &str) -> SimOutput {
         let eager = {
-            let mut cal = Calendar::new();
-            let mut world = PlatformWorld::from_stream_with_faults_in(
+            let mut cal = hrv_sim::calendar_reference::Calendar::new();
+            let mut world = PlatformWorld::from_stream_sharded_in(
                 i.spec.clone(),
                 Box::new(SortedTraceStream::new(i.trace.clone())),
                 PolicyKind::Mws.build(),
                 i.cfg.clone(),
                 SEED,
                 i.faults.clone(),
+                ShardPlan::solo(),
                 &mut cal,
             );
-            let run = run_rounds_eager(&mut world, &mut cal, SimTime::ZERO + i.horizon);
+            let end = SimTime::ZERO + i.horizon;
+            let run = run_rounds(&mut world, &mut cal, end, u64::MAX);
             merge_outputs(vec![(world, run)])
         };
         let solo = Simulation::with_faults(
@@ -551,7 +519,7 @@ mod tests {
         );
         let c = &out.collector;
         assert!(
-            c.lost + c.eviction_failures + c.vm_crashes > 0,
+            c.streaming.lost + c.streaming.eviction_failures + c.vm_crashes > 0,
             "chaos plan produced no faults"
         );
     }

@@ -1,21 +1,21 @@
 //! Platform-side telemetry plumbing: the per-world [`TelemetrySink`].
 //!
-//! The sink owns this world's slice of the flight recorder plus the
-//! invocation-scoped bookkeeping the phase attribution needs (final
-//! dispatch bus-hop timestamps). It is a strict no-op when built from
-//! [`TelemetryConfig::Off`]: no ring allocation, no map inserts, no
-//! calendar or RNG interaction — disabled runs stay byte-identical to a
-//! build without the sink (pinned by the golden fingerprints in
-//! `tests/determinism.rs`).
-
-use std::collections::HashMap;
+//! The sink owns this world's slice of the flight recorder. It is a
+//! strict no-op when built from [`TelemetryConfig::Off`]: no ring
+//! allocation, no calendar or RNG interaction — disabled runs stay
+//! byte-identical to a build without the sink (pinned by the golden
+//! fingerprints in `tests/determinism.rs`). The invocation-scoped
+//! bookkeeping the phase attribution needs — the [`Hop`] — is not here:
+//! it belongs to the invoker holding the invocation.
 
 use hrv_telemetry::{FlightRecorder, SpanKind, TelemetryConfig};
 use hrv_trace::time::SimTime;
 
-/// Bus-hop timestamps of an invocation's most recent dispatch. On a
-/// re-dispatch the entry is overwritten, so the attempt that eventually
-/// completes is the one the phase split describes.
+/// Bus-hop timestamps of the dispatch that put an invocation on its
+/// invoker. The invoker notes it at delivery, takes it at completion,
+/// drops it with the rest of its state when the VM dies and ships it with
+/// a migrating invocation, so the attempt that eventually completes is
+/// the one the phase split describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
     /// When the controller put the dispatch on the bus.
@@ -33,8 +33,6 @@ pub struct TelemetrySink {
     dump_last: usize,
     /// The bounded per-entity span rings.
     pub recorder: FlightRecorder,
-    /// Final-dispatch hop per in-flight invocation id.
-    inflight: HashMap<u64, Hop>,
 }
 
 impl TelemetrySink {
@@ -44,7 +42,6 @@ impl TelemetrySink {
             enabled: cfg.enabled(),
             dump_last: cfg.dump_last(),
             recorder: FlightRecorder::new(cfg.ring_capacity()),
-            inflight: HashMap::new(),
         }
     }
 
@@ -65,28 +62,6 @@ impl TelemetrySink {
         if self.enabled {
             self.recorder.record(entity, at, invocation, kind);
         }
-    }
-
-    /// Notes the bus hop of a delivery; overwrites any earlier attempt.
-    pub fn note_hop(&mut self, invocation: u64, sent_at: SimTime, delivered_at: SimTime) {
-        if self.enabled {
-            self.inflight.insert(
-                invocation,
-                Hop {
-                    sent_at,
-                    delivered_at,
-                },
-            );
-        }
-    }
-
-    /// Takes the hop entry for a finishing (or permanently lost)
-    /// invocation.
-    pub fn take_hop(&mut self, invocation: u64) -> Option<Hop> {
-        if !self.enabled {
-            return None;
-        }
-        self.inflight.remove(&invocation)
     }
 
     /// Drains an invoker's buffered span events into the recorder under
@@ -110,19 +85,7 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let mut s = TelemetrySink::new(&TelemetryConfig::Off);
         s.record(0, SimTime::from_micros(1), 7, SpanKind::Arrival);
-        s.note_hop(7, SimTime::from_micros(1), SimTime::from_micros(3));
         assert!(s.recorder.is_empty());
-        assert!(s.take_hop(7).is_none());
-    }
-
-    #[test]
-    fn hop_overwrites_on_redispatch() {
-        let mut s = TelemetrySink::new(&TelemetryConfig::on());
-        s.note_hop(7, SimTime::from_micros(1), SimTime::from_micros(3));
-        s.note_hop(7, SimTime::from_micros(10), SimTime::from_micros(12));
-        let hop = s.take_hop(7).unwrap();
-        assert_eq!(hop.sent_at, SimTime::from_micros(10));
-        assert!(s.take_hop(7).is_none(), "taken exactly once");
     }
 
     #[test]

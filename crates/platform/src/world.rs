@@ -1,28 +1,33 @@
 //! The platform world: wires VM traces, invokers, the controller, and the
 //! workload into one deterministic discrete-event simulation.
+//!
+//! [`PlatformWorld`] is a router, not an actor. The actors are the two
+//! entity types — controller replicas (`replica.rs`) and invokers
+//! ([`crate::invoker`]) — and every event is handled by exactly one of
+//! them, found through `Event::target`. A handler gets `&mut` to its own
+//! entity and a `Ctx`; it cannot name another entity, so whatever it
+//! wants from one has to travel as an [`Envelope`] with at least one bus
+//! hop of delay — the property the sharded driver's lookahead rests on.
 
-use std::collections::{BTreeMap, HashMap};
-
-use hrv_fault::{DispatchOutcome, DispatchSampler, FaultKind, FaultPlan, WarningFault};
-use hrv_lb::owner_of;
+use hrv_fault::{FaultKind, FaultPlan, WarningFault};
 use hrv_lb::policy::LoadBalancer;
-use hrv_lb::view::InvokerId;
 use hrv_sim::calendar::{Calendar, EnvelopeLane, EventCalendar, Scheduled};
 use hrv_sim::engine::{RunStats, World};
-use hrv_trace::faas::{FunctionId, Invocation};
+use hrv_trace::faas::Invocation;
 use hrv_trace::harvest::{VmEnd, VmTrace};
 use hrv_trace::rng::splitmix64;
 use hrv_trace::stream::{ArrivalStream, SortedTraceStream};
 use hrv_trace::time::{SimDuration, SimTime};
 
-use hrv_telemetry::{FlightRecorder, PhaseRecord, SpanKind, NO_INVOCATION};
+use hrv_telemetry::{FlightRecorder, SpanKind};
 
-use crate::config::{PlatformConfig, VmTemplate};
-use crate::controller::{Controller, RouteOutcome};
-use crate::event::{CompletionReport, Event, InvokerIndex, LossCause, ReplicaIndex};
-use crate::invoker::{InvokerState, RunningInvocation};
-use crate::mailbox::{invoker_entity, replica_entity, EntityId, Envelope, ShardPlan, REPLICA_BASE};
-use crate::metrics::{InvocationRecord, MetricsCollector, Outcome, ReplicaOccupancy};
+use crate::config::PlatformConfig;
+use crate::controller::Controller;
+use crate::event::{Event, InvokerIndex, ReplicaIndex};
+use crate::invoker::{first_sample_at, InvokerState, SlotSource};
+use crate::mailbox::{Entity, EntityId, Envelope, ShardPlan};
+use crate::metrics::MetricsCollector;
+use crate::replica::ReplicaState;
 use crate::telemetry::TelemetrySink;
 
 /// The VMs a simulation starts from.
@@ -80,47 +85,82 @@ impl ClusterSpec {
     }
 }
 
-/// Where an invoker slot's VM definition came from.
-#[derive(Debug, Clone)]
-enum SlotSource {
-    Trace(VmTrace),
-    Monitor(VmTemplate),
+/// Everything a handler can reach besides its own entity: the shard's
+/// calendar, the config, and *sinks*. Built once per event by
+/// [`PlatformWorld::handle`].
+///
+/// Nothing here lets one entity read another, and everything written
+/// here is insensitive to how entities interleave within an instant: the
+/// outbox is re-ordered by `(deliver_at, sender, seq)` on delivery, the
+/// recorder keeps one ring per entity, records are re-sorted and counters
+/// summed after the run. The one shared ordered resource is the
+/// calendar's own sequence number — which is why the order of `schedule`
+/// calls inside a handler is part of the golden fingerprints.
+pub(crate) struct Ctx<'a, C: EventCalendar<Event>> {
+    /// The time of the event being handled.
+    pub(crate) now: SimTime,
+    pub(crate) cfg: &'a PlatformConfig,
+    /// The shard's calendar, for the entity's own timers.
+    pub(crate) cal: &'a mut C,
+    pub(crate) metrics: &'a mut MetricsCollector,
+    /// Total controller replicas across all shards.
+    pub(crate) replicas: u32,
+    outbox: &'a mut Vec<Envelope>,
+    tel: &'a mut TelemetrySink,
 }
 
-/// One controller replica hosted on this shard, bundling the controller
-/// proper with the per-controller recovery and fault state that used to
-/// live directly on the world. With `sharding.replicas == 1` the single
-/// [`ReplicaState`] reproduces the pre-replication platform exactly.
-struct ReplicaState {
-    /// Global replica index (replica 0 is the classic controller entity).
-    index: ReplicaIndex,
-    controller: Controller,
-    retry_armed: bool,
-    /// Dispatch-message fault process, if the fault plan carries one.
-    /// Per replica: each rolls its own identically-seeded sequence, so
-    /// fault fates do not depend on how replicas interleave.
-    dispatch_faults: Option<DispatchSampler>,
-    /// Re-dispatch attempts per in-flight invocation id (empty unless
-    /// recovery is actively retrying something).
-    attempts: HashMap<u64, u32>,
-    /// Invocations waiting on a scheduled [`Event::Redispatch`], so a run
-    /// that ends first can censor them.
-    pending_redispatch: BTreeMap<u64, Invocation>,
-    /// Remaining retry budget (from [`crate::config::RecoveryConfig`];
-    /// per replica, so the fleet-wide budget scales with replication).
-    retry_budget: u64,
-    /// When each currently-quarantined invoker entered quarantine.
-    quarantine_since: BTreeMap<InvokerIndex, SimTime>,
-    /// Consecutive straggler strikes per invoker.
-    straggler_strikes: HashMap<InvokerIndex, u32>,
-    /// Placement decisions this replica made (occupancy probe).
-    placements: u64,
-    /// Controller-bound envelopes this replica consumed.
-    envelopes: u64,
+impl<C: EventCalendar<Event>> Ctx<'_, C> {
+    /// Emits a cross-entity message from `sender`, whose message counter
+    /// is `seq`, to the entity `event` is addressed to. Every cross-entity
+    /// interaction — even under the solo plan — goes through here so the
+    /// canonical `(deliver_at, sender, seq)` delivery order is identical
+    /// for every shard count. The delay must be at least one bus hop: that
+    /// minimum is the conservative lookahead the round driver's windows
+    /// rest on, checked when the envelope enters a calendar's lane
+    /// (`schedule_envelope` panics on one due inside the open window).
+    pub(crate) fn send(
+        &mut self,
+        sender: EntityId,
+        seq: &mut u64,
+        delay: SimDuration,
+        event: Event,
+    ) {
+        self.outbox.push(Envelope {
+            deliver_at: self.now.saturating_add(delay),
+            sender,
+            seq: *seq,
+            target: event.target(self.replicas),
+            event,
+        });
+        *seq += 1;
+    }
+
+    /// Sends one copy of a message to every controller replica, in
+    /// ascending replica order (each replica keeps its own full cluster
+    /// view, so invoker health and membership news fan out to all).
+    pub(crate) fn broadcast(
+        &mut self,
+        sender: EntityId,
+        seq: &mut u64,
+        delay: SimDuration,
+        copy_for: impl Fn(ReplicaIndex) -> Event,
+    ) {
+        for replica in 0..self.replicas {
+            self.send(sender, seq, delay, copy_for(replica));
+        }
+    }
+
+    /// Records one span event at the current time under `entity`'s ring
+    /// (no-op when telemetry is off).
+    #[inline]
+    pub(crate) fn record(&mut self, entity: EntityId, invocation: u64, kind: SpanKind) {
+        self.tel.record(entity, self.now, invocation, kind);
+    }
 }
 
 /// The complete simulated platform — or, under the sharded driver, the
-/// slice of it one shard owns (see [`ShardPlan`]).
+/// slice of it one shard owns (see [`ShardPlan`]): the entities, the
+/// shard's arrival stream, and the sinks handlers write to.
 pub struct PlatformWorld {
     cfg: PlatformConfig,
     /// Controller replicas hosted on this shard, ascending by index
@@ -130,8 +170,9 @@ pub struct PlatformWorld {
     /// Total controller replicas across all shards
     /// (`cfg.sharding.replicas`).
     replica_count: u32,
+    /// Every invoker slot, by global index; the ones other shards own
+    /// stay dormant placeholders here.
     invokers: Vec<InvokerState>,
-    slots: Vec<SlotSource>,
     arrivals: Box<dyn ArrivalStream>,
     /// Metrics sink.
     pub metrics: MetricsCollector,
@@ -140,120 +181,41 @@ pub struct PlatformWorld {
     /// Cross-entity messages not yet handed to a calendar's envelope lane;
     /// the round driver drains them (see [`crate::shard`]).
     outbox: Vec<Envelope>,
-    /// Per-sender message counters backing the canonical envelope order
-    /// (invoker and classic-controller entities, indexed by entity id).
-    msg_seq: Vec<u64>,
-    /// Message counters for replica senders (`REPLICA_BASE + r`), indexed
-    /// by replica — the entity ids are far too sparse for `msg_seq`.
-    replica_seq: Vec<u64>,
-    /// Next invoker slot index the resource monitor may assign
-    /// (controller-side; slot indices are globally unique).
-    next_slot_index: u32,
-    monitor_pending_cpus: u32,
-    /// True inside a view-staleness window: replica 0's health pings are
-    /// dropped.
-    view_frozen: bool,
-    /// Flight recorder + phase-attribution bookkeeping (a strict no-op
-    /// under [`hrv_telemetry::TelemetryConfig::Off`]).
+    /// This shard's slice of the flight recorder (a strict no-op under
+    /// [`hrv_telemetry::TelemetryConfig::Off`]).
     pub(crate) tel: TelemetrySink,
 }
 
 impl std::fmt::Debug for PlatformWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlatformWorld")
+            .field("plan", &self.plan)
             .field("invokers", &self.invokers.len())
-            .field("replicas", &self.replicas.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl PlatformWorld {
-    /// Builds the world from a materialized workload trace (sorted by
-    /// arrival time). Adapter over [`PlatformWorld::from_stream`].
-    pub fn new(
-        spec: ClusterSpec,
-        workload: Vec<Invocation>,
-        policy: Box<dyn LoadBalancer>,
-        cfg: PlatformConfig,
-        seed: u64,
-    ) -> (Self, Calendar<Event>) {
-        PlatformWorld::from_stream(
-            spec,
-            Box::new(SortedTraceStream::new(workload)),
-            policy,
-            cfg,
-            seed,
-        )
-    }
-
-    /// Builds the world and seeds the calendar with VM lifecycle events,
-    /// the first workload arrival, and periodic ticks.
+    /// Builds one shard's slice of the platform and seeds `cal` with VM
+    /// lifecycle events, the first workload arrival, and periodic ticks:
+    /// the full invoker table (for stable global indexing) but calendar
+    /// seeds only for the entities `plan` owns. [`ShardPlan::solo`] is the
+    /// unsharded platform.
     ///
     /// The platform pulls arrivals from `arrivals` one at a time — only
     /// one future arrival ever sits in the calendar, so a lazy stream
     /// ([`hrv_trace::stream::WorkloadStream`]) drives arbitrarily long
     /// runs in constant memory.
-    pub fn from_stream(
-        spec: ClusterSpec,
-        arrivals: Box<dyn ArrivalStream>,
-        policy: Box<dyn LoadBalancer>,
-        cfg: PlatformConfig,
-        seed: u64,
-    ) -> (Self, Calendar<Event>) {
-        PlatformWorld::from_stream_with_faults(spec, arrivals, policy, cfg, seed, FaultPlan::none())
-    }
-
-    /// [`PlatformWorld::from_stream`] plus an injected fault plan.
     ///
-    /// The plan's timed faults become calendar events, its warning faults
-    /// rewrite each VM's eviction-warning schedule, and its dispatch
-    /// process (if any) gates every controller→invoker placement message.
-    /// Injecting [`FaultPlan::none`] is a strict no-op: no extra events,
+    /// The fault plan's timed faults become calendar events, its warning
+    /// faults rewrite each VM's eviction-warning schedule, and its
+    /// dispatch process (if any) gates every controller→invoker placement
+    /// message. [`FaultPlan::none`] is a strict no-op: no extra events,
     /// no extra randomness, byte-identical runs.
-    pub fn from_stream_with_faults(
-        spec: ClusterSpec,
-        arrivals: Box<dyn ArrivalStream>,
-        policy: Box<dyn LoadBalancer>,
-        cfg: PlatformConfig,
-        seed: u64,
-        faults: FaultPlan,
-    ) -> (Self, Calendar<Event>) {
-        let mut cal = Calendar::new();
-        let world = PlatformWorld::from_stream_with_faults_in(
-            spec, arrivals, policy, cfg, seed, faults, &mut cal,
-        );
-        (world, cal)
-    }
-
-    /// [`PlatformWorld::from_stream_with_faults`], seeding events into a
-    /// caller-provided calendar. Generic over the calendar implementation
-    /// so differential tests can drive the whole platform through the
-    /// reference spec ([`hrv_sim::calendar_reference`]).
-    pub fn from_stream_with_faults_in(
-        spec: ClusterSpec,
-        arrivals: Box<dyn ArrivalStream>,
-        policy: Box<dyn LoadBalancer>,
-        cfg: PlatformConfig,
-        seed: u64,
-        faults: FaultPlan,
-        cal: &mut impl EventCalendar<Event>,
-    ) -> Self {
-        PlatformWorld::from_stream_sharded_in(
-            spec,
-            arrivals,
-            policy,
-            cfg,
-            seed,
-            faults,
-            ShardPlan::solo(),
-            cal,
-        )
-    }
-
-    /// Builds one shard's slice of the platform: the full invoker/slot
-    /// table (for stable global indexing) but with calendar seeds only
-    /// for the entities `plan` owns. The `1/1` plan reproduces the
-    /// unsharded construction exactly.
+    ///
+    /// Generic over the calendar implementation so differential tests can
+    /// drive the whole platform through the reference spec
+    /// ([`hrv_sim::calendar_reference`]).
     #[allow(clippy::too_many_arguments)]
     pub fn from_stream_sharded_in(
         spec: ClusterSpec,
@@ -267,14 +229,13 @@ impl PlatformWorld {
     ) -> Self {
         cfg.validate();
         let mut invokers = Vec::with_capacity(spec.vms.len());
-        let mut slots = Vec::with_capacity(spec.vms.len());
         for (i, vm) in spec.vms.iter().enumerate() {
             let index = i as InvokerIndex;
-            let mut invoker = InvokerState::new(index, vm.memory_mb);
-            invoker.set_policy(cfg.coldstart.build());
-            invoker.set_telemetry(cfg.telemetry.enabled());
-            invokers.push(invoker);
-            slots.push(SlotSource::Trace(vm.clone()));
+            invokers.push(InvokerState::for_slot(
+                index,
+                SlotSource::Trace(vm.clone()),
+                &cfg,
+            ));
             if !plan.owns_invoker(index) {
                 continue;
             }
@@ -354,10 +315,10 @@ impl PlatformWorld {
         if plan.owns_controller() && cfg.monitor.enabled {
             cal.schedule_after(cfg.monitor.interval, Event::MonitorTick);
         }
-        for r in 0..replica_count {
-            if !plan.owns_replica(r) {
-                continue;
-            }
+        let hosted: Vec<ReplicaIndex> = (0..replica_count)
+            .filter(|&r| plan.owns_replica(r))
+            .collect();
+        for &r in &hosted {
             if cfg.recovery.enabled {
                 cal.schedule_after(
                     cfg.recovery.probe_interval,
@@ -378,30 +339,20 @@ impl PlatformWorld {
             // Per-invoker sampling chains on the shared grid: each owned
             // slot ticks from its first grid point at/after deploy until
             // death, so the merged series is shard-count-invariant.
-            let step = cfg.sample_interval.as_micros();
             for (i, vm) in spec.vms.iter().enumerate() {
                 let index = i as InvokerIndex;
-                if !plan.owns_invoker(index) {
-                    continue;
+                if plan.owns_invoker(index) {
+                    let at = first_sample_at(vm.deploy, cfg.sample_interval);
+                    cal.schedule(at, Event::Sample { invoker: index });
                 }
-                let dep = vm.deploy.since(SimTime::ZERO).as_micros();
-                let at = SimTime::ZERO + SimDuration::from_micros(dep.div_ceil(step) * step);
-                cal.schedule(at, Event::Sample { invoker: index });
             }
         }
-        let hosted: Vec<ReplicaIndex> = (0..replica_count)
-            .filter(|&r| plan.owns_replica(r))
-            .collect();
-        let mut lbs: Vec<Box<dyn LoadBalancer>> = Vec::with_capacity(hosted.len());
-        if !hosted.is_empty() {
-            let mut extras: Vec<Box<dyn LoadBalancer>> =
-                (1..hosted.len()).map(|_| policy.fresh()).collect();
-            lbs.push(policy);
-            lbs.append(&mut extras);
-        }
+        // The caller's policy instance goes to the first hosted replica,
+        // fresh copies to the rest.
+        let fresh: Vec<Box<dyn LoadBalancer>> = (1..hosted.len()).map(|_| policy.fresh()).collect();
         let replicas: Vec<ReplicaState> = hosted
             .into_iter()
-            .zip(lbs)
+            .zip(std::iter::once(policy).chain(fresh))
             .map(|(r, lb)| {
                 // Replica 0 keeps the caller's seed bit-for-bit; peers
                 // derive theirs so tie-break rolls stay independent.
@@ -414,19 +365,13 @@ impl PlatformWorld {
                 if replica_count > 1 {
                     controller.enable_delta_tracking();
                 }
-                ReplicaState {
-                    index: r,
+                ReplicaState::new(
+                    r,
                     controller,
-                    retry_armed: false,
-                    dispatch_faults: faults.dispatch.as_ref().map(|d| d.sampler()),
-                    attempts: HashMap::new(),
-                    pending_redispatch: BTreeMap::new(),
-                    retry_budget: cfg.recovery.retry_budget,
-                    quarantine_since: BTreeMap::new(),
-                    straggler_strikes: HashMap::new(),
-                    placements: 0,
-                    envelopes: 0,
-                }
+                    faults.dispatch.as_ref().map(|d| d.sampler()),
+                    cfg.recovery.retry_budget,
+                    spec.vms.len() as u32,
+                )
             })
             .collect();
         let metrics = if cfg.record_invocations {
@@ -438,47 +383,14 @@ impl PlatformWorld {
         PlatformWorld {
             replicas,
             replica_count,
-            next_slot_index: spec.vms.len() as u32,
             cfg,
             invokers,
-            slots,
             arrivals,
             metrics,
             plan,
             outbox: Vec::new(),
-            msg_seq: Vec::new(),
-            replica_seq: Vec::new(),
-            monitor_pending_cpus: 0,
-            view_frozen: false,
             tel,
         }
-    }
-
-    /// The replica owning `function`'s placement (always 0 with a single
-    /// replica).
-    fn owner(&self, function: FunctionId) -> ReplicaIndex {
-        owner_of(self.replica_count, function)
-    }
-
-    /// Mutable access to hosted replica `r` (panics if this shard does
-    /// not host it — replica-targeted envelopes only land on the owner).
-    fn rep_mut(&mut self, r: ReplicaIndex) -> &mut ReplicaState {
-        let local = (r / self.plan.shards) as usize;
-        debug_assert_eq!(
-            self.replicas[local].index, r,
-            "replica routed to wrong shard"
-        );
-        &mut self.replicas[local]
-    }
-
-    /// The controller (first hosted replica), for post-run inspection.
-    pub fn controller(&self) -> &Controller {
-        &self.replicas[0].controller
-    }
-
-    /// The invokers, for post-run inspection.
-    pub fn invokers(&self) -> &[InvokerState] {
-        &self.invokers
     }
 
     /// Fleet-wide cold starts counted at the invokers.
@@ -542,933 +454,12 @@ impl PlatformWorld {
         }
     }
 
-    /// Emits a cross-entity message. Every cross-entity interaction —
-    /// even under the solo plan — goes through here so the canonical
-    /// `(deliver_at, sender, seq)` delivery order is identical for every
-    /// shard count. The delay must be at least one bus hop: that minimum
-    /// is the conservative lookahead the round driver's windows rest on.
-    /// Debug builds check it here; every build checks it where it
-    /// matters, when the envelope enters a calendar's lane
-    /// (`schedule_envelope` panics on one due inside the open window).
-    fn send(
-        &mut self,
-        now: SimTime,
-        sender: EntityId,
-        target: EntityId,
-        delay: SimDuration,
-        event: Event,
-    ) {
-        debug_assert!(
-            delay >= self.cfg.bus_latency,
-            "cross-entity delay {delay:?} below the bus-latency lookahead"
-        );
-        let seq = if sender >= REPLICA_BASE {
-            let idx = (sender - REPLICA_BASE) as usize;
-            if self.replica_seq.len() <= idx {
-                self.replica_seq.resize(idx + 1, 0);
-            }
-            let s = self.replica_seq[idx];
-            self.replica_seq[idx] += 1;
-            s
-        } else {
-            let idx = sender as usize;
-            if self.msg_seq.len() <= idx {
-                self.msg_seq.resize(idx + 1, 0);
-            }
-            let s = self.msg_seq[idx];
-            self.msg_seq[idx] += 1;
-            s
-        };
-        self.outbox.push(Envelope {
-            deliver_at: now.saturating_add(delay),
-            sender,
-            seq,
-            target,
-            event,
-        });
-    }
-
-    fn schedule_delivery(
-        &mut self,
-        now: SimTime,
-        cal: &mut impl EventCalendar<Event>,
-        replica: ReplicaIndex,
-        invoker: InvokerId,
-        invocation: Invocation,
-    ) {
-        self.rep_mut(replica).placements += 1;
-        let delay = match self
-            .rep_mut(replica)
-            .dispatch_faults
-            .as_mut()
-            .map(DispatchSampler::roll)
-        {
-            None | Some(DispatchOutcome::Deliver) => self.cfg.bus_latency,
-            Some(DispatchOutcome::Delay(by)) => self.cfg.bus_latency + by,
-            Some(DispatchOutcome::Drop) => {
-                // The placement message vanished in the bus; the invoker
-                // never hears about this invocation.
-                self.fail_or_recover(
-                    now,
-                    invocation,
-                    false,
-                    false,
-                    LossCause::DispatchDrop,
-                    replica,
-                    cal,
-                );
-                return;
-            }
-        };
-        self.tel.record(
-            replica_entity(replica),
-            now,
-            invocation.id,
-            SpanKind::DispatchSent { invoker: invoker.0 },
-        );
-        self.send(
-            now,
-            replica_entity(replica),
-            invoker_entity(invoker.0),
-            delay,
-            Event::Deliver {
-                invoker: invoker.0,
-                invocation,
-                sent_at: now,
-            },
-        );
-    }
-
-    /// Flushes an invoker's buffered span events into the recorder (a
-    /// no-op for disabled runs: the buffer never fills).
-    fn drain_tel(&mut self, idx: InvokerIndex) {
-        self.tel
-            .drain(invoker_entity(idx), &mut self.invokers[idx as usize].tel);
-    }
-
-    /// An invocation's placement was destroyed (`cause` says how). With
-    /// recovery enabled and budget left, schedules a re-dispatch after the
-    /// cause's detection delay plus capped exponential backoff; otherwise
-    /// records the invocation as permanently gone.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_or_recover(
-        &mut self,
-        now: SimTime,
-        inv: Invocation,
-        exec_started: bool,
-        cold: bool,
-        cause: LossCause,
-        replica: ReplicaIndex,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        self.rep_mut(replica).controller.forget_inflight(inv.id);
-        let r = self.cfg.recovery;
-        let attempt = if r.enabled {
-            self.rep_mut(replica)
-                .attempts
-                .get(&inv.id)
-                .copied()
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        if r.enabled && attempt < r.max_retries && self.rep_mut(replica).retry_budget > 0 {
-            {
-                let rep = self.rep_mut(replica);
-                rep.retry_budget -= 1;
-                rep.attempts.insert(inv.id, attempt + 1);
-            }
-            let backoff = r
-                .backoff_base
-                .mul_f64(2f64.powi(attempt as i32))
-                .min(r.backoff_cap);
-            let detection = match cause {
-                LossCause::Eviction => self.cfg.ping_interval,
-                LossCause::Crash | LossCause::DeadDelivery => r.probe_timeout,
-                LossCause::DispatchDrop => SimDuration::ZERO,
-            };
-            if cause != LossCause::DispatchDrop {
-                self.metrics.note_redispatch();
-            }
-            self.tel.record(
-                replica_entity(replica),
-                now,
-                inv.id,
-                SpanKind::Retry {
-                    attempt: attempt + 1,
-                },
-            );
-            self.rep_mut(replica).pending_redispatch.insert(inv.id, inv);
-            cal.schedule(
-                now + detection + backoff,
-                Event::Redispatch { invocation: inv },
-            );
-            return;
-        }
-        self.rep_mut(replica).attempts.remove(&inv.id);
-        // Without recovery, a destroyed placement surfaces exactly as the
-        // pre-fault platform reported it (an eviction failure) so legacy
-        // runs stay byte-identical; a lost dispatch message has no legacy
-        // equivalent and is always a loss.
-        let outcome = if r.enabled || cause == LossCause::DispatchDrop {
-            Outcome::Lost
-        } else {
-            Outcome::FailedEviction
-        };
-        self.tel
-            .record(replica_entity(replica), now, inv.id, SpanKind::Lost);
-        self.tel.take_hop(inv.id);
-        self.metrics.push(InvocationRecord {
-            id: inv.id,
-            arrival: inv.arrival,
-            finished: now,
-            latency_secs: 0.0,
-            exec_secs: 0.0,
-            cold,
-            exec_started,
-            outcome,
-        });
-    }
-
-    fn arm_retry(&mut self, replica: ReplicaIndex, cal: &mut impl EventCalendar<Event>) {
-        let retry = self.cfg.placement_retry;
-        let rep = self.rep_mut(replica);
-        if !rep.retry_armed {
-            rep.retry_armed = true;
-            cal.schedule_after(retry, Event::RetryQueue { replica });
-        }
-    }
-
-    fn on_arrival(
-        &mut self,
-        now: SimTime,
-        invocation: Invocation,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        self.metrics.arrivals += 1;
-        // Each shard's stream is pre-filtered to the functions its hosted
-        // replicas own, so the owner is always local.
-        let replica = self.owner(invocation.function);
-        debug_assert!(
-            self.plan.owns_replica(replica),
-            "arrival for replica {replica} landed on shard {}",
-            self.plan.shard
-        );
-        self.tel.record(
-            replica_entity(replica),
-            now,
-            invocation.id,
-            SpanKind::Arrival,
-        );
-        // Feed the next arrival lazily to keep the calendar small.
-        if let Some(next) = self.arrivals.next_invocation() {
-            cal.schedule(next.arrival, Event::Arrival(next));
-        }
-        match self.rep_mut(replica).controller.route(now, invocation) {
-            RouteOutcome::Placed(id) => self.schedule_delivery(now, cal, replica, id, invocation),
-            RouteOutcome::Queued => self.arm_retry(replica, cal),
-        }
-    }
-
-    fn on_deliver(
-        &mut self,
-        now: SimTime,
-        idx: InvokerIndex,
-        inv: Invocation,
-        sent_at: SimTime,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        if !self.invokers[idx as usize].alive {
-            // The VM died while the message was in flight; the invoker's
-            // shard reports the corpse back to the owning replica, which
-            // decides between re-dispatch and a loss record.
-            let owner = self.owner(inv.function);
-            self.send(
-                now,
-                invoker_entity(idx),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::WorkLost {
-                    invocation: inv,
-                    exec_started: false,
-                    cold: false,
-                    cause: LossCause::DeadDelivery,
-                },
-            );
-            return;
-        }
-        self.tel
-            .record(invoker_entity(idx), now, inv.id, SpanKind::Delivered);
-        self.tel.note_hop(inv.id, sent_at, now);
-        self.invokers[idx as usize].deliver(now, inv, cal, &self.cfg);
-        self.drain_tel(idx);
-    }
-
-    fn finish_records(
-        &mut self,
-        now: SimTime,
-        idx: InvokerIndex,
-        finished: Vec<RunningInvocation>,
-    ) {
-        for run in finished {
-            let inv = run.invocation;
-            let latency = now.since(inv.arrival).as_secs_f64();
-            let exec = now.since(run.exec_start).as_secs_f64();
-            if run.cold {
-                self.metrics.cold_starts += 1;
-            } else {
-                self.metrics.warm_starts += 1;
-            }
-            if self.tel.enabled() {
-                self.tel.record(
-                    invoker_entity(idx),
-                    now,
-                    inv.id,
-                    SpanKind::Completed { cold: run.cold },
-                );
-                if let Some(hop) = self.tel.take_hop(inv.id) {
-                    // Additive phase split in integer microseconds. The
-                    // queue phase is the residual, which is exact: the
-                    // other four tile [arrival, sent], [sent, delivered],
-                    // [start, start + cold_delay], and [exec_start, now],
-                    // leaving exactly the invoker-local wait.
-                    let total_us = now.since(inv.arrival).as_micros();
-                    let sched_us = hop.sent_at.since(inv.arrival).as_micros();
-                    let bus_us = hop.delivered_at.since(hop.sent_at).as_micros();
-                    let coldstart_us = if run.cold {
-                        self.cfg.cold_start_delay.as_micros()
-                    } else {
-                        0
-                    };
-                    let exec_us = now.since(run.exec_start).as_micros();
-                    let queue_us =
-                        total_us.saturating_sub(sched_us + bus_us + coldstart_us + exec_us);
-                    debug_assert_eq!(
-                        sched_us + bus_us + queue_us + coldstart_us + exec_us,
-                        total_us,
-                        "phase components must tile invocation {}'s latency",
-                        inv.id
-                    );
-                    self.metrics.push_phase(PhaseRecord {
-                        id: inv.id,
-                        arrival: inv.arrival,
-                        finished: now,
-                        cold: run.cold,
-                        sched_us,
-                        bus_us,
-                        queue_us,
-                        coldstart_us,
-                        exec_us,
-                    });
-                }
-            }
-            self.metrics.push(InvocationRecord {
-                id: inv.id,
-                arrival: inv.arrival,
-                finished: now,
-                latency_secs: latency,
-                exec_secs: exec,
-                cold: run.cold,
-                exec_started: true,
-                outcome: Outcome::Completed,
-            });
-            let report = CompletionReport {
-                function: inv.function,
-                invocation: inv.id,
-                memory_mb: inv.memory_mb,
-                exec_duration: SimDuration::from_secs_f64(exec),
-                // Reported as the cgroup's cores-while-running reading.
-                cpu_cores: inv.cpu_demand,
-                cold: run.cold,
-                arrival: inv.arrival,
-            };
-            let owner = self.owner(inv.function);
-            self.send(
-                now,
-                invoker_entity(idx),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::Report {
-                    invoker: idx,
-                    report,
-                },
-            );
-        }
-    }
-
-    fn on_evict(&mut self, now: SimTime, idx: InvokerIndex, cal: &mut impl EventCalendar<Event>) {
-        let invoker = &mut self.invokers[idx as usize];
-        if !invoker.alive {
-            return;
-        }
-        self.metrics.vm_evictions += 1;
-        let work = invoker.evict(now, cal);
-        self.report_destroyed_work(now, idx, work, LossCause::Eviction);
-        // Every controller replica notices the dead invoker after a ping
-        // interval (each keeps its own full cluster view).
-        for r in 0..self.replica_count {
-            self.send(
-                now,
-                invoker_entity(idx),
-                replica_entity(r),
-                self.cfg.ping_interval,
-                Event::InvokerDown {
-                    invoker: idx,
-                    replica: r,
-                },
-            );
-        }
-    }
-
-    /// Tells the controller about every invocation a dying invoker took
-    /// down with it, one [`Event::WorkLost`] message per victim.
-    fn report_destroyed_work(
-        &mut self,
-        now: SimTime,
-        idx: InvokerIndex,
-        work: crate::invoker::EvictedWork,
-        cause: LossCause,
-    ) {
-        for run in work.started {
-            self.tel.record(
-                invoker_entity(idx),
-                now,
-                run.invocation.id,
-                SpanKind::WorkDestroyed { exec_started: true },
-            );
-            let owner = self.owner(run.invocation.function);
-            self.send(
-                now,
-                invoker_entity(idx),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::WorkLost {
-                    invocation: run.invocation,
-                    exec_started: true,
-                    cold: run.cold,
-                    cause,
-                },
-            );
-        }
-        for inv in work.queued {
-            self.tel.record(
-                invoker_entity(idx),
-                now,
-                inv.id,
-                SpanKind::WorkDestroyed {
-                    exec_started: false,
-                },
-            );
-            let owner = self.owner(inv.function);
-            self.send(
-                now,
-                invoker_entity(idx),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::WorkLost {
-                    invocation: inv,
-                    exec_started: false,
-                    cold: false,
-                    cause,
-                },
-            );
-        }
-    }
-
-    /// Fault injection: crash-stop kill. The VM vanishes mid-flight with
-    /// no warning and — unlike [`PlatformWorld::on_evict`] — no
-    /// [`Event::InvokerDown`] follows: nothing announces the death, so
-    /// without the health-probe sweep the controller keeps routing work
-    /// at the corpse indefinitely.
-    fn on_crash(&mut self, now: SimTime, idx: InvokerIndex, cal: &mut impl EventCalendar<Event>) {
-        let invoker = &mut self.invokers[idx as usize];
-        if !invoker.alive {
-            return;
-        }
-        self.metrics.vm_crashes += 1;
-        let work = invoker.evict(now, cal);
-        self.report_destroyed_work(now, idx, work, LossCause::Crash);
-    }
-
-    /// Quarantines an invoker out of `replica`'s placement view (no-op if
-    /// already there). Each replica quarantines independently off its own
-    /// ping stream.
-    fn quarantine(&mut self, now: SimTime, replica: ReplicaIndex, idx: InvokerIndex) {
-        let rep = self.rep_mut(replica);
-        if rep.controller.set_quarantined(InvokerId(idx), true) {
-            rep.quarantine_since.insert(idx, now);
-            self.metrics.note_quarantine();
-        }
-    }
-
-    /// Lifts a quarantine and accounts the time spent inside it.
-    fn unquarantine(&mut self, now: SimTime, replica: ReplicaIndex, idx: InvokerIndex) {
-        let rep = self.rep_mut(replica);
-        if rep.controller.set_quarantined(InvokerId(idx), false) {
-            if let Some(since) = rep.quarantine_since.remove(&idx) {
-                self.metrics
-                    .note_quarantine_span(now.saturating_since(since));
-            }
-        }
-    }
-
-    /// Straggler detection off the health pings: sustained high queue
-    /// pressure earns strikes; enough consecutive strikes quarantine the
-    /// invoker, and one healthy reading clears everything.
-    fn track_straggler(
-        &mut self,
-        now: SimTime,
-        replica: ReplicaIndex,
-        idx: InvokerIndex,
-        pressure: f64,
-    ) {
-        let r = self.cfg.recovery;
-        if pressure >= r.straggler_pressure {
-            let strikes = *self
-                .rep_mut(replica)
-                .straggler_strikes
-                .entry(idx)
-                .and_modify(|s| *s += 1)
-                .or_insert(1);
-            if strikes >= r.straggler_strikes {
-                self.quarantine(now, replica, idx);
-            }
-        } else {
-            self.rep_mut(replica).straggler_strikes.remove(&idx);
-            self.unquarantine(now, replica, idx);
-        }
-    }
-
-    /// A replica's periodic health-probe sweep: invokers silent past the
-    /// probe timeout are quarantined; silent past `down_after`, they are
-    /// declared dead and removed from the view.
-    fn on_health_sweep(
-        &mut self,
-        now: SimTime,
-        replica: ReplicaIndex,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        let r = self.cfg.recovery;
-        if !r.enabled {
-            return;
-        }
-        let silent = self
-            .rep_mut(replica)
-            .controller
-            .silent_invokers(now, r.probe_timeout);
-        for (id, silence) in silent {
-            if silence >= r.down_after {
-                self.unquarantine(now, replica, id.0);
-                self.rep_mut(replica).controller.on_invoker_down(id);
-            } else {
-                self.quarantine(now, replica, id.0);
-            }
-        }
-        cal.schedule_after(r.probe_interval, Event::HealthSweep { replica });
-    }
-
-    /// Recovery re-dispatch: routes a previously-destroyed invocation
-    /// again, as if it had just arrived.
-    fn on_redispatch(
-        &mut self,
-        now: SimTime,
-        inv: Invocation,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        let replica = self.owner(inv.function);
-        if self
-            .rep_mut(replica)
-            .pending_redispatch
-            .remove(&inv.id)
-            .is_none()
-        {
-            return;
-        }
-        self.metrics.note_retry();
-        self.tel
-            .record(replica_entity(replica), now, inv.id, SpanKind::Redispatch);
-        match self.rep_mut(replica).controller.route(now, inv) {
-            RouteOutcome::Placed(id) => self.schedule_delivery(now, cal, replica, id, inv),
-            RouteOutcome::Queued => self.arm_retry(replica, cal),
-        }
-    }
-
-    fn on_monitor_tick(&mut self, now: SimTime, cal: &mut impl EventCalendar<Event>) {
-        let m = self.cfg.monitor;
-        if !m.enabled {
-            return;
-        }
-        // The monitor reads replica 0's view (it is hosted on shard 0,
-        // where every MonitorTick fires).
-        let available = self.rep_mut(0).controller.placeable_cpus() + self.monitor_pending_cpus;
-        if available < m.min_cpus {
-            let shortfall = m.min_cpus - available;
-            let count = shortfall.div_ceil(m.template.cpus);
-            for _ in 0..count {
-                // Slot indices are assigned centrally so they are
-                // globally unique; the owning shard materializes the
-                // slot when the SpawnVm order lands after the deploy
-                // delay.
-                let index = self.next_slot_index;
-                self.next_slot_index += 1;
-                self.monitor_pending_cpus += m.template.cpus;
-                self.send(
-                    now,
-                    replica_entity(0),
-                    invoker_entity(index),
-                    m.template.deploy_delay,
-                    Event::SpawnVm {
-                        invoker: index,
-                        template: m.template,
-                    },
-                );
-            }
-        }
-        cal.schedule_after(m.interval, Event::MonitorTick);
-    }
-
-    /// A monitor-ordered VM lands on the shard owning its slot index:
-    /// grow the local tables up to the index (the gap entries belong to
-    /// other shards and stay dormant placeholders here) and bring it up.
-    fn on_spawn_vm(
-        &mut self,
-        now: SimTime,
-        idx: InvokerIndex,
-        template: VmTemplate,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        while self.invokers.len() <= idx as usize {
-            let i = self.invokers.len() as InvokerIndex;
-            let mut filler = InvokerState::new(i, template.memory_mb);
-            filler.set_policy(self.cfg.coldstart.build());
-            filler.set_telemetry(self.cfg.telemetry.enabled());
-            self.invokers.push(filler);
-            self.slots.push(SlotSource::Monitor(template));
-        }
-        let mut invoker = InvokerState::new(idx, template.memory_mb);
-        invoker.set_policy(self.cfg.coldstart.build());
-        invoker.set_telemetry(self.cfg.telemetry.enabled());
-        self.invokers[idx as usize] = invoker;
-        self.slots[idx as usize] = SlotSource::Monitor(template);
-        if !self.cfg.sample_interval.is_zero() {
-            // Join the shared sampling grid at the first tick at/after
-            // the deploy (grid alignment keeps merged rows coalescible).
-            let step = self.cfg.sample_interval.as_micros();
-            let us = now.since(SimTime::ZERO).as_micros();
-            let at = SimTime::ZERO + SimDuration::from_micros(us.div_ceil(step) * step);
-            cal.schedule(at, Event::Sample { invoker: idx });
-        }
-        self.on_deploy(now, idx, cal);
-    }
-
-    fn on_deploy(&mut self, now: SimTime, idx: InvokerIndex, cal: &mut impl EventCalendar<Event>) {
-        let (cpus, memory_mb, from_monitor) = match &self.slots[idx as usize] {
-            SlotSource::Trace(vm) => (vm.cpus_at(now).max(vm.base_cpus), vm.memory_mb, false),
-            SlotSource::Monitor(t) => (t.cpus, t.memory_mb, true),
-        };
-        self.invokers[idx as usize].deploy(now, cpus);
-        cal.schedule_after(self.cfg.ping_interval, Event::Ping { invoker: idx });
-        // Every controller replica hears about the new capacity one bus
-        // hop later.
-        for r in 0..self.replica_count {
-            self.send(
-                now,
-                invoker_entity(idx),
-                replica_entity(r),
-                self.cfg.bus_latency,
-                Event::DeployNotice {
-                    invoker: idx,
-                    cpus,
-                    memory_mb,
-                    from_monitor,
-                    replica: r,
-                },
-            );
-        }
-    }
-
-    /// Replica side of a VM coming up: admit it to the view, release the
-    /// monitor's pending-CPU reservation (replica 0 runs the monitor),
-    /// and retry the queue.
-    #[allow(clippy::too_many_arguments)]
-    fn on_deploy_notice(
-        &mut self,
-        now: SimTime,
-        idx: InvokerIndex,
-        cpus: u32,
-        memory_mb: u64,
-        from_monitor: bool,
-        replica: ReplicaIndex,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        if from_monitor && replica == 0 {
-            self.monitor_pending_cpus = self.monitor_pending_cpus.saturating_sub(cpus);
-        }
-        self.rep_mut(replica)
-            .controller
-            .on_invoker_up(now, InvokerId(idx), cpus, memory_mb);
-        // New capacity may unblock queued placements.
-        self.arm_retry(replica, cal);
-    }
-
-    /// One invoker's tick on the shared utilization-sampling grid. The
-    /// partial rows are coalesced into fleet-wide samples after the run
-    /// (after cross-shard merge), summed in invoker order so the totals
-    /// are bit-identical for every shard count. The chain dies with the
-    /// invoker.
-    fn on_sample(&mut self, now: SimTime, idx: InvokerIndex, cal: &mut impl EventCalendar<Event>) {
-        let inv = &self.invokers[idx as usize];
-        if !inv.alive {
-            return;
-        }
-        let total = inv.cpus();
-        let used = inv.snapshot().cpus_in_use;
-        self.metrics.push_partial_sample(now, idx, total, used);
-        cal.schedule_after(self.cfg.sample_interval, Event::Sample { invoker: idx });
-    }
-
-    /// On an eviction warning, asks the owning replicas to resolve live
-    /// migrations for the long invocations that would otherwise die
-    /// (Section 4.4 extension). The decision is the owner's: it holds the
-    /// authoritative in-flight bookkeeping and the view to pick a
-    /// destination from, so migration works unchanged when the controller
-    /// is sharded.
-    fn plan_migrations(&mut self, now: SimTime, src: InvokerIndex) {
-        let m = self.cfg.migration;
-        if !m.enabled {
-            return;
-        }
-        let Some(warned_at) = self.invokers[src as usize].warned_at else {
-            return; // raced with the eviction itself
-        };
-        if now >= warned_at + hrv_trace::harvest::EVICTION_GRACE {
-            return;
-        }
-        let candidates =
-            self.invokers[src as usize].migration_candidates(now, m.min_remaining_secs);
-        for (container, _remaining, memory_mb) in candidates {
-            let Some(run) = self.invokers[src as usize].running_invocation(container) else {
-                continue;
-            };
-            let function = run.invocation.function;
-            let invocation = run.invocation.id;
-            let owner = self.owner(function);
-            self.send(
-                now,
-                invoker_entity(src),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::MigrateAsk {
-                    src,
-                    container,
-                    function,
-                    invocation,
-                    memory_mb,
-                    warned_at,
-                },
-            );
-        }
-    }
-
-    /// Owner side of a migration request: check the transfer still beats
-    /// the source's eviction deadline, pick a destination from this
-    /// replica's view, and order the extraction.
-    fn on_migrate_ask(
-        &mut self,
-        now: SimTime,
-        replica: ReplicaIndex,
-        src: InvokerIndex,
-        container: u64,
-        memory_mb: u64,
-        warned_at: SimTime,
-    ) {
-        let m = self.cfg.migration;
-        let deadline = warned_at + hrv_trace::harvest::EVICTION_GRACE;
-        let transfer = m.setup + m.per_gib.mul_f64(memory_mb as f64 / 1024.0);
-        // The extract order takes one bus hop, then the state transfer
-        // itself must land before the source is evicted.
-        if now + self.cfg.bus_latency + transfer.max(self.cfg.bus_latency) >= deadline {
-            return;
-        }
-        let Some(dst) = self
-            .rep_mut(replica)
-            .controller
-            .migration_target(InvokerId(src))
-        else {
-            return;
-        };
-        self.send(
-            now,
-            replica_entity(replica),
-            invoker_entity(src),
-            self.cfg.bus_latency,
-            Event::MigrateExtract {
-                src,
-                dst: dst.0,
-                container,
-                transfer,
-            },
-        );
-    }
-
-    /// Source side of a migration: pull the running invocation out (if it
-    /// is still running) and ship its state to the destination; the
-    /// implant envelope travels with the transfer delay.
-    fn on_migrate_extract(
-        &mut self,
-        now: SimTime,
-        src: InvokerIndex,
-        dst: InvokerIndex,
-        container: u64,
-        transfer: SimDuration,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        let Some((run, remaining)) =
-            self.invokers[src as usize].extract_running(now, container, cal)
-        else {
-            return; // completed or source already evicted
-        };
-        self.send(
-            now,
-            invoker_entity(src),
-            invoker_entity(dst),
-            transfer.max(self.cfg.bus_latency),
-            Event::MigrateImplant {
-                dst,
-                src,
-                run,
-                remaining,
-            },
-        );
-    }
-
-    /// Destination side: resume the shipped invocation, then tell the
-    /// owning replica so its in-flight bookkeeping follows; if the
-    /// destination cannot take it, bounce the state back to the source.
-    fn on_migrate_implant(
-        &mut self,
-        now: SimTime,
-        dst: InvokerIndex,
-        src: InvokerIndex,
-        run: RunningInvocation,
-        remaining: f64,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        if self.invokers[dst as usize].implant_running(now, run, remaining, cal) {
-            self.metrics.migrations += 1;
-            let owner = self.owner(run.invocation.function);
-            self.send(
-                now,
-                invoker_entity(dst),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::MigrateCommit {
-                    invocation: run.invocation.id,
-                    function: run.invocation.function,
-                    dst,
-                },
-            );
-        } else {
-            self.send(
-                now,
-                invoker_entity(dst),
-                invoker_entity(src),
-                self.cfg.bus_latency,
-                Event::MigrateBounce {
-                    src,
-                    run,
-                    remaining,
-                },
-            );
-        }
-    }
-
-    /// A failed implant comes home: re-implant on the source, or — if the
-    /// source died while the state was in flight — report the work lost.
-    fn on_migrate_bounce(
-        &mut self,
-        now: SimTime,
-        src: InvokerIndex,
-        run: RunningInvocation,
-        remaining: f64,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        if !self.invokers[src as usize].implant_running(now, run, remaining, cal) {
-            let owner = self.owner(run.invocation.function);
-            self.send(
-                now,
-                invoker_entity(src),
-                replica_entity(owner),
-                self.cfg.bus_latency,
-                Event::WorkLost {
-                    invocation: run.invocation,
-                    exec_started: true,
-                    cold: run.cold,
-                    cause: LossCause::Eviction,
-                },
-            );
-        }
-    }
-
     /// Marks everything still in flight as censored (call after the run,
     /// on every world — each censors the replicas it hosts) and flushes
     /// per-replica occupancy counters into the metrics.
     pub fn censor_remaining(&mut self, now: SimTime) {
-        for li in 0..self.replicas.len() {
-            let entity = replica_entity(self.replicas[li].index);
-            let queued = self.replicas[li].controller.drain_queue();
-            for q in queued {
-                self.tel
-                    .record(entity, now, q.invocation.id, SpanKind::Censored);
-                self.metrics.push(InvocationRecord {
-                    id: q.invocation.id,
-                    arrival: q.invocation.arrival,
-                    finished: now,
-                    latency_secs: 0.0,
-                    exec_secs: 0.0,
-                    cold: false,
-                    exec_started: false,
-                    outcome: Outcome::Censored,
-                });
-            }
-            let inflight = self.replicas[li].controller.inflight_ids();
-            for id in inflight {
-                self.tel.record(entity, now, id, SpanKind::Censored);
-                self.metrics.push(InvocationRecord {
-                    id,
-                    arrival: now,
-                    finished: now,
-                    latency_secs: 0.0,
-                    exec_secs: 0.0,
-                    cold: false,
-                    exec_started: false,
-                    outcome: Outcome::Censored,
-                });
-            }
-            // Invocations still waiting on a scheduled re-dispatch.
-            for (_, inv) in std::mem::take(&mut self.replicas[li].pending_redispatch) {
-                self.tel.record(entity, now, inv.id, SpanKind::Censored);
-                self.metrics.push(InvocationRecord {
-                    id: inv.id,
-                    arrival: inv.arrival,
-                    finished: now,
-                    latency_secs: 0.0,
-                    exec_secs: 0.0,
-                    cold: false,
-                    exec_started: false,
-                    outcome: Outcome::Censored,
-                });
-            }
-            // Close quarantine intervals still open at the horizon.
-            for (_, since) in std::mem::take(&mut self.replicas[li].quarantine_since) {
-                self.metrics
-                    .note_quarantine_span(now.saturating_since(since));
-            }
-            self.metrics.push_replica_occupancy(ReplicaOccupancy {
-                replica: self.replicas[li].index,
-                placements: self.replicas[li].placements,
-                envelopes: self.replicas[li].envelopes,
-            });
+        for replica in &mut self.replicas {
+            replica.censor_remaining(now, &mut self.metrics, &mut self.tel);
         }
     }
 }
@@ -1476,267 +467,55 @@ impl PlatformWorld {
 impl World for PlatformWorld {
     type Event = Event;
 
+    /// The router: does the two things that are the shard's rather than
+    /// an entity's — pulling the next arrival off the stream and growing
+    /// the invoker table for a monitor-ordered VM — then hands the event
+    /// to the one entity `Event::target` names.
     fn handle<C: EventCalendar<Event>>(&mut self, ev: Scheduled<Event>, cal: &mut C) {
-        let now = ev.at;
-        match ev.event {
-            Event::Arrival(inv) => self.on_arrival(now, inv, cal),
-            Event::Deliver {
-                invoker,
-                invocation,
-                sent_at,
-            } => self.on_deliver(now, invoker, invocation, sent_at, cal),
-            Event::StartupDone { invoker, container } => {
-                self.invokers[invoker as usize].startup_done(now, container, cal, &self.cfg);
-                self.drain_tel(invoker);
-            }
-            Event::Completion { invoker } => {
-                let finished = self.invokers[invoker as usize].completion_tick(now, cal, &self.cfg);
-                // Prewarm orders travel as self-addressed envelopes so
-                // sharded runs deliver them in canonical order at the
-                // exact delay the policy asked for.
-                for pw in self.invokers[invoker as usize].take_prewarm_requests() {
-                    self.send(
-                        now,
-                        invoker_entity(invoker),
-                        invoker_entity(invoker),
-                        pw.spawn_delay,
-                        Event::Prewarm {
-                            invoker,
-                            function: pw.function,
-                            memory_mb: pw.memory_mb,
-                            ttl: pw.ttl,
-                        },
-                    );
-                }
-                self.finish_records(now, invoker, finished);
-                self.drain_tel(invoker);
-            }
-            Event::KeepAliveExpired { invoker, container } => {
-                self.invokers[invoker as usize].keepalive_expired(now, container, cal);
-                self.drain_tel(invoker);
-            }
-            Event::Prewarm {
-                invoker,
-                function,
-                memory_mb,
-                ttl,
-            } => {
-                self.invokers[invoker as usize]
-                    .start_prewarm(now, function, memory_mb, ttl, cal, &self.cfg);
-                self.drain_tel(invoker);
-            }
-            Event::PrewarmReady { invoker, container } => {
-                self.invokers[invoker as usize].prewarm_ready(now, container, cal, &self.cfg);
-                self.drain_tel(invoker);
-            }
-            Event::Ping { invoker } => {
-                if self.invokers[invoker as usize].alive {
-                    let snap = self.invokers[invoker as usize].snapshot();
-                    // Every replica tracks the full fleet, so pings fan
-                    // out to all of them.
-                    for r in 0..self.replica_count {
-                        self.send(
-                            now,
-                            invoker_entity(invoker),
-                            replica_entity(r),
-                            self.cfg.bus_latency,
-                            Event::PingReport {
-                                invoker,
-                                snap,
-                                replica: r,
-                            },
-                        );
-                    }
-                    cal.schedule_after(self.cfg.ping_interval, Event::Ping { invoker });
+        match &ev.event {
+            Event::Arrival(_) => {
+                // Feed the next arrival lazily to keep the calendar small.
+                if let Some(next) = self.arrivals.next_invocation() {
+                    cal.schedule(next.arrival, Event::Arrival(next));
                 }
             }
-            Event::PingReport {
-                invoker,
-                snap,
-                replica,
-            } => {
-                self.rep_mut(replica).envelopes += 1;
-                // Inside a staleness window replica 0's pings are dropped
-                // on the floor; the invoker keeps pinging regardless.
-                // (Freeze faults are seeded on shard 0 and model the
-                // classic controller's view going stale.)
-                if !(self.view_frozen && replica == 0) {
-                    self.rep_mut(replica)
-                        .controller
-                        .on_ping(now, InvokerId(invoker), snap);
-                    if self.cfg.recovery.enabled {
-                        self.track_straggler(now, replica, invoker, snap.pressure);
-                    }
+            Event::SpawnVm { invoker, template } => {
+                // The order lands on the shard owning its slot index: grow
+                // the table up to it (the gap entries belong to other
+                // shards and stay dormant placeholders here).
+                while self.invokers.len() <= *invoker as usize {
+                    let index = self.invokers.len() as InvokerIndex;
+                    let slot = SlotSource::Monitor(*template);
+                    self.invokers
+                        .push(InvokerState::for_slot(index, slot, &self.cfg));
                 }
             }
-            Event::Report { report, .. } => {
-                let replica = self.owner(report.function);
-                let rep = self.rep_mut(replica);
-                rep.envelopes += 1;
-                if !rep.attempts.is_empty() {
-                    // A retried invocation finally finished; stop
-                    // tracking it.
-                    rep.attempts.remove(&report.invocation);
-                }
-                rep.controller.on_report(&report);
+            _ => {}
+        }
+        let target = ev.event.target(self.replica_count);
+        let mut ctx = Ctx {
+            now: ev.at,
+            cfg: &self.cfg,
+            cal,
+            metrics: &mut self.metrics,
+            replicas: self.replica_count,
+            outbox: &mut self.outbox,
+            tel: &mut self.tel,
+        };
+        match Entity::of(target) {
+            Entity::Replica(r) => {
+                // Replica-targeted events only land on the hosting shard.
+                let replica = &mut self.replicas[(r / self.plan.shards) as usize];
+                debug_assert_eq!(replica.index, r, "replica routed to wrong shard");
+                replica.handle(ev.event, &mut ctx);
             }
-            Event::InvokerDown { invoker, replica } => {
-                let rep = self.rep_mut(replica);
-                rep.envelopes += 1;
-                rep.controller.on_invoker_down(InvokerId(invoker));
+            Entity::Invoker(i) => {
+                let invoker = &mut self.invokers[i as usize];
+                invoker.handle(ev.event, &mut ctx);
+                // Flush the spans the state machine buffered (a no-op for
+                // disabled runs: the buffer never fills).
+                ctx.tel.drain(target, &mut invoker.tel);
             }
-            Event::WorkLost {
-                invocation,
-                exec_started,
-                cold,
-                cause,
-            } => {
-                let replica = self.owner(invocation.function);
-                self.rep_mut(replica).envelopes += 1;
-                self.fail_or_recover(now, invocation, exec_started, cold, cause, replica, cal);
-            }
-            Event::VmDeploy { invoker } => self.on_deploy(now, invoker, cal),
-            Event::DeployNotice {
-                invoker,
-                cpus,
-                memory_mb,
-                from_monitor,
-                replica,
-            } => {
-                self.rep_mut(replica).envelopes += 1;
-                self.on_deploy_notice(now, invoker, cpus, memory_mb, from_monitor, replica, cal);
-            }
-            Event::SpawnVm { invoker, template } => self.on_spawn_vm(now, invoker, template, cal),
-            Event::VmCpu { invoker, cpus } => {
-                if self.invokers[invoker as usize].alive {
-                    self.tel.record(
-                        invoker_entity(invoker),
-                        now,
-                        NO_INVOCATION,
-                        SpanKind::Resize { cpus },
-                    );
-                }
-                self.invokers[invoker as usize].resize(now, cpus, cal, &self.cfg);
-                self.drain_tel(invoker);
-            }
-            Event::VmWarn { invoker } => {
-                self.invokers[invoker as usize].warn(now);
-                if self.cfg.migration.enabled {
-                    // Defer planning one ping round so the controller's
-                    // view reflects every VM warned in the same burst —
-                    // otherwise storm migrations land on doomed peers.
-                    cal.schedule_after(self.cfg.ping_interval, Event::MigratePlan { invoker });
-                }
-            }
-            Event::MigratePlan { invoker } => self.plan_migrations(now, invoker),
-            Event::MigrateAsk {
-                src,
-                container,
-                function,
-                invocation: _,
-                memory_mb,
-                warned_at,
-            } => {
-                let replica = self.owner(function);
-                self.rep_mut(replica).envelopes += 1;
-                self.on_migrate_ask(now, replica, src, container, memory_mb, warned_at);
-            }
-            Event::MigrateExtract {
-                src,
-                dst,
-                container,
-                transfer,
-            } => self.on_migrate_extract(now, src, dst, container, transfer, cal),
-            Event::MigrateImplant {
-                dst,
-                src,
-                run,
-                remaining,
-            } => self.on_migrate_implant(now, dst, src, run, remaining, cal),
-            Event::MigrateBounce {
-                src,
-                run,
-                remaining,
-            } => self.on_migrate_bounce(now, src, run, remaining, cal),
-            Event::MigrateCommit {
-                invocation,
-                function,
-                dst,
-            } => {
-                let replica = self.owner(function);
-                let rep = self.rep_mut(replica);
-                rep.envelopes += 1;
-                rep.controller.migrate_inflight(invocation, InvokerId(dst));
-            }
-            Event::VmEvict { invoker } => self.on_evict(now, invoker, cal),
-            Event::FaultCrash { invoker } => self.on_crash(now, invoker, cal),
-            Event::FaultStraggler { invoker, factor } => {
-                self.invokers[invoker as usize].set_derate(now, factor, cal, &self.cfg);
-                self.drain_tel(invoker);
-            }
-            Event::FaultViewFreeze { frozen } => self.view_frozen = frozen,
-            Event::Redispatch { invocation } => self.on_redispatch(now, invocation, cal),
-            Event::HealthSweep { replica } => self.on_health_sweep(now, replica, cal),
-            Event::RetryQueue { replica } => {
-                self.rep_mut(replica).retry_armed = false;
-                let timeout = self.cfg.placement_timeout;
-                let (placed, rejected) = self.rep_mut(replica).controller.retry_queue(now, timeout);
-                for (inv, id) in placed {
-                    self.schedule_delivery(now, cal, replica, id, inv);
-                }
-                for q in rejected {
-                    self.tel.record(
-                        replica_entity(replica),
-                        now,
-                        q.invocation.id,
-                        SpanKind::Rejected,
-                    );
-                    self.metrics.push(InvocationRecord {
-                        id: q.invocation.id,
-                        arrival: q.invocation.arrival,
-                        finished: now,
-                        latency_secs: 0.0,
-                        exec_secs: 0.0,
-                        cold: false,
-                        exec_started: false,
-                        outcome: Outcome::Rejected,
-                    });
-                }
-                if self.rep_mut(replica).controller.queue_len() > 0 {
-                    self.arm_retry(replica, cal);
-                }
-            }
-            Event::ReconcileTick { replica } => {
-                let deltas = self.rep_mut(replica).controller.take_dirty();
-                if !deltas.is_empty() {
-                    for peer in 0..self.replica_count {
-                        if peer == replica {
-                            continue;
-                        }
-                        self.send(
-                            now,
-                            replica_entity(replica),
-                            replica_entity(peer),
-                            self.cfg.bus_latency,
-                            Event::ViewDelta {
-                                replica: peer,
-                                deltas: deltas.clone(),
-                            },
-                        );
-                    }
-                }
-                cal.schedule_after(
-                    self.cfg.sharding.reconcile_interval,
-                    Event::ReconcileTick { replica },
-                );
-            }
-            Event::ViewDelta { replica, deltas } => {
-                let rep = self.rep_mut(replica);
-                rep.envelopes += 1;
-                rep.controller.apply_deltas(&deltas);
-            }
-            Event::MonitorTick => self.on_monitor_tick(now, cal),
-            Event::Sample { invoker } => self.on_sample(now, invoker, cal),
         }
     }
 }
@@ -1779,7 +558,8 @@ impl SimOutput {
 }
 
 impl Simulation {
-    /// Builds a simulation from a cluster, a workload trace, and a policy.
+    /// Builds a simulation from a cluster, a workload trace (sorted by
+    /// arrival time), and a policy.
     pub fn new(
         spec: ClusterSpec,
         workload: Vec<Invocation>,
@@ -1787,8 +567,7 @@ impl Simulation {
         cfg: PlatformConfig,
         seed: u64,
     ) -> Self {
-        let (world, calendar) = PlatformWorld::new(spec, workload, policy, cfg, seed);
-        Simulation { world, calendar }
+        Simulation::with_faults(spec, workload, policy, cfg, seed, FaultPlan::none())
     }
 
     /// [`Simulation::new`] plus an injected [`FaultPlan`]. With the zero
@@ -1801,15 +580,8 @@ impl Simulation {
         seed: u64,
         faults: FaultPlan,
     ) -> Self {
-        let (world, calendar) = PlatformWorld::from_stream_with_faults(
-            spec,
-            Box::new(SortedTraceStream::new(workload)),
-            policy,
-            cfg,
-            seed,
-            faults,
-        );
-        Simulation { world, calendar }
+        let arrivals = Box::new(SortedTraceStream::new(workload));
+        Simulation::solo(spec, arrivals, policy, cfg, seed, faults)
     }
 
     /// Builds a simulation fed by a lazy arrival stream. With
@@ -1823,8 +595,30 @@ impl Simulation {
         cfg: PlatformConfig,
         seed: u64,
     ) -> Self {
-        let (world, calendar) =
-            PlatformWorld::from_stream(spec, Box::new(arrivals), policy, cfg, seed);
+        let arrivals = Box::new(arrivals);
+        Simulation::solo(spec, arrivals, policy, cfg, seed, FaultPlan::none())
+    }
+
+    /// The whole platform as one world on its own timer wheel.
+    fn solo(
+        spec: ClusterSpec,
+        arrivals: Box<dyn ArrivalStream>,
+        policy: Box<dyn LoadBalancer>,
+        cfg: PlatformConfig,
+        seed: u64,
+        faults: FaultPlan,
+    ) -> Self {
+        let mut calendar = Calendar::new();
+        let world = PlatformWorld::from_stream_sharded_in(
+            spec,
+            arrivals,
+            policy,
+            cfg,
+            seed,
+            faults,
+            ShardPlan::solo(),
+            &mut calendar,
+        );
         Simulation { world, calendar }
     }
 
@@ -1839,16 +633,12 @@ impl Simulation {
         let run = crate::shard::run_rounds(&mut self.world, &mut self.calendar, end, max_events);
         crate::shard::merge_outputs(vec![(self.world, run)])
     }
-
-    /// Access to the world before running (for test instrumentation).
-    pub fn world_mut(&mut self) -> &mut PlatformWorld {
-        &mut self.world
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Outcome;
     use hrv_lb::policy::PolicyKind;
     use hrv_trace::faas::{Workload, WorkloadSpec};
     use hrv_trace::harvest::{CpuChange, VmEnd};
@@ -2011,13 +801,14 @@ mod tests {
 
         let (spec, wl) = build();
         let mut wheel_cal = Calendar::new();
-        let mut wheel_world = PlatformWorld::from_stream_with_faults_in(
+        let mut wheel_world = PlatformWorld::from_stream_sharded_in(
             spec,
             Box::new(SortedTraceStream::new(wl)),
             PolicyKind::Mws.build(),
             PlatformConfig::default(),
             42,
             FaultPlan::none(),
+            ShardPlan::solo(),
             &mut wheel_cal,
         );
         let wheel_run = crate::shard::run_rounds(&mut wheel_world, &mut wheel_cal, end, u64::MAX);
@@ -2025,13 +816,14 @@ mod tests {
 
         let (spec, wl) = build();
         let mut ref_cal = hrv_sim::calendar_reference::Calendar::new();
-        let mut ref_world = PlatformWorld::from_stream_with_faults_in(
+        let mut ref_world = PlatformWorld::from_stream_sharded_in(
             spec,
             Box::new(SortedTraceStream::new(wl)),
             PolicyKind::Mws.build(),
             PlatformConfig::default(),
             42,
             FaultPlan::none(),
+            ShardPlan::solo(),
             &mut ref_cal,
         );
         let ref_run = crate::shard::run_rounds(&mut ref_world, &mut ref_cal, end, u64::MAX);
@@ -2121,15 +913,14 @@ mod tests {
             16,
             64 * 1024,
         );
-        let mut sim = Simulation::new(
+        let out = Simulation::new(
             ClusterSpec::from_traces(vec![warned, healthy]),
             workload(3.0, horizon),
             PolicyKind::Jsq.build(),
             PlatformConfig::default(),
             1,
-        );
-        let _ = sim.world_mut();
-        let out = sim.run(horizon);
+        )
+        .run(horizon);
         let m = out.collector.aggregate(SimTime::ZERO);
         // Failures only among invocations running at eviction.
         assert!(m.eviction_failures < 30, "failures {}", m.eviction_failures);
@@ -2194,7 +985,7 @@ mod tests {
                 enabled: true,
                 min_cpus: 8,
                 interval: SimDuration::from_secs(10),
-                template: VmTemplate {
+                template: crate::config::VmTemplate {
                     cpus: 8,
                     memory_mb: 32 * 1024,
                     deploy_delay: SimDuration::from_secs(60),
@@ -2401,15 +1192,16 @@ mod migration_tests {
         let with = run_with_migration(true);
         assert_eq!(without.collector.migrations, 0);
         assert!(
-            without.collector.eviction_failures > 0,
+            without.collector.streaming.eviction_failures > 0,
             "baseline must lose work to the eviction"
         );
         assert!(with.collector.migrations > 0, "no migrations happened");
         assert!(
-            with.collector.eviction_failures < without.collector.eviction_failures,
+            with.collector.streaming.eviction_failures
+                < without.collector.streaming.eviction_failures,
             "migration did not reduce failures: {} vs {}",
-            with.collector.eviction_failures,
-            without.collector.eviction_failures
+            with.collector.streaming.eviction_failures,
+            without.collector.streaming.eviction_failures
         );
         // Everything that migrated eventually completes.
         let completed_with = with.collector.aggregate(SimTime::ZERO).completed;
@@ -2440,6 +1232,89 @@ mod migration_tests {
         )
         .run(horizon);
         assert_eq!(out.collector.migrations, 0);
+    }
+
+    /// The dispatch hop (for the phase split) is the holding invoker's:
+    /// it rides in the migration payload and dies with the VM. Events are
+    /// put on the calendar directly, as if a replica had sent them.
+    #[test]
+    fn dispatch_hop_travels_with_a_migration_and_dies_with_its_invoker() {
+        use crate::invoker::RunningInvocation;
+        let horizon = SimDuration::from_secs(120);
+        let cfg = PlatformConfig {
+            telemetry: hrv_telemetry::TelemetryConfig::on(),
+            ..PlatformConfig::default()
+        };
+        let mut sim = Simulation::new(
+            ClusterSpec::regular(2, 8, 16 * 1024, horizon),
+            vec![],
+            PolicyKind::Jsq.build(),
+            cfg,
+            5,
+        );
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        // Invocation 7 is dispatched to invoker 0 (half a second on the
+        // bus), then migrated to invoker 1, where it finishes.
+        let moved = long_invocation(7, 4, 20.0);
+        sim.calendar.schedule(
+            at(5_000),
+            Event::Deliver {
+                invoker: 0,
+                invocation: moved,
+                sent_at: at(4_500),
+            },
+        );
+        sim.calendar.schedule(
+            at(10_000),
+            Event::MigrateExtract {
+                src: 0,
+                dst: 1,
+                container: 0,
+                transfer: SimDuration::from_secs(1),
+            },
+        );
+        // Invocation 8 is dispatched to invoker 0 too, which then crashes
+        // and comes back; when 8 is implanted there without a hop, the
+        // one noted before the crash must be gone.
+        let crashed = long_invocation(8, 4, 20.0);
+        sim.calendar.schedule(
+            at(5_000),
+            Event::Deliver {
+                invoker: 0,
+                invocation: crashed,
+                sent_at: at(4_500),
+            },
+        );
+        sim.calendar
+            .schedule(at(20_000), Event::FaultCrash { invoker: 0 });
+        sim.calendar
+            .schedule(at(21_000), Event::VmDeploy { invoker: 0 });
+        sim.calendar.schedule(
+            at(22_000),
+            Event::MigrateImplant {
+                dst: 0,
+                src: 1,
+                run: Box::new(RunningInvocation {
+                    invocation: crashed,
+                    cold: false,
+                    exec_start: at(22_000),
+                }),
+                remaining: 1.0,
+                hop: None,
+            },
+        );
+        let out = sim.run(horizon);
+        assert_eq!(out.collector.migrations, 2);
+        let completed: Vec<u64> = (out.collector.records.iter())
+            .filter(|r| r.outcome == crate::metrics::Outcome::Completed)
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(completed, [8, 7], "both invocations finish");
+        let [phase] = out.collector.phases[..] else {
+            panic!("one phase row expected: {:?}", out.collector.phases);
+        };
+        assert_eq!(phase.id, 7);
+        assert_eq!((phase.sched_us, phase.bus_us), (500_000, 500_000));
     }
 }
 
@@ -2535,8 +1410,9 @@ mod fault_tests {
         assert!(with.collector.quarantines >= 1, "no quarantine happened");
         assert!(with.collector.streaming.retries > 0, "no retries happened");
         assert!(with.collector.streaming.redispatches > 0);
-        let lost_with = with.collector.eviction_failures + with.collector.lost;
-        let lost_without = without.collector.eviction_failures + without.collector.lost;
+        let lost_with = with.collector.streaming.eviction_failures + with.collector.streaming.lost;
+        let lost_without =
+            without.collector.streaming.eviction_failures + without.collector.streaming.lost;
         assert!(
             lost_with < lost_without,
             "recovery did not reduce lost work: {lost_with} vs {lost_without}"
@@ -2580,10 +1456,11 @@ mod fault_tests {
         plan.warnings.insert(0, WarningFault::Drop);
         let surprised = mk(plan);
         assert!(
-            surprised.collector.eviction_failures > warned.collector.eviction_failures,
+            surprised.collector.streaming.eviction_failures
+                > warned.collector.streaming.eviction_failures,
             "dropping the warning should kill more work: {} vs {}",
-            surprised.collector.eviction_failures,
-            warned.collector.eviction_failures
+            surprised.collector.streaming.eviction_failures,
+            warned.collector.streaming.eviction_failures
         );
     }
 

@@ -8,7 +8,7 @@
 //!
 //! # Implementation
 //!
-//! A hierarchical timer wheel ([`LEVELS`] levels of [`SLOTS`] slots, 1 µs
+//! A hierarchical timer wheel (`LEVELS` levels of `SLOTS` slots, 1 µs
 //! base tick) backed by a generation-stamped slab. Scheduling, cancelling
 //! and popping are near-O(1): a slot index computed from the xor of the
 //! cursor and the delivery time, and a slab index lookup instead of a hash

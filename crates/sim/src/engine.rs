@@ -1,5 +1,5 @@
-//! The simulation driver: pairs a [`Calendar`] with a user-supplied world
-//! that handles events and schedules new ones.
+//! The simulation driver: pairs a [`Calendar`](crate::calendar::Calendar)
+//! with a user-supplied world that handles events and schedules new ones.
 
 use hrv_trace::time::SimTime;
 

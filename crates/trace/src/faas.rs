@@ -368,7 +368,7 @@ impl Workload {
     /// Generates the invocation trace for `[0, horizon)`, sorted by arrival.
     ///
     /// [`crate::stream::WorkloadStream`] produces the byte-identical
-    /// sequence lazily; both paths emit through [`emit_session`] so a
+    /// sequence lazily; both paths emit through `emit_session` so a
     /// change to the burst model cannot desynchronize them.
     pub fn invocations(&self, horizon: SimDuration, seeds: &SeedFactory) -> Vec<Invocation> {
         let end = SimTime::ZERO + horizon;

@@ -16,7 +16,7 @@
 //! including the final gap that crosses the horizon), then the per-session
 //! body draws (burst size, intra-burst gaps, function indices, durations).
 //! A naive lazy generator would interleave gap and body draws and produce
-//! a different trace. Instead each [`AppSource`] clones the per-app RNG
+//! a different trace. Instead each `AppSource` clones the per-app RNG
 //! twice at construction:
 //!
 //! * `session_rng` replays the session-gap draws lazily, one gap per
@@ -24,7 +24,7 @@
 //! * `body_rng` is fast-forwarded through all session gaps once up front
 //!   (O(1) memory, no allocation) so it sits exactly where the
 //!   materialized body draws begin, then consumes body draws session by
-//!   session via the shared [`emit_session`] helper.
+//!   session via the shared `emit_session` helper.
 //!
 //! Bursts overhang: a session's intra-burst extras can arrive after the
 //! *next* session starts, so each source holds generated-but-unreleased
@@ -149,7 +149,7 @@ impl AppSource {
 /// Entry in the global merge heap: one (minimal) pending invocation per
 /// app, keyed by the materialized sort key `(arrival, function)` with the
 /// per-app sequence number as the stable tie-break. The trailing index
-/// locates the owning [`AppSource`].
+/// locates the owning `AppSource`.
 type Merged = (SimTime, FunctionId, u64, SimDuration, u32);
 
 /// Lazily generates the same invocation sequence as

@@ -139,8 +139,9 @@ fn recovery_strictly_beats_no_recovery_on_a_crash() {
     recovered.collector.assert_conservation();
     assert_eq!(bare.collector.vm_crashes, 1);
     assert_eq!(recovered.collector.vm_crashes, 1);
-    let lost_bare = bare.collector.eviction_failures + bare.collector.lost;
-    let lost_recovered = recovered.collector.eviction_failures + recovered.collector.lost;
+    let lost_bare = bare.collector.streaming.eviction_failures + bare.collector.streaming.lost;
+    let lost_recovered =
+        recovered.collector.streaming.eviction_failures + recovered.collector.streaming.lost;
     assert!(lost_bare > 0, "the crash must destroy work");
     assert!(
         lost_recovered < lost_bare,

@@ -276,8 +276,8 @@ fn sharded_chaos_replay_is_identical() {
     };
     let baseline = run(1);
     assert!(
-        baseline.collector.lost
-            + baseline.collector.eviction_failures
+        baseline.collector.streaming.lost
+            + baseline.collector.streaming.eviction_failures
             + baseline.collector.vm_crashes
             > 0,
         "chaos plan produced no faults — smoke degenerated"

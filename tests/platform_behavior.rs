@@ -135,7 +135,7 @@ fn rejection_after_placement_timeout() {
     let trace = vec![inv(0, 1, 0, 1.0), inv(1, 2, 1, 1.0)];
     let out = Simulation::new(dead_cluster, trace, PolicyKind::Jsq.build(), cfg, 0)
         .run(SimDuration::from_mins(3));
-    assert_eq!(out.collector.rejections, 2);
+    assert_eq!(out.collector.streaming.rejections, 2);
     assert!(out
         .collector
         .records

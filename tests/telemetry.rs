@@ -17,9 +17,9 @@ use harvest_faas::hrv_platform::tel::{perfetto, CounterId, SpanKind};
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
 use harvest_faas::hrv_platform::{MetricsCollector, Outcome, ShardedSimulation, TelemetryConfig};
 use harvest_faas::hrv_trace::faas::{Workload, WorkloadSpec};
-use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace};
+use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
 use harvest_faas::hrv_trace::rng::SeedFactory;
-use harvest_faas::hrv_trace::time::SimDuration;
+use harvest_faas::hrv_trace::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// A churning fleet (VM joins, CPU wobble, evictions) under an F_small
@@ -51,16 +51,42 @@ fn churn_run(seed: u64, telemetry: TelemetryConfig) -> SimOutput {
     .run(horizon)
 }
 
-/// The same churn workload on the sharded driver with telemetry on.
-fn sharded_telemetry_run(seed: u64, shards: u32) -> SimOutput {
+/// The same churn workload on the sharded driver with telemetry on. With
+/// `storms`, the determinism suite's full-feature configuration instead:
+/// two forced eviction storms over a slightly larger fleet, four
+/// controller replicas, live migration, sampling and recovery — so
+/// invocations finish on a different invoker, and for S > 1 often a
+/// different shard, than the one they were delivered to.
+fn sharded_telemetry_run(seed: u64, shards: u32, storms: bool) -> SimOutput {
     let horizon = SimDuration::from_mins(8);
-    let config = FleetConfig {
+    let mut config = FleetConfig {
         horizon,
         initial_population: 8,
         final_population: 10,
         forced_storms: vec![],
         ..FleetConfig::default()
     };
+    let mut platform = PlatformConfig {
+        telemetry: TelemetryConfig::on(),
+        ..PlatformConfig::default()
+    };
+    if storms {
+        config.initial_population = 10;
+        config.final_population = 12;
+        config.forced_storms = [3, 6]
+            .map(|mins| Storm {
+                at: SimTime::ZERO + SimDuration::from_mins(mins),
+                fraction: 0.3,
+            })
+            .to_vec();
+        // Storms apply at redeploy ticks; the default hourly tick never
+        // fires inside an 8-minute horizon.
+        config.redeploy_check_every = SimDuration::from_mins(1);
+        platform.sharding.replicas = 4;
+        platform.migration.enabled = true;
+        platform.sample_interval = SimDuration::from_secs(5);
+        platform.recovery.enabled = true;
+    }
     let fleet = FleetTrace::generate(&config, &SeedFactory::new(seed));
     let seeds = SeedFactory::new(seed).child("wl");
     let spec = WorkloadSpec::paper_fsmall().scaled(40, 5.0);
@@ -69,10 +95,7 @@ fn sharded_telemetry_run(seed: u64, shards: u32) -> SimOutput {
         ClusterSpec::from_traces(fleet.vms),
         trace,
         PolicyKind::Mws,
-        PlatformConfig {
-            telemetry: TelemetryConfig::on(),
-            ..PlatformConfig::default()
-        },
+        platform,
         seed,
         shards,
     )
@@ -120,9 +143,7 @@ fn phase_components_tile_end_to_end_latency() {
         );
     }
     // The aggregate view exposes the same invariant per percentile row.
-    let m = out
-        .collector
-        .aggregate(harvest_faas::hrv_trace::time::SimTime::ZERO);
+    let m = out.collector.aggregate(SimTime::ZERO);
     let attribution = m.phases.expect("telemetry was on");
     for p in [0.0, 50.0, 99.0, 100.0] {
         let row = attribution.percentile_row(p);
@@ -158,49 +179,70 @@ proptest! {
 
 #[test]
 fn flight_recorder_is_shard_invariant() {
-    let baseline = sharded_telemetry_run(17, 1);
-    let base_events = baseline.recorder.canonical_events();
-    assert!(
-        base_events.len() > 500,
-        "only {} spans — the invariance check degenerated",
-        base_events.len()
-    );
-    assert!(base_events
-        .iter()
-        .any(|e| matches!(e.kind, SpanKind::Completed { .. })));
-    for shards in [2u32, 4, 8] {
-        let sharded = sharded_telemetry_run(17, shards);
-        let events = sharded.recorder.canonical_events();
-        if events != base_events {
-            // Post-mortem for CI: the dumps land where the failure-path
-            // artifact upload looks.
-            let n = harvest_faas::hrv_platform::FlightConfig::default().dump_last as usize;
-            harvest_faas::hrv_platform::tel::dump::write_default(
-                "telemetry-shard-baseline",
-                &baseline.recorder,
-                n,
+    for storms in [false, true] {
+        let runs =
+            [1u32, 2, 4, 8].map(|shards| (shards, sharded_telemetry_run(17, shards, storms)));
+        let baseline = &runs[0].1;
+        let base_events = baseline.recorder.canonical_events();
+        assert!(
+            base_events.len() > 500,
+            "only {} spans — the invariance check degenerated",
+            base_events.len()
+        );
+        assert!(base_events
+            .iter()
+            .any(|e| matches!(e.kind, SpanKind::Completed { .. })));
+        assert_eq!(
+            baseline.collector.migrations > 0,
+            storms,
+            "the storm run, and only it, must migrate"
+        );
+        for (shards, sharded) in &runs {
+            let events = sharded.recorder.canonical_events();
+            if events != base_events {
+                // Post-mortem for CI: the dumps land where the failure-path
+                // artifact upload looks.
+                let n = harvest_faas::hrv_platform::FlightConfig::default().dump_last as usize;
+                harvest_faas::hrv_platform::tel::dump::write_default(
+                    "telemetry-shard-baseline",
+                    &baseline.recorder,
+                    n,
+                );
+                harvest_faas::hrv_platform::tel::dump::write_default(
+                    &format!("telemetry-shard-S{shards}"),
+                    &sharded.recorder,
+                    n,
+                );
+            }
+            assert_eq!(
+                events, base_events,
+                "flight recorder diverged at S={shards}, storms={storms}"
             );
-            harvest_faas::hrv_platform::tel::dump::write_default(
-                &format!("telemetry-shard-S{shards}"),
-                &sharded.recorder,
-                n,
+            assert_eq!(
+                sharded.collector.phases, baseline.collector.phases,
+                "phase rows diverged at S={shards}, storms={storms}"
+            );
+            // The hop travels with a migrating invocation, so wherever it
+            // finishes it gets its phase row.
+            let completed = sharded
+                .collector
+                .records
+                .iter()
+                .filter(|r| r.outcome == Outcome::Completed)
+                .count();
+            assert_eq!(
+                sharded.collector.phases.len(),
+                completed,
+                "a completion lost its phase row at S={shards}, storms={storms}"
             );
         }
-        assert_eq!(
-            events, base_events,
-            "flight recorder diverged at S={shards}"
-        );
-        assert_eq!(
-            sharded.collector.phases, baseline.collector.phases,
-            "phase rows diverged at S={shards}"
-        );
     }
 }
 
 #[test]
 fn perfetto_export_is_shard_invariant_and_parses() {
-    let a = sharded_telemetry_run(17, 1);
-    let b = sharded_telemetry_run(17, 4);
+    let a = sharded_telemetry_run(17, 1, false);
+    let b = sharded_telemetry_run(17, 4, false);
     let ja = perfetto::render(&a.recorder, &a.collector.phases);
     let jb = perfetto::render(&b.recorder, &b.collector.phases);
     assert_eq!(ja, jb, "Perfetto JSON depends on the shard count");
