@@ -56,7 +56,9 @@ pub struct InvokerView {
     /// True once the VM received its 30-second eviction warning; the
     /// controller must stop placing work here.
     pub eviction_pending: bool,
-    /// False when health pings stopped arriving (crashed/evicted VM).
+    /// A placement gate for callers that sideline an invoker by hand. The
+    /// platform never clears it: a delivered health report sets it, and a
+    /// silent invoker is handled by recovery's quarantine instead.
     pub healthy: bool,
     /// True while recovery's health-probe machinery has sidelined this
     /// invoker (silent past the probe timeout, or a persistent

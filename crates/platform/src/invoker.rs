@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use hrv_policy::{ColdStartPolicy, FixedKeepAlive, IdleCtx};
 use hrv_sim::calendar::{EventCalendar, EventId};
 use hrv_sim::ps::{JobId, PsQueue};
-use hrv_telemetry::{PhaseRecord, SpanKind, NO_INVOCATION};
+use hrv_telemetry::{CounterId, PhaseRecord, SpanKind, NO_INVOCATION};
 use hrv_trace::faas::{FunctionId, Invocation};
 use hrv_trace::harvest::{VmTrace, EVICTION_GRACE};
 use hrv_trace::rng::IdMap;
@@ -292,6 +292,12 @@ pub struct InvokerState {
     /// The VM definition this slot deploys from; `None` for a bare state
     /// machine the platform never deploys (unit tests, micro-benches).
     slot: Option<SlotSource>,
+    /// Whether a ping whose snapshot equals `last_report` may stay home
+    /// (derived by the platform; see `PlatformWorld`'s constructor).
+    report_on_change: bool,
+    /// The snapshot this invoker last broadcast in its current life
+    /// (`None` from deploy until the first ping).
+    last_report: Option<HealthSnapshot>,
 }
 
 impl InvokerState {
@@ -330,6 +336,8 @@ impl InvokerState {
             hops: IdMap::default(),
             seq: 0,
             slot: None,
+            report_on_change: false,
+            last_report: None,
         }
     }
 
@@ -345,6 +353,9 @@ impl InvokerState {
         assert!(!self.alive, "invoker {} deployed twice", self.index);
         self.alive = true;
         self.warned = false;
+        // A new life's first ping always reports, whatever the last one
+        // said before the VM died.
+        self.last_report = None;
         self.allocated_cpus = cpus;
         self.derate = 1.0;
         self.ps = PsQueue::new(f64::from(cpus));
@@ -1040,8 +1051,14 @@ impl InvokerState {
 /// sinks come through `ctx`.
 impl InvokerState {
     /// Builds the invoker for a platform slot, with the lifecycle policy
-    /// and the span switch the config asks for.
-    pub(crate) fn for_slot(index: InvokerIndex, slot: SlotSource, cfg: &PlatformConfig) -> Self {
+    /// and the span switch the config asks for; `report_on_change` lets
+    /// it skip pings that would repeat its previous report.
+    pub(crate) fn for_slot(
+        index: InvokerIndex,
+        slot: SlotSource,
+        cfg: &PlatformConfig,
+        report_on_change: bool,
+    ) -> Self {
         let memory_mb = match &slot {
             SlotSource::Trace(vm) => vm.memory_mb,
             SlotSource::Monitor(t) => t.memory_mb,
@@ -1050,8 +1067,15 @@ impl InvokerState {
             policy: cfg.coldstart.build(),
             tel_enabled: cfg.telemetry.enabled(),
             slot: Some(slot),
+            report_on_change,
             ..InvokerState::new(index, memory_mb)
         }
+    }
+
+    /// Forces the ping rule the platform derived (differential tests).
+    #[cfg(test)]
+    pub(crate) fn set_report_on_change(&mut self, on: bool) {
+        self.report_on_change = on;
     }
 
     fn entity(&self) -> EntityId {
@@ -1302,18 +1326,26 @@ impl InvokerState {
             return;
         }
         let (invoker, snap) = (self.index, self.snapshot());
-        // Every replica tracks the full fleet, so pings fan out to all of
-        // them.
-        ctx.broadcast(
-            self.entity(),
-            &mut self.seq,
-            ctx.cfg.bus_latency,
-            |replica| Event::PingReport {
-                invoker,
-                snap,
-                replica,
-            },
-        );
+        if self.report_on_change && self.last_report == Some(snap) {
+            // Every replica's row already holds this snapshot, and where
+            // the platform allows the skip a delivered copy would only
+            // rewrite it (DESIGN.md, *Report on change*).
+            ctx.metrics.counters.incr(CounterId::PingReportsSkipped);
+        } else {
+            self.last_report = Some(snap);
+            // Every replica tracks the full fleet, so pings fan out to all
+            // of them.
+            ctx.broadcast(
+                self.entity(),
+                &mut self.seq,
+                ctx.cfg.bus_latency,
+                |replica| Event::PingReport {
+                    invoker,
+                    snap,
+                    replica,
+                },
+            );
+        }
         ctx.cal
             .schedule_after(ctx.cfg.ping_interval, Event::Ping { invoker });
     }
@@ -2025,6 +2057,137 @@ mod tests {
             (filled.cold_starts, filled.warm_starts)
         );
         assert_eq!(lazy.idle_mib_secs, filled.idle_mib_secs);
+    }
+
+    /// A one-VM platform with four controller replicas and no workload,
+    /// driven event by event. Envelopes are taken off the outbox and never
+    /// delivered, so what remains is what the invoker sends, and when.
+    struct OneVm {
+        world: crate::world::PlatformWorld,
+        cal: hrv_sim::calendar::Calendar<Event>,
+    }
+
+    impl OneVm {
+        fn new(cfg: PlatformConfig, faults: hrv_fault::FaultPlan) -> Self {
+            let mut cfg = cfg;
+            cfg.sharding.replicas = 4;
+            let vm = VmTrace::constant(
+                SimTime::ZERO,
+                SimTime::from_secs(3_600),
+                hrv_trace::harvest::VmEnd::Censored,
+                4,
+                4_096,
+            );
+            let mut cal = hrv_sim::calendar::Calendar::new();
+            let world = crate::world::PlatformWorld::from_stream_sharded_in(
+                crate::world::ClusterSpec::from_traces(vec![vm]),
+                Box::new(hrv_trace::stream::SortedTraceStream::new(Vec::new())),
+                hrv_lb::policy::PolicyKind::Mws.build(),
+                cfg,
+                1,
+                faults,
+                crate::mailbox::ShardPlan::solo(),
+                &mut cal,
+            );
+            OneVm { world, cal }
+        }
+
+        /// Puts `event` on the calendar at `secs`, as its sender would.
+        fn at(&mut self, secs: f64, event: Event) {
+            let at = SimTime::ZERO + SimDuration::from_secs_f64(secs);
+            self.cal.schedule(at, event);
+        }
+
+        /// Handles everything due before `secs`; returns how many
+        /// `PingReport`s each ping handled sent, in ping order.
+        fn reports_per_ping(&mut self, secs: u64) -> Vec<usize> {
+            use hrv_sim::engine::World;
+            let mut per_ping = Vec::new();
+            while (self.cal.peek_time()).is_some_and(|t| t < SimTime::from_secs(secs)) {
+                let ev = self.cal.pop().expect("peeked event exists");
+                let ping = matches!(ev.event, Event::Ping { .. });
+                self.world.handle(ev, &mut self.cal);
+                let sent = self.world.take_outbox();
+                let reports = (sent.iter())
+                    .filter(|env| matches!(env.event, Event::PingReport { .. }))
+                    .count();
+                if ping {
+                    per_ping.push(reports);
+                }
+            }
+            per_ping
+        }
+
+        fn skipped(&self) -> u64 {
+            self.world
+                .metrics
+                .counters
+                .get(CounterId::PingReportsSkipped)
+        }
+    }
+
+    #[test]
+    fn unchanged_pings_report_once_and_keep_their_timer() {
+        let mut vm = OneVm::new(PlatformConfig::default(), hrv_fault::FaultPlan::none());
+        // One 1 s ping per second: the first fans out to all four
+        // replicas, the idle repeats send nothing but stay armed.
+        assert_eq!(vm.reports_per_ping(6), [4, 0, 0, 0, 0]);
+        assert_eq!(vm.skipped(), 4);
+    }
+
+    #[test]
+    fn each_state_change_makes_the_next_ping_report() {
+        let mut vm = OneVm::new(cfg(), hrv_fault::FaultPlan::none());
+        // A 2 s invocation delivered at 2.2 s cold-starts until 2.7 s and
+        // finishes at 4.7 s; then a resize and an eviction warning.
+        let invocation = inv(0, 1, 2.0, 256);
+        let sent_at = SimTime::from_secs(2);
+        let deliver = Event::Deliver {
+            invoker: 0,
+            invocation,
+            sent_at,
+        };
+        vm.at(2.2, deliver);
+        vm.at(
+            6.5,
+            Event::VmCpu {
+                invoker: 0,
+                cpus: 2,
+            },
+        );
+        vm.at(8.5, Event::VmWarn { invoker: 0 });
+        // Pings at 1..=10 s: deliver → 3, completion → 5, resize → 7,
+        // warning → 9; each change reports once and its repeat does not.
+        assert_eq!(vm.reports_per_ping(11), [4, 0, 4, 0, 4, 0, 4, 0, 4, 0]);
+    }
+
+    #[test]
+    fn first_ping_after_a_redeploy_always_reports() {
+        let mut vm = OneVm::new(PlatformConfig::default(), hrv_fault::FaultPlan::none());
+        // A crash at 2.5 s kills the ping chain (the 3 s ping finds the VM
+        // dead); the redeploy at 3.5 s restarts it at 4.5 s with the same
+        // idle snapshot the last life reported at 1 s.
+        vm.at(2.5, Event::FaultCrash { invoker: 0 });
+        vm.at(3.5, Event::VmDeploy { invoker: 0 });
+        assert_eq!(vm.reports_per_ping(6), [4, 0, 0, 4, 0]);
+    }
+
+    #[test]
+    fn every_ping_reports_with_recovery_on_or_a_view_freeze_planned() {
+        let mut recovery = PlatformConfig::default();
+        recovery.recovery.enabled = true;
+        let mut freeze = hrv_fault::FaultPlan::default();
+        freeze.push(SimTime::from_secs(3_000), hrv_fault::FaultKind::ViewFreeze);
+        freeze.push(SimTime::from_secs(3_001), hrv_fault::FaultKind::ViewThaw);
+        freeze.finish();
+        for (cfg, faults) in [
+            (recovery, hrv_fault::FaultPlan::none()),
+            (PlatformConfig::default(), freeze),
+        ] {
+            let mut vm = OneVm::new(cfg, faults);
+            assert_eq!(vm.reports_per_ping(6), [4; 5]);
+            assert_eq!(vm.skipped(), 0);
+        }
     }
 
     /// The `BTreeMap<u64, Container>` the slab replaced, with the scans

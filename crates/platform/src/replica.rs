@@ -109,6 +109,12 @@ impl ReplicaState {
         replica_entity(self.index)
     }
 
+    /// This replica's fleet view.
+    #[cfg(test)]
+    pub(crate) fn view(&self) -> &hrv_lb::view::ClusterView {
+        &self.controller.view
+    }
+
     fn send<C: EventCalendar<Event>>(
         &mut self,
         delay: SimDuration,

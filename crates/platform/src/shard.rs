@@ -555,4 +555,98 @@ mod tests {
             c.migrations
         );
     }
+
+    /// Where the platform lets invokers skip a ping that repeats their
+    /// previous report (recovery off, no view freeze), skipping changes
+    /// the message count and nothing else: the R = 4 + migration +
+    /// sampling + storms configuration under a freeze-free chaos plan,
+    /// run once with every ping reporting and once on change only.
+    #[test]
+    fn skipping_unchanged_pings_moves_only_the_message_count() {
+        use hrv_lb::view::InvokerView;
+        use hrv_telemetry::CounterId;
+
+        let horizon = SimDuration::from_mins(4);
+        let storm = |mins| Storm {
+            at: SimTime::ZERO + SimDuration::from_mins(mins),
+            fraction: 0.3,
+        };
+        let spec = fleet(horizon, vec![storm(1), storm(3)]);
+        let mut cfg = PlatformConfig::default();
+        cfg.sharding.replicas = 4;
+        cfg.migration.enabled = true;
+        cfg.sample_interval = SimDuration::from_secs(5);
+        let freeze_free = FaultSpec {
+            staleness_per_hour: 0.0,
+            ..FaultSpec::chaos(1.5)
+        };
+        let seeds = SeedFactory::new(SEED).child("faults");
+        let faults = freeze_free.compile(spec.vms.len() as u32, horizon, &seeds);
+        // A view row minus when it last heard a report: the one field a
+        // skipped report would have moved.
+        let unstamped = |v: InvokerView| InvokerView {
+            last_ping: SimTime::ZERO,
+            ..v
+        };
+        let run = |on_change: bool| {
+            let mut cal = Calendar::new();
+            let mut world = PlatformWorld::from_stream_sharded_in(
+                spec.clone(),
+                Box::new(SortedTraceStream::new(workload(horizon))),
+                PolicyKind::Mws.build(),
+                cfg.clone(),
+                SEED,
+                faults.clone(),
+                ShardPlan::solo(),
+                &mut cal,
+            );
+            world.set_report_on_change(on_change);
+            let run = run_rounds(&mut world, &mut cal, SimTime::ZERO + horizon, u64::MAX);
+            let views: Vec<Vec<InvokerView>> = (world.replica_views().into_iter())
+                .map(|rows| rows.into_iter().map(unstamped).collect())
+                .collect();
+            (merge_outputs(vec![(world, run)]), views)
+        };
+        let skipped = |out: &SimOutput| out.collector.counters.get(CounterId::PingReportsSkipped);
+        let envelopes = |out: &SimOutput| -> u64 {
+            let rows = &out.collector.replica_occupancy;
+            rows.iter().map(|r| r.envelopes).sum()
+        };
+        // Everything a run reports except its message counts.
+        let outcome = |out: &SimOutput| {
+            let c = &out.collector;
+            let named: Vec<_> = (c.counters.iter())
+                .filter(|&(name, _)| name != CounterId::PingReportsSkipped.name())
+                .collect();
+            let placements: Vec<u64> = c.replica_occupancy.iter().map(|r| r.placements).collect();
+            let starts = (c.arrivals, out.cold_starts, out.warm_starts);
+            let faults = (c.vm_evictions, c.vm_crashes, c.migrations);
+            let rows = (c.records.clone(), c.samples.clone());
+            (
+                rows,
+                starts,
+                faults,
+                c.dropped_completions,
+                named,
+                placements,
+            )
+        };
+        let (every, every_views) = run(false);
+        let (on_change, on_change_views) = run(true);
+        assert_eq!(outcome(&every), outcome(&on_change));
+        assert_eq!(every_views, on_change_views, "replica view rows");
+        // What did move: one `PingReport` per replica per skip.
+        let n = skipped(&on_change);
+        assert!(skipped(&every) == 0 && n > 0, "no ping was skipped");
+        assert_eq!(envelopes(&every) - envelopes(&on_change), 4 * n);
+        assert_eq!(every.run.events - on_change.run.events, 4 * n);
+        let c = &every.collector;
+        assert!(
+            c.vm_crashes > 0 && c.migrations > 0 && c.records.len() > 300,
+            "{} crashes, {} migrations, {} records — the comparison degenerated",
+            c.vm_crashes,
+            c.migrations,
+            c.records.len()
+        );
+    }
 }

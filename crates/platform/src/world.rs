@@ -170,6 +170,9 @@ pub struct PlatformWorld {
     /// Total controller replicas across all shards
     /// (`cfg.sharding.replicas`).
     replica_count: u32,
+    /// Whether invokers skip pings that repeat their previous report,
+    /// derived from the config and the fault plan at construction.
+    report_on_change: bool,
     /// Every invoker slot, by global index; the ones other shards own
     /// stay dormant placeholders here.
     invokers: Vec<InvokerState>,
@@ -228,6 +231,15 @@ impl PlatformWorld {
         cal: &mut impl EventCalendar<Event>,
     ) -> Self {
         cfg.validate();
+        // A report that repeats the invoker's previous one is a no-op at
+        // every replica unless a replica reads more than its payload:
+        // recovery reads when each report landed and its pressure, and a
+        // view freeze drops reports, so a later repeat is news there.
+        let report_on_change = !cfg.recovery.enabled
+            && !faults
+                .events
+                .iter()
+                .any(|fe| fe.kind == FaultKind::ViewFreeze);
         let mut invokers = Vec::with_capacity(spec.vms.len());
         for (i, vm) in spec.vms.iter().enumerate() {
             let index = i as InvokerIndex;
@@ -235,6 +247,7 @@ impl PlatformWorld {
                 index,
                 SlotSource::Trace(vm.clone()),
                 &cfg,
+                report_on_change,
             ));
             if !plan.owns_invoker(index) {
                 continue;
@@ -384,6 +397,7 @@ impl PlatformWorld {
             replicas,
             replica_count,
             cfg,
+            report_on_change,
             invokers,
             arrivals,
             metrics,
@@ -454,6 +468,25 @@ impl PlatformWorld {
         }
     }
 
+    /// Overrides the derived ping rule on every invoker, present and
+    /// future (differential tests).
+    #[cfg(test)]
+    pub(crate) fn set_report_on_change(&mut self, on: bool) {
+        self.report_on_change = on;
+        for invoker in &mut self.invokers {
+            invoker.set_report_on_change(on);
+        }
+    }
+
+    /// Each hosted replica's view rows, in replica order.
+    #[cfg(test)]
+    pub(crate) fn replica_views(&self) -> Vec<Vec<hrv_lb::view::InvokerView>> {
+        self.replicas
+            .iter()
+            .map(|r| r.view().all().to_vec())
+            .collect()
+    }
+
     /// Marks everything still in flight as censored (call after the run,
     /// on every world — each censors the replicas it hosts) and flushes
     /// per-replica occupancy counters into the metrics.
@@ -486,8 +519,9 @@ impl World for PlatformWorld {
                 while self.invokers.len() <= *invoker as usize {
                     let index = self.invokers.len() as InvokerIndex;
                     let slot = SlotSource::Monitor(*template);
+                    let on_change = self.report_on_change;
                     self.invokers
-                        .push(InvokerState::for_slot(index, slot, &self.cfg));
+                        .push(InvokerState::for_slot(index, slot, &self.cfg, on_change));
                 }
             }
             _ => {}

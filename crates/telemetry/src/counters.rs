@@ -43,11 +43,14 @@ pub enum CounterId {
     /// Requested shard counts silently degraded to fewer shards by a
     /// feature-compatibility check.
     ShardDegrades,
+    /// Health pings that sent no `PingReport` because the snapshot equalled
+    /// the invoker's previous report (one per ping, not per replica).
+    PingReportsSkipped,
 }
 
 impl CounterId {
     /// All counters, in registry order.
-    pub const ALL: [CounterId; 8] = [
+    pub const ALL: [CounterId; 9] = [
         CounterId::Retries,
         CounterId::Redispatches,
         CounterId::Quarantines,
@@ -56,6 +59,7 @@ impl CounterId {
         CounterId::PrewarmHits,
         CounterId::WastedPrewarms,
         CounterId::ShardDegrades,
+        CounterId::PingReportsSkipped,
     ];
 
     /// Stable snake_case name (dumps, exports).
@@ -69,6 +73,7 @@ impl CounterId {
             CounterId::PrewarmHits => "prewarm_hits",
             CounterId::WastedPrewarms => "wasted_prewarms",
             CounterId::ShardDegrades => "shard_degrades",
+            CounterId::PingReportsSkipped => "ping_reports_skipped",
         }
     }
 
@@ -79,7 +84,8 @@ impl CounterId {
             | CounterId::Redispatches
             | CounterId::Quarantines
             | CounterId::QuarantineMicros
-            | CounterId::ShardDegrades => MergeMode::Accumulate,
+            | CounterId::ShardDegrades
+            | CounterId::PingReportsSkipped => MergeMode::Accumulate,
             CounterId::PrewarmSpawns | CounterId::PrewarmHits | CounterId::WastedPrewarms => {
                 MergeMode::AssignOnce
             }

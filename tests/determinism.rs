@@ -7,6 +7,7 @@ use harvest_faas::hrv_lb::mws::Mws;
 use harvest_faas::hrv_lb::policy::{LoadBalancer, PolicyKind};
 use harvest_faas::hrv_lb::view::LoadWeights;
 use harvest_faas::hrv_platform::config::PlatformConfig;
+use harvest_faas::hrv_platform::tel::CounterId;
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
 use harvest_faas::hrv_platform::ShardedSimulation;
 use harvest_faas::hrv_policy::ColdStartConfig;
@@ -144,15 +145,17 @@ fn sharded_run(seed: u64, shards: u32) -> SimOutput {
     .run(horizon)
 }
 
-/// The byte-identity contract: records, event counts, and start counters
-/// must not depend on how the cluster is partitioned.
+/// The byte-identity contract: records, event counts, start counters and
+/// the named-counter registry must not depend on how the cluster is
+/// partitioned.
 fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
     let same = a.run.events == b.run.events
         && a.collector.records == b.collector.records
         && a.collector.arrivals == b.collector.arrivals
         && a.cold_starts == b.cold_starts
         && a.warm_starts == b.warm_starts
-        && a.collector.dropped_completions == b.collector.dropped_completions;
+        && a.collector.dropped_completions == b.collector.dropped_completions
+        && a.collector.counters == b.collector.counters;
     if !same {
         // Post-mortem before the asserts below name the field: dump both
         // runs' flight recorders (CI uploads target/flight_recorder/ on
@@ -185,6 +188,10 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
         a.collector.dropped_completions, b.collector.dropped_completions,
         "{label}"
     );
+    assert_eq!(
+        a.collector.counters, b.collector.counters,
+        "counters: {label}"
+    );
 }
 
 #[test]
@@ -194,6 +201,14 @@ fn shard_count_never_changes_results() {
         baseline.collector.records.len() > 500,
         "only {} records — the invariance check degenerated",
         baseline.collector.records.len()
+    );
+    let skipped = baseline
+        .collector
+        .counters
+        .get(CounterId::PingReportsSkipped);
+    assert!(
+        skipped > 0,
+        "no ping skipped its report — the counter check degenerated"
     );
     for shards in [2u32, 4, 8] {
         let sharded = sharded_run(17, shards);
@@ -288,44 +303,57 @@ fn sharded_chaos_replay_is_identical() {
     }
 }
 
-/// FNV-1a over the observable output of a run — the compact form of the
-/// byte-identity contract.
-fn fnv(s: &str) -> u64 {
+/// FNV-1a over the records half of a run's observable output — records,
+/// arrivals, cold and warm starts: the compact form of the byte-identity
+/// contract. The event count is the other half, pinned on its own, so a
+/// change that moves only messages re-pins the count with its reason and
+/// leaves this hash alone.
+fn records_fingerprint(o: &SimOutput) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
+    let text = format!(
+        "{:?}|{}|{}|{}",
+        o.collector.records, o.collector.arrivals, o.cold_starts, o.warm_starts
+    );
+    for b in text.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
-fn fingerprint(o: &SimOutput) -> u64 {
-    fnv(&format!(
-        "{:?}|{}|{}|{}|{}",
-        o.collector.records, o.collector.arrivals, o.cold_starts, o.warm_starts, o.run.events
-    ))
-}
-
-/// Golden fingerprints computed on pre-policy main (commit 6622395,
-/// before the cold-start policy subsystem existed). The default
+/// Golden records halves, unchanged since pre-policy main (commit
+/// 6622395, before the cold-start policy subsystem existed). The default
 /// `FixedKeepAlive` policy must reproduce them bit for bit: adding the
-/// policy layer may not move a single record or event for the default
+/// policy layer may not move a single record for the default
 /// configuration.
-const PREPOLICY_FULL_RUN_99: u64 = 0x874159fedfa35290;
-const PREPOLICY_SHARDED_17: u64 = 0x03b7fc36c5ece8f4;
+const PREPOLICY_FULL_RUN_99: u64 = 0xcb58b1c2d1502f52;
+const PREPOLICY_SHARDED_17: u64 = 0x45d13bbf09bb71ea;
+
+/// Event counts of the same two runs. They were 44 103 and 17 169 until
+/// invokers stopped sending the health report whose snapshot equals their
+/// previous one: every record stayed put, the skipped `PingReport`s left.
+const FULL_RUN_99_EVENTS: u64 = 37_620;
+const SHARDED_17_EVENTS: u64 = 14_613;
 
 #[test]
 fn default_policy_is_byte_identical_to_prepolicy_main() {
+    let full = full_run(99);
     assert_eq!(
-        fingerprint(&full_run(99)),
+        records_fingerprint(&full),
         PREPOLICY_FULL_RUN_99,
-        "default FixedKeepAlive diverged from the pre-policy baseline"
+        "default FixedKeepAlive diverged from the pre-policy records"
     );
+    assert_eq!(full.run.events, FULL_RUN_99_EVENTS, "full_run(99) events");
     for shards in [1u32, 2, 4, 8] {
+        let sharded = sharded_run(17, shards);
         assert_eq!(
-            fingerprint(&sharded_run(17, shards)),
+            records_fingerprint(&sharded),
             PREPOLICY_SHARDED_17,
-            "default FixedKeepAlive diverged from pre-policy baseline at S={shards}"
+            "default FixedKeepAlive diverged from the pre-policy records at S={shards}"
+        );
+        assert_eq!(
+            sharded.run.events, SHARDED_17_EVENTS,
+            "sharded_run(17) events at S={shards}"
         );
     }
 }
