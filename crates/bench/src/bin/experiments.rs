@@ -4,9 +4,14 @@
 //! experiments [--scale quick|full] [--shards N] [--coldstart POLICY] [all | <name>...]
 //! ```
 //!
-//! `--shards N` runs each simulation point on the deterministic
-//! multi-core sharded driver; results are byte-identical for any value,
-//! points with live migration or utilization sampling included.
+//! `--shards N` runs each latency-sweep point (fig12–fig17, ablation),
+//! each chaos point and the `trace` run on `N` shards of the
+//! deterministic multi-core driver; results are byte-identical for any
+//! value, points with live migration or utilization sampling included.
+//! The other simulations (strategy3, fig18, fig19–21, migration,
+//! coldstart, attribution, streaming) run one world each — most of them
+//! spread across cores by seed or grid cell instead — and ignore the
+//! flag.
 //!
 //! `--coldstart fixed|hybrid|null|warmpool` runs the policy-grid rows for
 //! that one cold-start policy (across all load balancers and VM types)
@@ -83,6 +88,10 @@ fn main() {
                     "usage: experiments [--scale quick|full] [--shards N] \
                      [--coldstart fixed|hybrid|null|warmpool] \
                      [trace --out FILE | streaming | all | <name>...]"
+                );
+                eprintln!(
+                    "--shards N shards each latency-sweep point (fig12-fig17, ablation), \
+                     chaos point and trace run; other experiments run one world per cell"
                 );
                 eprintln!("experiments: {}", EXPERIMENTS.join(" "));
                 return;

@@ -6,10 +6,11 @@
 //! so the JSON is byte-identical across machines and shard counts.
 
 use harvest_faas::funcbench;
+use harvest_faas::hrv_fault::FaultPlan;
 use harvest_faas::hrv_lb::policy::PolicyKind;
 use harvest_faas::hrv_platform::config::PlatformConfig;
 use harvest_faas::hrv_platform::world::{SimOutput, Simulation};
-use harvest_faas::hrv_platform::{ShardedSimulation, TelemetryConfig};
+use harvest_faas::hrv_platform::TelemetryConfig;
 use harvest_faas::hrv_trace::rng::SeedFactory;
 use harvest_faas::hrv_trace::time::SimDuration;
 
@@ -39,26 +40,16 @@ pub fn trace_run(scale: Scale, shards: u32) -> SimOutput {
         telemetry: TelemetryConfig::on(),
         ..PlatformConfig::default()
     };
-    let out = if shards > 1 {
-        ShardedSimulation::new(
-            cluster,
-            trace,
-            PolicyKind::Mws,
-            platform,
-            seeds.seed_for("platform"),
-            shards,
-        )
-        .run(horizon)
-    } else {
-        Simulation::new(
-            cluster,
-            trace,
-            PolicyKind::Mws.build(),
-            platform,
-            seeds.seed_for("platform"),
-        )
-        .run(horizon)
-    };
+    let out = Simulation::sharded(
+        cluster,
+        trace,
+        PolicyKind::Mws.build(),
+        platform,
+        seeds.seed_for("platform"),
+        FaultPlan::none(),
+        shards,
+    )
+    .run(horizon);
     out.assert_conservation();
     out
 }

@@ -4,12 +4,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use hrv_fault::FaultSpec;
+use hrv_fault::{FaultPlan, FaultSpec};
 use hrv_lb::policy::PolicyKind;
 use hrv_platform::config::PlatformConfig;
 use hrv_platform::tel::{CounterId, CounterRegistry, PhaseComponents};
 use hrv_platform::world::{ClusterSpec, Simulation};
-use hrv_platform::ShardedSimulation;
 use hrv_trace::faas::Invocation;
 use hrv_trace::harvest::VmTrace;
 use hrv_trace::rng::SeedFactory;
@@ -244,9 +243,8 @@ fn note_shard_degrade(counters: &mut CounterRegistry, requested: u32, effective:
 
 /// Runs one simulation point and reduces it to a [`SweepPoint`].
 ///
-/// With `cfg.shards > 1` the point runs on the sharded multi-core driver;
-/// the byte-identity contract makes the result independent of the shard
-/// count.
+/// The point runs on `cfg.shards` shards; the byte-identity contract
+/// makes the result independent of the shard count.
 pub fn run_point(
     cluster: &ClusterSpec,
     policy: PolicyKind,
@@ -258,26 +256,16 @@ pub fn run_point(
     let trace = workload.invocations(cfg.duration, &seeds.child("arrivals"));
     // Allow a drain tail after the offered-load window.
     let horizon = cfg.duration + SimDuration::from_mins(3);
-    let out = if cfg.shards > 1 {
-        ShardedSimulation::new(
-            cluster.clone(),
-            trace,
-            policy,
-            cfg.platform.clone(),
-            seeds.seed_for("platform"),
-            cfg.shards,
-        )
-        .run(horizon)
-    } else {
-        Simulation::new(
-            cluster.clone(),
-            trace,
-            policy.build(),
-            cfg.platform.clone(),
-            seeds.seed_for("platform"),
-        )
-        .run(horizon)
-    };
+    let out = Simulation::sharded(
+        cluster.clone(),
+        trace,
+        policy.build(),
+        cfg.platform.clone(),
+        seeds.seed_for("platform"),
+        FaultPlan::none(),
+        cfg.shards,
+    )
+    .run(horizon);
     let m = out.collector.aggregate(SimTime::ZERO + cfg.warmup);
     let s = &out.collector.streaming;
     SweepPoint {
@@ -514,28 +502,16 @@ pub fn chaos_point(
     let plan = fault.compile(cluster.vms.len() as u32, horizon, &seeds.child("faults"));
     let mut platform = cfg.platform.clone();
     platform.recovery.enabled = recovery;
-    let out = if cfg.shards > 1 {
-        ShardedSimulation::with_faults(
-            cluster.clone(),
-            trace,
-            policy,
-            platform,
-            seeds.seed_for("platform"),
-            plan,
-            cfg.shards,
-        )
-        .run(horizon)
-    } else {
-        Simulation::with_faults(
-            cluster.clone(),
-            trace,
-            policy.build(),
-            platform,
-            seeds.seed_for("platform"),
-            plan,
-        )
-        .run(horizon)
-    };
+    let out = Simulation::sharded(
+        cluster.clone(),
+        trace,
+        policy.build(),
+        platform,
+        seeds.seed_for("platform"),
+        plan,
+        cfg.shards,
+    )
+    .run(horizon);
     out.assert_conservation();
     let m = out.collector.aggregate(SimTime::ZERO + cfg.warmup);
     ChaosPoint {

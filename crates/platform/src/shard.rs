@@ -27,6 +27,10 @@
 //! earlier round and is already in the lane when the window opens. No
 //! shard ever hears about its past.
 //!
+//! A shard that panics keeps meeting its barriers; the leader turns the
+//! round into an abort, every shard leaves its loop, and the run
+//! re-raises the first panic with its own payload.
+//!
 //! # Shard-count invariance
 //!
 //! Round boundaries depend only on global minima, so they are identical
@@ -36,52 +40,46 @@
 //! entities touch disjoint state and commute in everything the run
 //! reports (records are canonically re-sorted, counters are sums). The
 //! single-shard [`run_rounds`] below is the same algorithm without
-//! threads or barriers, flattened into one loop — it backs
-//! `Simulation::run`, which is why `S = 1` matches the unsharded
-//! simulation byte for byte.
+//! threads or barriers, flattened into one loop; `Simulation::run` picks
+//! it for one shard and the threaded workers for more, so every shard
+//! count matches `S = 1` byte for byte.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Barrier, Mutex, PoisonError};
 
 use hrv_fault::FaultPlan;
-use hrv_lb::owner_of;
 use hrv_lb::policy::PolicyKind;
 use hrv_sim::calendar::{Calendar, EnvelopeLane};
 use hrv_sim::engine::{run_until, RunStats, StopReason, World};
 use hrv_trace::faas::Invocation;
-use hrv_trace::stream::{ArrivalStream, SortedTraceStream};
 use hrv_trace::time::{SimDuration, SimTime};
 
 use crate::config::PlatformConfig;
 use crate::event::Event;
 use crate::mailbox::{Envelope, ShardPlan};
-use crate::world::{ClusterSpec, PlatformWorld, SimOutput};
+use crate::world::{ClusterSpec, PlatformWorld, SimOutput, Simulation};
 
 /// Drives one solo-plan world to `end` in lookahead windows, delivering
-/// its outbox through its own calendar's envelope lane. This is
-/// `Simulation::run`'s engine: identical window boundaries and delivery
-/// order to the threaded driver, which is what makes a 1-shard
-/// `ShardedSimulation` (and any other shard count) byte-identical to the
-/// plain simulation.
+/// its outbox through its own calendar's envelope lane: identical window
+/// boundaries and delivery order to the threaded driver, which is what
+/// makes every shard count byte-identical to one.
 pub fn run_rounds<C: EnvelopeLane<Event>>(
     world: &mut PlatformWorld,
     cal: &mut C,
     end: SimTime,
-    max_events: u64,
 ) -> RunStats {
     assert_eq!(
         world.plan().shards,
         1,
-        "run_rounds drives solo worlds; sharded worlds go through ShardedSimulation"
+        "run_rounds drives solo worlds; Simulation::run threads sharded ones"
     );
     let delta = world.cfg().bus_latency;
     let mut stop = SimTime::ZERO;
     let mut events = 0u64;
     let reason = loop {
         world.flush_outbox(cal);
-        if events >= max_events {
-            break StopReason::EventBudget;
-        }
         let Some(t) = cal.peek_time() else {
             break StopReason::Drained;
         };
@@ -107,115 +105,166 @@ pub fn run_rounds<C: EnvelopeLane<Event>>(
 const ROUND_RUN: u8 = 0;
 const ROUND_DRAINED: u8 = 1;
 const ROUND_REACHED_END: u8 = 2;
+const ROUND_ABORTED: u8 = 3;
+
+/// What the shards of a threaded run share: one inbox and one published
+/// calendar head per shard, the leader's window stop and verdict, the
+/// barrier they meet at, and the first panic any of them caught.
+struct Rendezvous {
+    inboxes: Vec<Mutex<Vec<Envelope>>>,
+    nexts: Vec<AtomicU64>,
+    stop_us: AtomicU64,
+    verdict: AtomicU8,
+    barrier: Barrier,
+    aborted: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Rendezvous {
+    fn new(shards: usize) -> Self {
+        Rendezvous {
+            inboxes: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            nexts: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            stop_us: AtomicU64::new(0),
+            verdict: AtomicU8::new(ROUND_RUN),
+            barrier: Barrier::new(shards),
+            aborted: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// Runs one shard's work between two barriers. A panic is caught, so
+    /// the shard goes on meeting its barriers; the first payload is kept
+    /// and the abort flag raised for the leader.
+    fn guard(&self, work: impl FnOnce()) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+            let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+            first.get_or_insert(payload);
+            self.aborted.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// The leader's step between the first two barriers: fixes the round
+    /// window from the published heads, or ends the run.
+    fn lead(&self, end: SimTime, delta: SimDuration) {
+        if self.aborted.load(Ordering::SeqCst) {
+            self.verdict.store(ROUND_ABORTED, Ordering::SeqCst);
+            return;
+        }
+        let global_next = self
+            .nexts
+            .iter()
+            .map(|a| a.load(Ordering::SeqCst))
+            .min()
+            .expect("at least one shard");
+        let verdict = if global_next == u64::MAX {
+            ROUND_DRAINED
+        } else if global_next >= end.as_micros() {
+            ROUND_REACHED_END
+        } else {
+            let stop = SimTime::from_micros(global_next)
+                .saturating_add(delta)
+                .min(end);
+            self.stop_us.store(stop.as_micros(), Ordering::SeqCst);
+            ROUND_RUN
+        };
+        self.verdict.store(verdict, Ordering::SeqCst);
+    }
+}
 
 /// One shard's worker loop: the threaded counterpart of [`run_rounds`],
 /// synchronized with its peers by three barrier waits per round — after
 /// publishing its calendar head, after the leader fixes the window, and
 /// after routing outboxes (so no shard drains an inbox a peer is still
 /// filling).
-#[allow(clippy::too_many_arguments)]
 fn shard_worker(
     s: usize,
-    shards: u32,
     world: &mut PlatformWorld,
     cal: &mut Calendar<Event>,
     end: SimTime,
-    delta: SimDuration,
-    inboxes: &[Mutex<Vec<Envelope>>],
-    nexts: &[AtomicU64],
-    stop_us: &AtomicU64,
-    verdict: &AtomicU8,
-    barrier: &Barrier,
+    r: &Rendezvous,
 ) -> RunStats {
+    let shards = r.inboxes.len() as u32;
+    let delta = world.cfg().bus_latency;
     let mut events = 0u64;
     loop {
-        for env in inboxes[s].lock().expect("inbox poisoned").drain(..) {
-            env.enter_lane(cal);
-        }
-        let next = cal.peek_time().map_or(u64::MAX, SimTime::as_micros);
-        nexts[s].store(next, Ordering::SeqCst);
-        barrier.wait();
+        r.guard(|| {
+            for env in r.inboxes[s].lock().expect("inbox poisoned").drain(..) {
+                env.enter_lane(cal);
+            }
+            let next = cal.peek_time().map_or(u64::MAX, SimTime::as_micros);
+            r.nexts[s].store(next, Ordering::SeqCst);
+        });
+        r.barrier.wait();
         if s == 0 {
-            let global_next = nexts
-                .iter()
-                .map(|a| a.load(Ordering::SeqCst))
-                .min()
-                .expect("at least one shard");
-            if global_next == u64::MAX {
-                verdict.store(ROUND_DRAINED, Ordering::SeqCst);
-            } else if global_next >= end.as_micros() {
-                verdict.store(ROUND_REACHED_END, Ordering::SeqCst);
-            } else {
-                let stop = SimTime::from_micros(global_next)
-                    .saturating_add(delta)
-                    .min(end);
-                stop_us.store(stop.as_micros(), Ordering::SeqCst);
-                verdict.store(ROUND_RUN, Ordering::SeqCst);
-            }
+            r.lead(end, delta);
         }
-        barrier.wait();
-        match verdict.load(Ordering::SeqCst) {
-            ROUND_DRAINED => {
-                return RunStats {
-                    events,
-                    end_time: cal.now(),
-                    reason: StopReason::Drained,
-                }
-            }
-            ROUND_REACHED_END => {
-                return RunStats {
-                    events,
-                    end_time: cal.now(),
-                    reason: StopReason::ReachedEnd,
-                }
-            }
-            _ => {}
+        r.barrier.wait();
+        let reason = match r.verdict.load(Ordering::SeqCst) {
+            ROUND_RUN => None,
+            ROUND_DRAINED => Some(StopReason::Drained),
+            // An aborted run re-raises its panic; the reason goes unread.
+            _ => Some(StopReason::ReachedEnd),
+        };
+        if let Some(reason) = reason {
+            return RunStats {
+                events,
+                end_time: cal.now(),
+                reason,
+            };
         }
-        let stop = SimTime::from_micros(stop_us.load(Ordering::SeqCst));
-        cal.open_window(stop);
-        let stats = run_until(world, cal, stop, u64::MAX);
-        events += stats.events;
-        for env in world.take_outbox() {
-            let target = ShardPlan::shard_of(shards, env.target) as usize;
-            inboxes[target].lock().expect("inbox poisoned").push(env);
-        }
-        barrier.wait();
+        r.guard(|| {
+            let stop = SimTime::from_micros(r.stop_us.load(Ordering::SeqCst));
+            cal.open_window(stop);
+            events += run_until(world, cal, stop, u64::MAX).events;
+            for env in world.take_outbox() {
+                let target = ShardPlan::shard_of(shards, env.target) as usize;
+                r.inboxes[target].lock().expect("inbox poisoned").push(env);
+            }
+        });
+        r.barrier.wait();
     }
 }
 
-/// A simulation partitioned into `S` shards, each owning a disjoint slice
-/// of the invokers and hosting the controller replicas assigned to it
-/// (replica `r` lives on shard `r mod S`; replica 0 — the whole
-/// controller when `sharding.replicas == 1` — on shard 0), with its own
-/// timer-wheel calendar, run on `S` worker threads. Each shard consumes
-/// the arrivals its hosted replicas own directly — no hop through
-/// shard 0. Records, event counts, and start counters are byte-identical
-/// for every shard count; streaming float aggregates merge via
-/// parallel-Welford and may differ in final bits. Live migration and
-/// utilization sampling are envelope-based (owner-resolved migration,
-/// per-invoker sample rows coalesced after the merge), so they run at
-/// any shard count.
-pub struct ShardedSimulation {
-    worlds: Vec<PlatformWorld>,
-    cals: Vec<Calendar<Event>>,
-    shards: u32,
+/// Runs two or more shards to `end` on one worker thread each and
+/// returns every shard's world with its stats, in shard order. A panic
+/// in any shard ends every shard's loop within the round, and is
+/// re-raised here with its original payload.
+pub(crate) fn run_threaded(
+    shards: Vec<(PlatformWorld, Calendar<Event>)>,
+    end: SimTime,
+) -> Vec<(PlatformWorld, RunStats)> {
+    let r = Rendezvous::new(shards.len());
+    let results = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(s, (mut world, mut cal))| {
+                let r = &r;
+                scope.spawn(move || {
+                    let stats = shard_worker(s, &mut world, &mut cal, end, r);
+                    (world, stats)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    if let Some(payload) = r.panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
+    }
+    results
 }
+
+/// The sharded driver's former entry point, now an empty type kept only
+/// because the claim benchmark (`benchmark/`) builds its two-shard
+/// `fleet_s2` workload through it. New code calls [`Simulation::sharded`].
+pub struct ShardedSimulation;
 
 impl ShardedSimulation {
-    /// Builds a sharded simulation over `shards` partitions.
-    pub fn new(
-        spec: ClusterSpec,
-        workload: Vec<Invocation>,
-        policy: PolicyKind,
-        cfg: PlatformConfig,
-        seed: u64,
-        shards: u32,
-    ) -> Self {
-        ShardedSimulation::with_faults(spec, workload, policy, cfg, seed, FaultPlan::none(), shards)
-    }
-
-    /// [`ShardedSimulation::new`] plus an injected fault plan; each shard
-    /// seeds only the faults aimed at entities it owns.
+    /// [`Simulation::sharded`] over a fresh `policy.build()`.
     pub fn with_faults(
         spec: ClusterSpec,
         workload: Vec<Invocation>,
@@ -224,80 +273,8 @@ impl ShardedSimulation {
         seed: u64,
         faults: FaultPlan,
         shards: u32,
-    ) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        let replicas = cfg.sharding.replicas;
-        let mut worlds = Vec::with_capacity(shards as usize);
-        let mut cals = Vec::with_capacity(shards as usize);
-        for s in 0..shards {
-            let mut cal = Calendar::new();
-            let plan = ShardPlan::new(s, shards);
-            // Each shard consumes exactly the arrivals whose owning
-            // replica it hosts (all of them when `replicas == 1` and
-            // `s == 0` — the classic single-controller layout).
-            let owned: Vec<Invocation> = workload
-                .iter()
-                .filter(|inv| plan.owns_replica(owner_of(replicas, inv.function)))
-                .cloned()
-                .collect();
-            let stream: Box<dyn ArrivalStream> = Box::new(SortedTraceStream::new(owned));
-            let world = PlatformWorld::from_stream_sharded_in(
-                spec.clone(),
-                stream,
-                policy.build(),
-                cfg.clone(),
-                seed,
-                faults.clone(),
-                plan,
-                &mut cal,
-            );
-            worlds.push(world);
-            cals.push(cal);
-        }
-        ShardedSimulation {
-            worlds,
-            cals,
-            shards,
-        }
-    }
-
-    /// Runs all shards to `horizon` and merges their outputs.
-    pub fn run(self, horizon: SimDuration) -> SimOutput {
-        let end = SimTime::ZERO + horizon;
-        let shards = self.shards;
-        let n = shards as usize;
-        let delta = self.worlds[0].cfg().bus_latency;
-        let inboxes: Vec<Mutex<Vec<Envelope>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let nexts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let stop_us = AtomicU64::new(0);
-        let verdict = AtomicU8::new(ROUND_RUN);
-        let barrier = Barrier::new(n);
-        let worlds = self.worlds;
-        let cals = self.cals;
-        let results: Vec<(PlatformWorld, RunStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = worlds
-                .into_iter()
-                .zip(cals)
-                .enumerate()
-                .map(|(s, (world, cal))| {
-                    let (inboxes, nexts) = (&inboxes, &nexts);
-                    let (stop_us, verdict, barrier) = (&stop_us, &verdict, &barrier);
-                    scope.spawn(move || {
-                        let (mut world, mut cal) = (world, cal);
-                        let stats = shard_worker(
-                            s, shards, &mut world, &mut cal, end, delta, inboxes, nexts, stop_us,
-                            verdict, barrier,
-                        );
-                        (world, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        merge_outputs(results)
+    ) -> Simulation {
+        Simulation::sharded(spec, workload, policy.build(), cfg, seed, faults, shards)
     }
 }
 
@@ -366,8 +343,7 @@ mod tests {
     use hrv_trace::faas::{Workload, WorkloadSpec};
     use hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
     use hrv_trace::rng::SeedFactory;
-
-    use crate::world::Simulation;
+    use hrv_trace::stream::SortedTraceStream;
 
     struct Inputs {
         spec: ClusterSpec,
@@ -401,8 +377,7 @@ mod tests {
     /// calendar, whose lane *is* eager injection: pending envelopes wait
     /// in a heap beside the calendar and enter it through plain
     /// `schedule`, in canonical order, when the window they fall due in
-    /// opens — then through `Simulation::run` and `ShardedSimulation` at
-    /// S = 2 and 4; returns the oracle's output after checking the others
+    /// opens — then through `Simulation::run` at S = 1, 2 and 4; returns the oracle's output after checking the others
     /// against it.
     fn assert_lane_matches_eager(i: &Inputs, label: &str) -> SimOutput {
         let eager = {
@@ -418,7 +393,7 @@ mod tests {
                 &mut cal,
             );
             let end = SimTime::ZERO + i.horizon;
-            let run = run_rounds(&mut world, &mut cal, end, u64::MAX);
+            let run = run_rounds(&mut world, &mut cal, end);
             merge_outputs(vec![(world, run)])
         };
         let solo = Simulation::with_faults(
@@ -432,10 +407,10 @@ mod tests {
         .run(i.horizon);
         assert_eq!(eager.run, solo.run, "{label}: run stats, solo");
         let sharded = [2u32, 4].map(|shards| {
-            ShardedSimulation::with_faults(
+            Simulation::sharded(
                 i.spec.clone(),
                 i.trace.clone(),
-                PolicyKind::Mws,
+                PolicyKind::Mws.build(),
                 i.cfg.clone(),
                 SEED,
                 i.faults.clone(),
@@ -601,7 +576,7 @@ mod tests {
                 &mut cal,
             );
             world.set_report_on_change(on_change);
-            let run = run_rounds(&mut world, &mut cal, SimTime::ZERO + horizon, u64::MAX);
+            let run = run_rounds(&mut world, &mut cal, SimTime::ZERO + horizon);
             let views: Vec<Vec<InvokerView>> = (world.replica_views().into_iter())
                 .map(|rows| rows.into_iter().map(unstamped).collect())
                 .collect();

@@ -10,6 +10,7 @@
 //! hop of delay — the property the sharded driver's lookahead rests on.
 
 use hrv_fault::{FaultKind, FaultPlan, WarningFault};
+use hrv_lb::owner_of;
 use hrv_lb::policy::LoadBalancer;
 use hrv_sim::calendar::{Calendar, EnvelopeLane, EventCalendar, Scheduled};
 use hrv_sim::engine::{RunStats, World};
@@ -25,7 +26,7 @@ use crate::config::PlatformConfig;
 use crate::controller::Controller;
 use crate::event::{Event, InvokerIndex, ReplicaIndex};
 use crate::invoker::{first_sample_at, InvokerState, SlotSource};
-use crate::mailbox::{Entity, EntityId, Envelope, ShardPlan};
+use crate::mailbox::{replica_entity, Entity, EntityId, Envelope, ShardPlan};
 use crate::metrics::MetricsCollector;
 use crate::replica::ReplicaState;
 use crate::telemetry::TelemetrySink;
@@ -554,10 +555,11 @@ impl World for PlatformWorld {
     }
 }
 
-/// One packaged simulation run.
+/// One packaged simulation run: the platform as one world per shard,
+/// each on its own timer wheel. Results are byte-identical for every
+/// shard count.
 pub struct Simulation {
-    world: PlatformWorld,
-    calendar: Calendar<Event>,
+    shards: Vec<(PlatformWorld, Calendar<Event>)>,
 }
 
 /// Results of a completed run.
@@ -614,14 +616,50 @@ impl Simulation {
         seed: u64,
         faults: FaultPlan,
     ) -> Self {
-        let arrivals = Box::new(SortedTraceStream::new(workload));
-        Simulation::solo(spec, arrivals, policy, cfg, seed, faults)
+        Simulation::sharded(spec, workload, policy, cfg, seed, faults, 1)
+    }
+
+    /// [`Simulation::with_faults`] partitioned into `shards` shards (0
+    /// reads as 1); above one, each runs on its own thread. Shard `s`
+    /// owns the invokers `i ≡ s (mod S)` and hosts the controller
+    /// replicas `r ≡ s (mod S)`; it consumes the arrivals its replicas
+    /// own, seeds only the faults aimed at its entities, and talks to its
+    /// peers through envelopes. Shard 0 gets `policy` itself, the others
+    /// `policy.fresh()`.
+    pub fn sharded(
+        spec: ClusterSpec,
+        workload: Vec<Invocation>,
+        policy: Box<dyn LoadBalancer>,
+        cfg: PlatformConfig,
+        seed: u64,
+        faults: FaultPlan,
+        shards: u32,
+    ) -> Self {
+        let shards = shards.max(1);
+        let mut traces = split_by_owner(workload, cfg.sharding.replicas, shards).into_iter();
+        let own = traces.next().expect("at least one shard");
+        let peers: Vec<_> = (1..shards)
+            .zip(traces)
+            .map(|(s, trace)| {
+                let arrivals = Box::new(SortedTraceStream::new(trace));
+                let (spec, cfg, faults) = (spec.clone(), cfg.clone(), faults.clone());
+                let plan = ShardPlan::new(s, shards);
+                Simulation::build(spec, arrivals, policy.fresh(), cfg, seed, faults, plan)
+            })
+            .collect();
+        let arrivals = Box::new(SortedTraceStream::new(own));
+        let plan = ShardPlan::new(0, shards);
+        let first = Simulation::build(spec, arrivals, policy, cfg, seed, faults, plan);
+        Simulation {
+            shards: std::iter::once(first).chain(peers).collect(),
+        }
     }
 
     /// Builds a simulation fed by a lazy arrival stream. With
     /// `cfg.record_invocations = false` this runs in constant memory
     /// regardless of how many invocations the stream produces; metrics
-    /// come out of `SimOutput::collector.streaming`.
+    /// come out of `SimOutput::collector.streaming`. A stream cannot be
+    /// split across shards, so this is always one world.
     pub fn streaming(
         spec: ClusterSpec,
         arrivals: impl ArrivalStream + 'static,
@@ -630,43 +668,59 @@ impl Simulation {
         seed: u64,
     ) -> Self {
         let arrivals = Box::new(arrivals);
-        Simulation::solo(spec, arrivals, policy, cfg, seed, FaultPlan::none())
+        let plan = ShardPlan::solo();
+        let world = Simulation::build(spec, arrivals, policy, cfg, seed, FaultPlan::none(), plan);
+        Simulation {
+            shards: vec![world],
+        }
     }
 
-    /// The whole platform as one world on its own timer wheel.
-    fn solo(
+    /// One shard's world on its own timer wheel.
+    fn build(
         spec: ClusterSpec,
         arrivals: Box<dyn ArrivalStream>,
         policy: Box<dyn LoadBalancer>,
         cfg: PlatformConfig,
         seed: u64,
         faults: FaultPlan,
-    ) -> Self {
-        let mut calendar = Calendar::new();
+        plan: ShardPlan,
+    ) -> (PlatformWorld, Calendar<Event>) {
+        let mut cal = Calendar::new();
         let world = PlatformWorld::from_stream_sharded_in(
-            spec,
-            arrivals,
-            policy,
-            cfg,
-            seed,
-            faults,
-            ShardPlan::solo(),
-            &mut calendar,
+            spec, arrivals, policy, cfg, seed, faults, plan, &mut cal,
         );
-        Simulation { world, calendar }
+        (world, cal)
     }
 
-    /// Runs until `horizon`, returning collected metrics.
+    /// Runs until `horizon`, returning collected metrics: one shard on
+    /// the calling thread, more on one worker thread each.
     pub fn run(self, horizon: SimDuration) -> SimOutput {
-        self.run_with_budget(horizon, u64::MAX)
-    }
-
-    /// Runs with an explicit event budget (for tests of runaway configs).
-    pub fn run_with_budget(mut self, horizon: SimDuration, max_events: u64) -> SimOutput {
         let end = SimTime::ZERO + horizon;
-        let run = crate::shard::run_rounds(&mut self.world, &mut self.calendar, end, max_events);
-        crate::shard::merge_outputs(vec![(self.world, run)])
+        let mut shards = self.shards;
+        let results = if shards.len() == 1 {
+            let (mut world, mut cal) = shards.pop().expect("one shard");
+            let run = crate::shard::run_rounds(&mut world, &mut cal, end);
+            vec![(world, run)]
+        } else {
+            crate::shard::run_threaded(shards, end)
+        };
+        crate::shard::merge_outputs(results)
     }
+}
+
+/// Splits a trace across `shards` shards in one pass, moving each
+/// invocation to the shard that hosts the replica owning its function;
+/// one shard takes the trace as it is.
+fn split_by_owner(workload: Vec<Invocation>, replicas: u32, shards: u32) -> Vec<Vec<Invocation>> {
+    if shards == 1 {
+        return vec![workload];
+    }
+    let mut parts = vec![Vec::new(); shards as usize];
+    for inv in workload {
+        let owner = replica_entity(owner_of(replicas, inv.function));
+        parts[ShardPlan::shard_of(shards, owner) as usize].push(inv);
+    }
+    parts
 }
 
 #[cfg(test)]
@@ -845,7 +899,7 @@ mod tests {
             ShardPlan::solo(),
             &mut wheel_cal,
         );
-        let wheel_run = crate::shard::run_rounds(&mut wheel_world, &mut wheel_cal, end, u64::MAX);
+        let wheel_run = crate::shard::run_rounds(&mut wheel_world, &mut wheel_cal, end);
         wheel_world.censor_remaining(wheel_cal.now());
 
         let (spec, wl) = build();
@@ -860,7 +914,7 @@ mod tests {
             ShardPlan::solo(),
             &mut ref_cal,
         );
-        let ref_run = crate::shard::run_rounds(&mut ref_world, &mut ref_cal, end, u64::MAX);
+        let ref_run = crate::shard::run_rounds(&mut ref_world, &mut ref_cal, end);
         ref_world.censor_remaining(ref_cal.now());
 
         assert_eq!(wheel_run.events, ref_run.events, "event counts diverged");
@@ -1287,10 +1341,11 @@ mod migration_tests {
             5,
         );
         let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        let cal = &mut sim.shards[0].1;
         // Invocation 7 is dispatched to invoker 0 (half a second on the
         // bus), then migrated to invoker 1, where it finishes.
         let moved = long_invocation(7, 4, 20.0);
-        sim.calendar.schedule(
+        cal.schedule(
             at(5_000),
             Event::Deliver {
                 invoker: 0,
@@ -1298,7 +1353,7 @@ mod migration_tests {
                 sent_at: at(4_500),
             },
         );
-        sim.calendar.schedule(
+        cal.schedule(
             at(10_000),
             Event::MigrateExtract {
                 src: 0,
@@ -1311,7 +1366,7 @@ mod migration_tests {
         // and comes back; when 8 is implanted there without a hop, the
         // one noted before the crash must be gone.
         let crashed = long_invocation(8, 4, 20.0);
-        sim.calendar.schedule(
+        cal.schedule(
             at(5_000),
             Event::Deliver {
                 invoker: 0,
@@ -1319,11 +1374,9 @@ mod migration_tests {
                 sent_at: at(4_500),
             },
         );
-        sim.calendar
-            .schedule(at(20_000), Event::FaultCrash { invoker: 0 });
-        sim.calendar
-            .schedule(at(21_000), Event::VmDeploy { invoker: 0 });
-        sim.calendar.schedule(
+        cal.schedule(at(20_000), Event::FaultCrash { invoker: 0 });
+        cal.schedule(at(21_000), Event::VmDeploy { invoker: 0 });
+        cal.schedule(
             at(22_000),
             Event::MigrateImplant {
                 dst: 0,

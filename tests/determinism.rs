@@ -2,14 +2,13 @@
 //! traces, placements, and metrics; different seeds do not.
 
 use harvest_faas::experiment::{run_point, SweepConfig};
-use harvest_faas::hrv_fault::FaultSpec;
+use harvest_faas::hrv_fault::{FaultKind, FaultPlan, FaultSpec};
 use harvest_faas::hrv_lb::mws::Mws;
 use harvest_faas::hrv_lb::policy::{LoadBalancer, PolicyKind};
 use harvest_faas::hrv_lb::view::LoadWeights;
 use harvest_faas::hrv_platform::config::PlatformConfig;
 use harvest_faas::hrv_platform::tel::CounterId;
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
-use harvest_faas::hrv_platform::ShardedSimulation;
 use harvest_faas::hrv_policy::ColdStartConfig;
 use harvest_faas::hrv_trace::faas::{Invocation, Workload, WorkloadSpec};
 use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
@@ -134,12 +133,13 @@ fn sharded_inputs(seed: u64) -> (ClusterSpec, Vec<Invocation>, SimDuration) {
 
 fn sharded_run(seed: u64, shards: u32) -> SimOutput {
     let (spec, trace, horizon) = sharded_inputs(seed);
-    ShardedSimulation::new(
+    Simulation::sharded(
         spec,
         trace,
-        PolicyKind::Mws,
+        PolicyKind::Mws.build(),
         PlatformConfig::default(),
         seed,
+        FaultPlan::none(),
         shards,
     )
     .run(horizon)
@@ -218,8 +218,8 @@ fn shard_count_never_changes_results() {
 
 #[test]
 fn one_shard_matches_plain_simulation() {
-    // S = 1 runs the identical round schedule the serial driver uses, so
-    // ShardedSimulation must reproduce Simulation byte for byte.
+    // `Simulation::new` is the one-shard case of `Simulation::sharded`, so
+    // the two must agree byte for byte.
     let (spec, trace, horizon) = sharded_inputs(23);
     let plain = Simulation::new(
         spec,
@@ -240,12 +240,13 @@ fn quick_sharded_run(seed: u64, shards: u32) -> SimOutput {
     let seeds = SeedFactory::new(seed);
     let spec = WorkloadSpec::paper_fsmall().scaled(20, 3.0);
     let trace = Workload::generate(&spec, &seeds).invocations(horizon, &seeds.child("arr"));
-    ShardedSimulation::new(
+    Simulation::sharded(
         ClusterSpec::regular(5, 8, 16 * 1024, horizon),
         trace,
-        PolicyKind::Mws,
+        PolicyKind::Mws.build(),
         PlatformConfig::default(),
         seed,
+        FaultPlan::none(),
         shards,
     )
     .run(horizon)
@@ -278,10 +279,10 @@ fn sharded_chaos_replay_is_identical() {
     cfg.recovery.enabled = true;
     let plan = FaultSpec::chaos(1.5).compile(6, horizon, &seeds);
     let run = |shards: u32| {
-        ShardedSimulation::with_faults(
+        Simulation::sharded(
             ClusterSpec::regular(6, 4, 16 * 1024, horizon),
             trace.clone(),
-            PolicyKind::Mws,
+            PolicyKind::Mws.build(),
             cfg.clone(),
             seed,
             plan.clone(),
@@ -364,7 +365,16 @@ fn sharded_run_with_policy(seed: u64, shards: u32, coldstart: ColdStartConfig) -
         coldstart,
         ..PlatformConfig::default()
     };
-    ShardedSimulation::new(spec, trace, PolicyKind::Mws, platform, seed, shards).run(horizon)
+    Simulation::sharded(
+        spec,
+        trace,
+        PolicyKind::Mws.build(),
+        platform,
+        seed,
+        FaultPlan::none(),
+        shards,
+    )
+    .run(horizon)
 }
 
 #[test]
@@ -427,12 +437,13 @@ fn sharded_controller_run(seed: u64, shards: u32) -> SimOutput {
     cfg.migration.enabled = true;
     cfg.sample_interval = SimDuration::from_secs(5);
     cfg.recovery.enabled = true;
-    ShardedSimulation::new(
+    Simulation::sharded(
         ClusterSpec::from_traces(fleet.vms),
         trace,
-        PolicyKind::Mws,
+        PolicyKind::Mws.build(),
         cfg,
         seed,
+        FaultPlan::none(),
         shards,
     )
     .run(horizon)
@@ -487,7 +498,7 @@ fn sharded_controller_is_byte_identical_across_shard_counts() {
 /// A small replicated-controller chaos run for property sweeps: R = 2
 /// replicas, recovery, sampling, and a compiled chaos plan, on a static
 /// cluster cheap enough to sample many (seed, shards) points.
-fn quick_replicated_chaos_run(seed: u64, shards: u32) -> SimOutput {
+fn quick_replicated_chaos_run(seed: u64, shards: u32, policy: Box<dyn LoadBalancer>) -> SimOutput {
     let horizon = SimDuration::from_mins(2);
     let seeds = SeedFactory::new(seed);
     let spec = WorkloadSpec::paper_fsmall().scaled(20, 3.0);
@@ -497,10 +508,10 @@ fn quick_replicated_chaos_run(seed: u64, shards: u32) -> SimOutput {
     cfg.recovery.enabled = true;
     cfg.sample_interval = SimDuration::from_secs(10);
     let plan = FaultSpec::chaos(1.0).compile(5, horizon, &seeds.child("faults"));
-    ShardedSimulation::with_faults(
+    Simulation::sharded(
         ClusterSpec::regular(5, 8, 16 * 1024, horizon),
         trace,
-        PolicyKind::Mws,
+        policy,
         cfg,
         seed,
         plan,
@@ -518,12 +529,95 @@ proptest! {
         seed in 0u64..1_000,
         shards in 2u32..=8,
     ) {
-        let baseline = quick_replicated_chaos_run(seed, 1);
-        let sharded = quick_replicated_chaos_run(seed, shards);
+        let baseline = quick_replicated_chaos_run(seed, 1, PolicyKind::Mws.build());
+        let sharded = quick_replicated_chaos_run(seed, shards, PolicyKind::Mws.build());
         assert_shard_invariant(&baseline, &sharded, &format!("chaos R=2 seed={seed} S={shards}"));
         assert_eq!(baseline.collector.samples, sharded.collector.samples);
         assert_eq!(baseline.collector.counters, sharded.collector.counters);
     }
+}
+
+/// A hand-configured balancer reaches every shard. MWS that weighs only
+/// memory and scales its arrival estimates for eight controllers is an
+/// instance no `PolicyKind` builds; its records must be the same at every
+/// shard count and differ from the default-configured run's — the run a
+/// shard that silently rebuilt the default would make. With R = 2,
+/// replica 1 lives on shard 1 from S = 2 on, so a peer shard's balancer
+/// places that replica's functions.
+#[test]
+fn configured_balancer_reaches_every_shard() {
+    let configured = || Box::new(Mws::new(LoadWeights { cpu: 0.0, mem: 1.0 }, 8));
+    let default = quick_replicated_chaos_run(17, 1, PolicyKind::Mws.build());
+    let baseline = quick_replicated_chaos_run(17, 1, configured());
+    assert_ne!(
+        default.collector.records, baseline.collector.records,
+        "the configured MWS moved no placement — the check degenerated"
+    );
+    for shards in [2u32, 4] {
+        let sharded = quick_replicated_chaos_run(17, shards, configured());
+        assert_shard_invariant(&baseline, &sharded, &format!("configured MWS S={shards}"));
+    }
+}
+
+/// The message a run panics with, or `None` if it completes; the run
+/// gets a helper thread and a minute, so a hang fails the test by name.
+fn panic_message_within_a_minute(
+    label: &str,
+    run: impl FnOnce() + Send + 'static,
+) -> Option<String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+        let message = outcome.err().map(|payload| {
+            (payload.downcast_ref::<String>().cloned())
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        });
+        let _ = tx.send(message);
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{label}: the run hung"))
+}
+
+/// A shard whose handler panics fails the whole run with its own message
+/// instead of leaving its peers waiting at a barrier. The input is a
+/// caller-built plan that crashes invoker 1000 of a 10-VM fleet: the
+/// handler indexes past the invoker table.
+#[test]
+fn panicking_shard_fails_the_run_instead_of_hanging() {
+    let crash_missing_invoker = |shards: u32| {
+        move || {
+            let horizon = SimDuration::from_mins(2);
+            let seeds = SeedFactory::new(17);
+            let spec = WorkloadSpec::paper_fsmall().scaled(20, 3.0);
+            let trace = Workload::generate(&spec, &seeds).invocations(horizon, &seeds.child("arr"));
+            let mut plan = FaultPlan::none();
+            plan.push(SimTime::from_secs(30), FaultKind::Crash { invoker: 1000 });
+            plan.finish();
+            Simulation::sharded(
+                ClusterSpec::regular(10, 8, 16 * 1024, horizon),
+                trace,
+                PolicyKind::Mws.build(),
+                PlatformConfig::default(),
+                17,
+                plan,
+                shards,
+            )
+            .run(horizon);
+        }
+    };
+    let solo = panic_message_within_a_minute("S=1", crash_missing_invoker(1))
+        .expect("S=1: the run did not panic");
+    assert!(
+        solo.contains("index out of bounds"),
+        "S=1 panicked with {solo:?}"
+    );
+    let sharded = panic_message_within_a_minute("S=4", crash_missing_invoker(4));
+    assert_eq!(
+        sharded,
+        Some(solo),
+        "S=4 must fail with the shard's own panic"
+    );
 }
 
 #[test]

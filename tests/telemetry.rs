@@ -11,11 +11,12 @@
 //! * the assign-once discipline on fleet-wide cold-start totals must
 //!   trip its debug asserts when violated.
 
+use harvest_faas::hrv_fault::FaultPlan;
 use harvest_faas::hrv_lb::policy::PolicyKind;
 use harvest_faas::hrv_platform::config::PlatformConfig;
 use harvest_faas::hrv_platform::tel::{perfetto, CounterId, SpanKind};
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
-use harvest_faas::hrv_platform::{MetricsCollector, Outcome, ShardedSimulation, TelemetryConfig};
+use harvest_faas::hrv_platform::{MetricsCollector, Outcome, TelemetryConfig};
 use harvest_faas::hrv_trace::faas::{Workload, WorkloadSpec};
 use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
 use harvest_faas::hrv_trace::rng::SeedFactory;
@@ -91,12 +92,13 @@ fn sharded_telemetry_run(seed: u64, shards: u32, storms: bool) -> SimOutput {
     let seeds = SeedFactory::new(seed).child("wl");
     let spec = WorkloadSpec::paper_fsmall().scaled(40, 5.0);
     let trace = Workload::generate(&spec, &seeds).invocations(horizon, &seeds);
-    ShardedSimulation::new(
+    Simulation::sharded(
         ClusterSpec::from_traces(fleet.vms),
         trace,
-        PolicyKind::Mws,
+        PolicyKind::Mws.build(),
         platform,
         seed,
+        FaultPlan::none(),
         shards,
     )
     .run(horizon)
