@@ -7,12 +7,11 @@ use serde::{Deserialize, Serialize};
 use hrv_fault::{FaultPlan, FaultSpec};
 use hrv_lb::policy::PolicyKind;
 use hrv_platform::config::PlatformConfig;
-use hrv_platform::tel::{CounterId, CounterRegistry, PhaseComponents};
+use hrv_platform::tel::PhaseComponents;
 use hrv_platform::world::{ClusterSpec, Simulation};
 use hrv_trace::faas::Invocation;
 use hrv_trace::harvest::VmTrace;
 use hrv_trace::rng::SeedFactory;
-use hrv_trace::stream::WorkloadStream;
 use hrv_trace::time::{SimDuration, SimTime};
 
 use crate::funcbench;
@@ -227,20 +226,6 @@ impl SweepConfig {
     }
 }
 
-/// Makes a degraded shard request visible: warns on stderr and bumps the
-/// `shard_degrades` counter. Returns whether a degrade happened.
-fn note_shard_degrade(counters: &mut CounterRegistry, requested: u32, effective: u32) -> bool {
-    if requested <= effective {
-        return false;
-    }
-    eprintln!(
-        "warning: requested {requested} shards degraded to {effective} \
-         (driver runs a single world)"
-    );
-    counters.incr(CounterId::ShardDegrades);
-    true
-}
-
 /// Runs one simulation point and reduces it to a [`SweepPoint`].
 ///
 /// The point runs on `cfg.shards` shards; the byte-identity contract
@@ -283,61 +268,6 @@ pub fn run_point(
         wasted_prewarms: s.wasted_prewarms,
         idle_mib_secs: s.idle_mib_secs,
         p99_phases: m.phases.as_ref().map(|a| a.percentile(99.0)),
-    }
-}
-
-/// [`run_point`] through the lazy streaming pipeline: arrivals come from
-/// a [`WorkloadStream`] (O(apps) generator state, byte-identical to the
-/// materialized trace) and metrics from the constant-memory aggregates —
-/// no per-invocation records are kept, so resident memory is independent
-/// of the run length.
-///
-/// Trade-offs versus [`run_point`]: latency percentiles are histogram
-/// estimates (within one bin width, ≈ 12 %, of the exact order
-/// statistics) and there is no warmup cut — the aggregates cover the
-/// whole run. Counters (`arrivals`, `completed`) are exact and identical
-/// to a materialized run under the same config.
-pub fn run_point_streaming(
-    cluster: &ClusterSpec,
-    policy: PolicyKind,
-    rps: f64,
-    cfg: &SweepConfig,
-) -> SweepPoint {
-    let seeds = SeedFactory::new(cfg.seed).child("sweep");
-    let workload = funcbench::workload(cfg.n_functions, rps, &seeds);
-    let arrivals = WorkloadStream::new(workload, cfg.duration, &seeds.child("arrivals"));
-    let platform = PlatformConfig {
-        record_invocations: false,
-        ..cfg.platform.clone()
-    };
-    let sim = Simulation::streaming(
-        cluster.clone(),
-        arrivals,
-        policy.build(),
-        platform,
-        seeds.seed_for("platform"),
-    );
-    let mut out = sim.run(cfg.duration + SimDuration::from_mins(3));
-    // The streaming pipeline drives one world on one core; a multi-shard
-    // request quietly ran solo. Surface that instead of hiding it.
-    note_shard_degrade(&mut out.collector.counters, cfg.shards, 1);
-    let s = &out.collector.streaming;
-    SweepPoint {
-        rps,
-        p99: s.latency_percentile(99.0),
-        p75: s.latency_percentile(75.0),
-        p50: s.latency_percentile(50.0),
-        p25: s.latency_percentile(25.0),
-        cold_rate: s.cold_start_rate(),
-        failure_rate: s.failure_rate(),
-        completed: s.completed,
-        arrivals: out.collector.arrivals,
-        prewarm_spawns: s.prewarm_spawns,
-        prewarm_hits: s.prewarm_hits,
-        wasted_prewarms: s.wasted_prewarms,
-        idle_mib_secs: s.idle_mib_secs,
-        // Streaming runs keep no per-invocation phase rows.
-        p99_phases: None,
     }
 }
 
@@ -529,7 +459,8 @@ pub fn chaos_point(
         retries: out.collector.streaming.retries,
         redispatches: out.collector.streaming.redispatches,
         crashes: out.collector.vm_crashes,
-        quarantine_secs: out.collector.streaming.quarantine_secs,
+        quarantine_secs: SimDuration::from_micros(out.collector.streaming.quarantine_micros)
+            .as_secs_f64(),
     }
 }
 
@@ -664,29 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_point_matches_materialized_counters() {
-        let cfg = SweepConfig {
-            n_functions: 25,
-            duration: SimDuration::from_mins(3),
-            warmup: SimDuration::ZERO,
-            ..SweepConfig::quick()
-        };
-        let cluster = ClusterSpec::regular(4, 8, 32 * 1024, SimDuration::from_mins(10));
-        let exact = run_point(&cluster, PolicyKind::Mws, 4.0, &cfg);
-        let streamed = run_point_streaming(&cluster, PolicyKind::Mws, 4.0, &cfg);
-        // Same seeds, byte-identical arrival stream, same platform RNG:
-        // the two runs simulate the same history, so counters agree
-        // exactly (warmup = 0 aligns the record-sink window with the
-        // whole-run streaming aggregates).
-        assert_eq!(streamed.arrivals, exact.arrivals);
-        assert_eq!(streamed.completed, exact.completed);
-        assert!(streamed.arrivals > 100);
-        // Histogram percentile within ~1.5 bin widths of the exact one.
-        let (a, b) = (streamed.p50.unwrap(), exact.p50.unwrap());
-        assert!((a / b).ln().abs() < 0.2, "{a} vs {b}");
-    }
-
-    #[test]
     fn sharded_sweep_point_matches_single_shard() {
         let base = SweepConfig {
             n_functions: 20,
@@ -709,29 +617,46 @@ mod tests {
     }
 
     #[test]
-    fn degraded_shard_requests_warn_and_count() {
-        let mut counters = CounterRegistry::new();
-        assert!(!note_shard_degrade(&mut counters, 1, 1));
-        assert_eq!(counters.get(CounterId::ShardDegrades), 0);
-        assert!(note_shard_degrade(&mut counters, 4, 1));
-        assert_eq!(counters.get(CounterId::ShardDegrades), 1);
-    }
-
-    #[test]
-    fn streaming_driver_counts_its_shard_degrade() {
+    fn streaming_point_matches_materialized_counters() {
+        // A sweep point's workload fed as a lazy stream into a world that
+        // keeps no records (the `experiments streaming` path) must count
+        // what `run_point` counts from the materialized trace.
+        use hrv_trace::stream::WorkloadStream;
         let cfg = SweepConfig {
-            n_functions: 5,
-            duration: SimDuration::from_mins(1),
+            n_functions: 25,
+            duration: SimDuration::from_mins(3),
             warmup: SimDuration::ZERO,
-            shards: 4,
             ..SweepConfig::quick()
         };
-        let cluster = ClusterSpec::regular(2, 8, 32 * 1024, SimDuration::from_mins(5));
-        // The degrade is observable through the warning + counter path
-        // exercised above; here we only check the run still completes
-        // (the counter lives on the internal collector).
-        let point = run_point_streaming(&cluster, PolicyKind::Mws, 1.0, &cfg);
-        assert!(point.arrivals > 0);
+        let cluster = ClusterSpec::regular(4, 8, 32 * 1024, SimDuration::from_mins(10));
+        let exact = run_point(&cluster, PolicyKind::Mws, 4.0, &cfg);
+        let seeds = SeedFactory::new(cfg.seed).child("sweep");
+        let workload = funcbench::workload(cfg.n_functions, 4.0, &seeds);
+        let arrivals = WorkloadStream::new(workload, cfg.duration, &seeds.child("arrivals"));
+        let platform = PlatformConfig {
+            record_invocations: false,
+            ..cfg.platform.clone()
+        };
+        let out = Simulation::streaming(
+            cluster,
+            arrivals,
+            PolicyKind::Mws.build(),
+            platform,
+            seeds.seed_for("platform"),
+        )
+        .run(cfg.duration + SimDuration::from_mins(3));
+        assert!(out.collector.records.is_empty());
+        let s = &out.collector.streaming;
+        // Same seeds, byte-identical arrival stream, same platform RNG:
+        // the two runs simulate the same history, so counters agree
+        // exactly (warmup = 0 aligns the record-sink window with the
+        // whole-run streaming aggregates).
+        assert_eq!(out.collector.arrivals, exact.arrivals);
+        assert_eq!(s.completed, exact.completed);
+        assert!(exact.arrivals > 100);
+        // Histogram percentile within ~1.5 bin widths of the exact one.
+        let (a, b) = (s.latency_percentile(50.0).unwrap(), exact.p50.unwrap());
+        assert!((a / b).ln().abs() < 0.2, "{a} vs {b}");
     }
 
     #[test]

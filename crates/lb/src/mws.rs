@@ -244,12 +244,6 @@ impl Mws {
         self.sets.get(&function).map(|s| s.k).unwrap_or(1)
     }
 
-    /// Mutable access to the learned statistics (exposed for tests and
-    /// warm-starting experiments).
-    pub fn stats_mut(&mut self) -> &mut StatsRegistry {
-        &mut self.stats
-    }
-
     /// The reference placement path: one ring walk per placement, never
     /// consulting or refilling the cache. [`Mws::place`] is held
     /// byte-identical to this by a differential proptest

@@ -196,9 +196,6 @@ pub struct PlatformConfig {
     /// How long an invocation may wait for placement before it is
     /// rejected.
     pub placement_timeout: SimDuration,
-    /// Number of controllers in the deployment (scales the per-controller
-    /// arrival-rate estimates; the simulation models one).
-    pub controllers: u32,
     /// Controller replication: how many simulated controller replicas
     /// partition the placement path, and how often they reconcile their
     /// cluster views. Defaults to one replica — the classic platform.
@@ -235,7 +232,6 @@ impl Default for PlatformConfig {
             admission_pressure: 1.0,
             placement_retry: SimDuration::from_millis(250),
             placement_timeout: SimDuration::from_secs(60),
-            controllers: 1,
             sharding: ControllerShardingConfig::default(),
             monitor: ResourceMonitorConfig::default(),
             migration: MigrationConfig::default(),
@@ -279,7 +275,6 @@ impl PlatformConfig {
             !self.placement_retry.is_zero(),
             "retry interval must be positive"
         );
-        assert!(self.controllers >= 1, "need at least one controller");
         assert!(
             self.sharding.replicas >= 1,
             "need at least one controller replica"

@@ -146,11 +146,6 @@ impl Controller {
         }
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.lb.name()
-    }
-
     /// Invocations waiting for placement.
     pub fn queue_len(&self) -> usize {
         self.queue.len()

@@ -1280,11 +1280,6 @@ impl InvokerState {
             let inv = run.invocation;
             let latency = now.since(inv.arrival).as_secs_f64();
             let exec = now.since(run.exec_start).as_secs_f64();
-            if run.cold {
-                ctx.metrics.cold_starts += 1;
-            } else {
-                ctx.metrics.warm_starts += 1;
-            }
             if self.tel_enabled {
                 ctx.record(
                     self.entity(),

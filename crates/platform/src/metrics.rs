@@ -4,9 +4,9 @@
 //!
 //! * [`StreamingMetrics`] — always on, constant memory: log-binned
 //!   latency/execution histograms, per-outcome and cold-start counters,
-//!   Welford moments, and a deterministically decimated utilization time
-//!   series. O(bins) space regardless of how many invocations a run
-//!   replays, which is what lets the scale bench drive 10⁸+ invocations.
+//!   and Welford moments. O(bins) space regardless of how many
+//!   invocations a run replays, which is what lets the scale bench drive
+//!   10⁸+ invocations.
 //! * the per-record sink (`records`/`samples`) — one row per finished
 //!   invocation, O(invocations) memory. On by default so figure
 //!   generation and tests keep exact data; opt out via
@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hrv_telemetry::{CounterId, CounterRegistry, LatencyAttribution, PhaseRecord, PhaseTotals};
+use hrv_telemetry::{CounterRegistry, LatencyAttribution, PhaseRecord, PhaseTotals};
 use hrv_trace::stats::{percentile_unsorted, Cdf, LogHistogram, OnlineStats};
 use hrv_trace::time::{SimDuration, SimTime};
 
@@ -128,66 +128,6 @@ pub struct ReplicaOccupancy {
     pub envelopes: u64,
 }
 
-/// A bounded utilization time series with deterministic decimation: when
-/// the buffer fills, every other retained point is dropped and the keep
-/// stride doubles. No RNG (the simulator's determinism contract), O(cap)
-/// memory forever, and the survivors are always the samples at multiples
-/// of the current stride — an evenly thinned view of the full series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecimatedSeries {
-    cap: usize,
-    stride: u64,
-    seen: u64,
-    points: Vec<UtilizationSample>,
-}
-
-impl DecimatedSeries {
-    /// Creates a series keeping at most `cap` points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap < 2`.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 2, "series needs room to decimate");
-        DecimatedSeries {
-            cap,
-            stride: 1,
-            seen: 0,
-            points: Vec::new(),
-        }
-    }
-
-    /// Offers one sample; it is kept iff it falls on the current stride.
-    pub fn push(&mut self, sample: UtilizationSample) {
-        if self.seen.is_multiple_of(self.stride) {
-            if self.points.len() == self.cap {
-                let mut i = 0usize;
-                self.points.retain(|_| {
-                    let keep = i.is_multiple_of(2);
-                    i += 1;
-                    keep
-                });
-                self.stride *= 2;
-            }
-            // Re-check: after doubling, this sample may fall off-stride.
-            if self.seen.is_multiple_of(self.stride) {
-                self.points.push(sample);
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// Samples offered so far (kept or not).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The retained, evenly thinned points in time order.
-    pub fn points(&self) -> &[UtilizationSample] {
-        &self.points
-    }
-}
-
 /// Constant-memory aggregates over a run: O(bins) space no matter how many
 /// invocations pass through. Always maintained by [`MetricsCollector`];
 /// the per-record sink is the optional tier.
@@ -222,8 +162,9 @@ pub struct StreamingMetrics {
     /// kills, evictions, dead deliveries) — a subset of what `retries`
     /// counts, which also covers lost dispatch messages.
     pub redispatches: u64,
-    /// Total invoker-seconds spent quarantined out of placement.
-    pub quarantine_secs: f64,
+    /// Total invoker time spent quarantined out of placement, µs (an
+    /// integer, so shard merges sum it exactly).
+    pub quarantine_micros: u64,
     /// Invocations whose execution began.
     pub started: u64,
     /// Started invocations that cold-started.
@@ -234,8 +175,6 @@ pub struct StreamingMetrics {
     pub last_finished: Option<SimTime>,
     /// Moments of the cores-in-use utilization signal.
     pub utilization: OnlineStats,
-    /// Bounded utilization time series (Figure 20 shape at any scale).
-    pub util_series: DecimatedSeries,
     /// Containers spawned by a cold-start policy's prewarm orders.
     pub prewarm_spawns: u64,
     /// Warm starts served by a prewarmed container's first use.
@@ -252,8 +191,6 @@ pub struct StreamingMetrics {
 const HIST_LO: f64 = 1e-4;
 const HIST_HI: f64 = 1e4;
 const HIST_BINS: usize = 160;
-/// Default cap on the decimated utilization series.
-const UTIL_SERIES_CAP: usize = 4_096;
 
 impl Default for StreamingMetrics {
     fn default() -> Self {
@@ -269,13 +206,12 @@ impl Default for StreamingMetrics {
             lost: 0,
             retries: 0,
             redispatches: 0,
-            quarantine_secs: 0.0,
+            quarantine_micros: 0,
             started: 0,
             cold_started: 0,
             first_arrival: None,
             last_finished: None,
             utilization: OnlineStats::new(),
-            util_series: DecimatedSeries::new(UTIL_SERIES_CAP),
             prewarm_spawns: 0,
             prewarm_hits: 0,
             wasted_prewarms: 0,
@@ -316,10 +252,9 @@ impl StreamingMetrics {
         }
     }
 
-    /// Folds one utilization sample into the reservoir and moments.
+    /// Folds one utilization sample into the moments.
     pub fn record_sample(&mut self, s: &UtilizationSample) {
         self.utilization.push(s.cpus_in_use);
-        self.util_series.push(*s);
     }
 
     /// The `p`-th latency percentile estimate (within one histogram bin
@@ -350,11 +285,7 @@ impl StreamingMetrics {
     /// extrema combine, and the histograms merge bin-wise; the Welford
     /// moments use the parallel-merge formula, so the exact float bits of
     /// `latency_stats` may differ from a sequential fold (they are
-    /// outside the sharded driver's byte-identity contract). The bounded
-    /// utilization series cannot be re-interleaved after decimation, so
-    /// it keeps whichever side has points (harmless: sharded worlds
-    /// buffer per-invoker partial rows and only feed the series after
-    /// the merge, so at merge time both sides are empty).
+    /// outside the sharded driver's byte-identity contract).
     pub fn merge(&mut self, other: &StreamingMetrics) {
         self.latency_hist.merge(&other.latency_hist);
         self.exec_hist.merge(&other.exec_hist);
@@ -367,7 +298,7 @@ impl StreamingMetrics {
         self.lost += other.lost;
         self.retries += other.retries;
         self.redispatches += other.redispatches;
-        self.quarantine_secs += other.quarantine_secs;
+        self.quarantine_micros += other.quarantine_micros;
         self.started += other.started;
         self.cold_started += other.cold_started;
         self.first_arrival = match (self.first_arrival, other.first_arrival) {
@@ -379,9 +310,6 @@ impl StreamingMetrics {
             (a, b) => a.or(b),
         };
         self.utilization.merge(&other.utilization);
-        if self.util_series.points().is_empty() && !other.util_series.points().is_empty() {
-            self.util_series = other.util_series.clone();
-        }
         self.prewarm_spawns += other.prewarm_spawns;
         self.prewarm_hits += other.prewarm_hits;
         self.wasted_prewarms += other.wasted_prewarms;
@@ -420,10 +348,6 @@ pub struct MetricsCollector {
     pub streaming: StreamingMetrics,
     /// Total arrivals seen by the controller.
     pub arrivals: u64,
-    /// Warm starts (execution began on an existing container).
-    pub warm_starts: u64,
-    /// Cold starts (execution required a new container).
-    pub cold_starts: u64,
     /// Number of VM evictions that hit the platform.
     pub vm_evictions: u64,
     /// Number of crash-stop kills injected by a fault plan.
@@ -435,10 +359,7 @@ pub struct MetricsCollector {
     /// Stale invoker-side events (startup/completion races with eviction
     /// teardown) that were dropped rather than processed.
     pub dropped_completions: u64,
-    /// Named-counter registry mirroring the reliability and prewarm
-    /// counters above (the `note_*` accessors and
-    /// [`MetricsCollector::set_coldstart_totals`] dual-write both views,
-    /// so legacy field readers and registry readers always agree).
+    /// Named diagnostic counters that have no field of their own.
     pub counters: CounterRegistry,
     /// Per-invocation latency phase rows (telemetry-enabled runs with the
     /// record sink on; empty otherwise).
@@ -462,8 +383,6 @@ impl Default for MetricsCollector {
             replica_occupancy: Vec::new(),
             streaming: StreamingMetrics::default(),
             arrivals: 0,
-            warm_starts: 0,
-            cold_starts: 0,
             vm_evictions: 0,
             vm_crashes: 0,
             migrations: 0,
@@ -494,11 +413,6 @@ impl MetricsCollector {
         }
     }
 
-    /// Whether the per-record sink is enabled.
-    pub fn records_enabled(&self) -> bool {
-        self.record_sink
-    }
-
     /// Records a finished invocation.
     pub fn push(&mut self, record: InvocationRecord) {
         self.streaming.record(&record);
@@ -508,31 +422,24 @@ impl MetricsCollector {
     }
 
     /// Counts one re-dispatch attempt (a `Redispatch` event firing).
-    /// Thin wrapper over the counter registry; the legacy streaming field
-    /// is dual-written so existing readers see identical values.
     pub fn note_retry(&mut self) {
         self.streaming.retries += 1;
-        self.counters.incr(CounterId::Retries);
     }
 
     /// Counts one destroyed in-flight invocation salvaged into the retry
     /// path instead of being recorded as a failure.
     pub fn note_redispatch(&mut self) {
         self.streaming.redispatches += 1;
-        self.counters.incr(CounterId::Redispatches);
     }
 
     /// Counts one invoker entering quarantine.
     pub fn note_quarantine(&mut self) {
         self.quarantines += 1;
-        self.counters.incr(CounterId::Quarantines);
     }
 
     /// Accumulates time an invoker spent quarantined.
     pub fn note_quarantine_span(&mut self, span: SimDuration) {
-        self.streaming.quarantine_secs += span.as_secs_f64();
-        self.counters
-            .add(CounterId::QuarantineMicros, span.as_micros());
+        self.streaming.quarantine_micros += span.as_micros();
     }
 
     /// Folds one invocation's phase split into the collector: the
@@ -566,11 +473,6 @@ impl MetricsCollector {
         self.streaming.prewarm_hits = prewarm_hits;
         self.streaming.wasted_prewarms = wasted_prewarms;
         self.streaming.idle_mib_secs = idle_mib_secs;
-        self.counters
-            .assign(CounterId::PrewarmSpawns, prewarm_spawns);
-        self.counters.assign(CounterId::PrewarmHits, prewarm_hits);
-        self.counters
-            .assign(CounterId::WastedPrewarms, wasted_prewarms);
     }
 
     /// Invocation conservation: every arrival the controller accepted must
@@ -621,8 +523,6 @@ impl MetricsCollector {
         self.counters.merge(&other.counters);
         self.streaming.merge(&other.streaming);
         self.arrivals += other.arrivals;
-        self.warm_starts += other.warm_starts;
-        self.cold_starts += other.cold_starts;
         self.vm_evictions += other.vm_evictions;
         self.vm_crashes += other.vm_crashes;
         self.migrations += other.migrations;
@@ -995,27 +895,6 @@ mod tests {
         assert!(c
             .latency_percentile_with(SimTime::from_secs(10_000), 50.0, &mut buf)
             .is_none());
-    }
-
-    #[test]
-    fn decimated_series_is_bounded_and_even() {
-        let mut s = DecimatedSeries::new(8);
-        for i in 0..10_000u64 {
-            s.push(UtilizationSample {
-                at: SimTime::from_secs(i),
-                total_cpus: 16,
-                cpus_in_use: i as f64,
-            });
-        }
-        assert_eq!(s.seen(), 10_000);
-        assert!(s.points().len() <= 8, "kept {}", s.points().len());
-        assert!(s.points().len() >= 4);
-        // Survivors are evenly strided multiples of a power of two.
-        let stride = s.points()[1].at.since(s.points()[0].at);
-        for w in s.points().windows(2) {
-            assert_eq!(w[1].at.since(w[0].at), stride);
-        }
-        assert_eq!(s.points()[0].at, SimTime::ZERO);
     }
 
     #[test]

@@ -590,9 +590,14 @@ mod tests {
         // Everything a run reports except its message counts.
         let outcome = |out: &SimOutput| {
             let c = &out.collector;
-            let named: Vec<_> = (c.counters.iter())
-                .filter(|&(name, _)| name != CounterId::PingReportsSkipped.name())
-                .collect();
+            let s = &c.streaming;
+            let recovery = (
+                s.retries,
+                s.redispatches,
+                c.quarantines,
+                s.quarantine_micros,
+            );
+            let prewarms = (s.prewarm_spawns, s.prewarm_hits, s.wasted_prewarms);
             let placements: Vec<u64> = c.replica_occupancy.iter().map(|r| r.placements).collect();
             let starts = (c.arrivals, out.cold_starts, out.warm_starts);
             let faults = (c.vm_evictions, c.vm_crashes, c.migrations);
@@ -602,7 +607,8 @@ mod tests {
                 starts,
                 faults,
                 c.dropped_completions,
-                named,
+                recovery,
+                prewarms,
                 placements,
             )
         };

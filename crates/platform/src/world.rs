@@ -1184,7 +1184,6 @@ mod tests {
         assert!(s.completed > 500, "completed {}", s.completed);
         assert!(s.latency_percentile(50.0).unwrap() > 0.0);
         assert!(s.utilization.count() > 0);
-        assert!(!s.util_series.points().is_empty());
     }
 
     #[test]
@@ -1583,7 +1582,7 @@ mod fault_tests {
             "straggler never quarantined"
         );
         assert!(
-            out.collector.streaming.quarantine_secs > 0.0,
+            out.collector.streaming.quarantine_micros > 0,
             "no quarantine time accumulated"
         );
         out.collector.assert_conservation();

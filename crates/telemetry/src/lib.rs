@@ -16,9 +16,9 @@
 //! * [`PhaseRecord`] / [`LatencyAttribution`] — the additive decomposition
 //!   of every end-to-end latency into scheduling, bus, queue, cold-start
 //!   and execution phases (integer microseconds; the parts sum exactly).
-//! * [`CounterRegistry`] — the named-counter registry behind
-//!   `MetricsCollector`'s ad-hoc reliability and prewarm counters, with
-//!   per-counter merge semantics (accumulate vs. assign-once).
+//! * [`CounterRegistry`] — diagnostic counters that have no
+//!   `MetricsCollector` field (skipped ping reports); each is a per-shard
+//!   partial sum that adds on merge.
 //! * [`perfetto`] — a Chrome/Perfetto trace-event JSON exporter.
 //! * [`dump`] — crash-dump rendering of the flight recorder for
 //!   conservation / determinism failures.
@@ -31,7 +31,7 @@ pub mod recorder;
 pub mod span;
 
 pub use attribution::{LatencyAttribution, PhaseComponents, PhaseRecord, PhaseTotals};
-pub use counters::{CounterId, CounterRegistry, MergeMode};
+pub use counters::{CounterId, CounterRegistry};
 pub use recorder::FlightRecorder;
 pub use span::{SpanEvent, SpanKind, NO_INVOCATION};
 

@@ -40,11 +40,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Per-entity ring capacity.
-    pub fn capacity_per_entity(&self) -> usize {
-        self.cap_per_entity
-    }
-
     /// Records one span event, assigning the entity's next sequence
     /// number and evicting the entity's oldest event when full.
     pub fn record(&mut self, entity: u32, at: SimTime, invocation: u64, kind: SpanKind) {

@@ -311,11 +311,6 @@ impl CpuChangeModel {
         SimDuration::from_secs_f64(self.interval.sample(rng)).max(SimDuration::from_secs(1))
     }
 
-    /// Analytic mean change interval.
-    pub fn mean_interval(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.interval.mean().expect("components have means"))
-    }
-
     /// Draws a change magnitude in CPUs (>= 1).
     pub fn sample_magnitude(&self, rng: &mut dyn rand::Rng) -> u32 {
         let x = -self.magnitude_mean * (1.0 - rng.random_range(0.0..1.0f64)).ln();
@@ -688,14 +683,6 @@ impl FleetTrace {
         self.vms
             .iter()
             .filter_map(|v| v.clip_to_window(start, len))
-            .collect()
-    }
-
-    /// Observed lifetimes of all VMs (censored ones included), in seconds.
-    pub fn lifetimes_secs(&self) -> Vec<f64> {
-        self.vms
-            .iter()
-            .map(|v| v.lifetime().as_secs_f64())
             .collect()
     }
 }

@@ -9,7 +9,7 @@ use harvest_faas::hrv_lb::view::LoadWeights;
 use harvest_faas::hrv_platform::config::PlatformConfig;
 use harvest_faas::hrv_platform::tel::CounterId;
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
-use harvest_faas::hrv_policy::ColdStartConfig;
+use harvest_faas::hrv_policy::{ColdStartConfig, HybridHistogramConfig};
 use harvest_faas::hrv_trace::faas::{Invocation, Workload, WorkloadSpec};
 use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
 use harvest_faas::hrv_trace::rng::SeedFactory;
@@ -145,9 +145,25 @@ fn sharded_run(seed: u64, shards: u32) -> SimOutput {
     .run(horizon)
 }
 
-/// The byte-identity contract: records, event counts, start counters and
-/// the named-counter registry must not depend on how the cluster is
-/// partitioned.
+/// The recovery and prewarm counts a run reports: retries,
+/// re-dispatches, quarantines, quarantined microseconds, prewarm spawns,
+/// hits and waste.
+fn reliability_counts(o: &SimOutput) -> [u64; 7] {
+    let (c, s) = (&o.collector, &o.collector.streaming);
+    [
+        s.retries,
+        s.redispatches,
+        c.quarantines,
+        s.quarantine_micros,
+        s.prewarm_spawns,
+        s.prewarm_hits,
+        s.wasted_prewarms,
+    ]
+}
+
+/// The byte-identity contract: records, event counts, start counters,
+/// the recovery and prewarm counts and the counter registry must
+/// not depend on how the cluster is partitioned.
 fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
     let same = a.run.events == b.run.events
         && a.collector.records == b.collector.records
@@ -155,6 +171,7 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
         && a.cold_starts == b.cold_starts
         && a.warm_starts == b.warm_starts
         && a.collector.dropped_completions == b.collector.dropped_completions
+        && reliability_counts(a) == reliability_counts(b)
         && a.collector.counters == b.collector.counters;
     if !same {
         // Post-mortem before the asserts below name the field: dump both
@@ -187,6 +204,12 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
     assert_eq!(
         a.collector.dropped_completions, b.collector.dropped_completions,
         "{label}"
+    );
+    assert_eq!(
+        reliability_counts(a),
+        reliability_counts(b),
+        "retries, redispatches, quarantines, quarantine µs, prewarm \
+         spawns, hits, waste: {label}"
     );
     assert_eq!(
         a.collector.counters, b.collector.counters,
@@ -382,8 +405,18 @@ fn every_coldstart_policy_is_shard_invariant() {
     // The determinism contract holds for every policy, not just the
     // default: prewarm orders travel as self-addressed envelopes bound
     // by the bus-latency lookahead, so the partition cannot reorder
-    // them.
-    for coldstart in ColdStartConfig::all() {
+    // them. The default policies never prewarm in an 8-minute run (the
+    // hybrid histogram needs eight idle times per app in one-minute
+    // bins), so a short-bin hybrid rides along to make the prewarm
+    // counts non-zero: at seed 17 it spawns 30 prewarms, 18 of them hit.
+    let short_bins = ColdStartConfig::Hybrid(HybridHistogramConfig {
+        bin_width: SimDuration::from_secs(5),
+        min_samples: 4,
+        prewarm_window: SimDuration::from_secs(1),
+        ..HybridHistogramConfig::default()
+    });
+    let mut spawned = 0;
+    for coldstart in ColdStartConfig::all().into_iter().chain([short_bins]) {
         let baseline = sharded_run_with_policy(17, 1, coldstart);
         assert!(
             baseline.collector.records.len() > 500,
@@ -391,6 +424,7 @@ fn every_coldstart_policy_is_shard_invariant() {
             baseline.collector.records.len(),
             coldstart
         );
+        spawned += baseline.collector.streaming.prewarm_spawns;
         for shards in [2u32, 4, 8] {
             let sharded = sharded_run_with_policy(17, shards, coldstart);
             assert_shard_invariant(
@@ -400,6 +434,12 @@ fn every_coldstart_policy_is_shard_invariant() {
             );
         }
     }
+    // Run teardown must install the fleet-wide cold-start totals, or the
+    // prewarm comparisons above pass on zeros.
+    assert!(
+        spawned > 0,
+        "no policy spawned a prewarm — the check degenerated"
+    );
 }
 
 /// Full-feature sharded-controller run: four controller replicas (each

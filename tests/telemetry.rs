@@ -6,17 +6,15 @@
 //!   latency *exactly* (integer microseconds, no residue);
 //! * the flight recorder and its Perfetto export must be invariant under
 //!   the shard count;
-//! * the named-counter registry must mirror the legacy collector fields
-//!   it consolidates;
 //! * the assign-once discipline on fleet-wide cold-start totals must
 //!   trip its debug asserts when violated.
 
 use harvest_faas::hrv_fault::FaultPlan;
 use harvest_faas::hrv_lb::policy::PolicyKind;
 use harvest_faas::hrv_platform::config::PlatformConfig;
-use harvest_faas::hrv_platform::tel::{perfetto, CounterId, SpanKind};
+use harvest_faas::hrv_platform::tel::{perfetto, SpanKind};
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
-use harvest_faas::hrv_platform::{MetricsCollector, Outcome, TelemetryConfig};
+use harvest_faas::hrv_platform::{Outcome, TelemetryConfig};
 use harvest_faas::hrv_trace::faas::{Workload, WorkloadSpec};
 use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
 use harvest_faas::hrv_trace::rng::SeedFactory;
@@ -256,41 +254,11 @@ fn perfetto_export_is_shard_invariant_and_parses() {
     assert!(events.iter().any(|e| e.pid == 1));
 }
 
-#[test]
-fn counter_registry_mirrors_legacy_fields() {
-    let out = churn_run(99, TelemetryConfig::Off);
-    let c = &out.collector;
-    // The registry is always on (it is plain counting, not telemetry);
-    // the legacy accessors are dual-write wrappers over it.
-    assert_eq!(c.counters.get(CounterId::Retries), c.streaming.retries);
-    assert_eq!(
-        c.counters.get(CounterId::Redispatches),
-        c.streaming.redispatches
-    );
-    assert_eq!(c.counters.get(CounterId::Quarantines), c.quarantines);
-    assert_eq!(
-        c.counters.get(CounterId::PrewarmSpawns),
-        c.streaming.prewarm_spawns
-    );
-    assert_eq!(
-        c.counters.get(CounterId::PrewarmHits),
-        c.streaming.prewarm_hits
-    );
-    assert_eq!(
-        c.counters.get(CounterId::WastedPrewarms),
-        c.streaming.wasted_prewarms
-    );
-    assert!(
-        c.counters.assigned(CounterId::PrewarmSpawns),
-        "run teardown must install the fleet-wide cold-start totals"
-    );
-}
-
 // `debug_assert!` guards compile away in release builds, so these
 // violation tests only exist where they can actually panic.
 #[cfg(debug_assertions)]
 mod assign_once {
-    use super::*;
+    use harvest_faas::hrv_platform::MetricsCollector;
 
     #[test]
     #[should_panic(expected = "assigned twice")]
