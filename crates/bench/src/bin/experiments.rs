@@ -99,7 +99,12 @@ fn main() {
             other => names.push(other.to_string()),
         }
     }
-    if names.iter().any(|n| n == "trace") {
+    let tracing = names.iter().any(|n| n == "trace");
+    if out_path.is_some() && !tracing {
+        eprintln!("--out applies only to `trace`: experiments trace --out FILE");
+        std::process::exit(2);
+    }
+    if tracing {
         let started = std::time::Instant::now();
         let json = hrv_bench::trace::trace_json(scale, shards);
         match &out_path {

@@ -14,7 +14,7 @@ use harvest_faas::hrv_trace::faas::{Workload, WorkloadSpec};
 use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace};
 use harvest_faas::hrv_trace::physical::{PhysicalCluster, PhysicalClusterConfig};
 use harvest_faas::hrv_trace::rng::SeedFactory;
-use harvest_faas::hrv_trace::time::SimDuration;
+use harvest_faas::hrv_trace::time::{SimDuration, MICROS_PER_SEC};
 
 struct Args {
     kind: String,
@@ -76,6 +76,18 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     ] {
         if n == 0 {
             return Err(format!("{flag} must be at least 1 (got 0)"));
+        }
+    }
+    // `SimDuration::from_{hours,days}` multiply unchecked; a horizon past
+    // the u64 microsecond clock would wrap to a short one in release.
+    for (flag, n, unit_secs) in [
+        ("--hours", args.hours, 3_600),
+        ("--days", args.days, 86_400),
+    ] {
+        if n.checked_mul(unit_secs * MICROS_PER_SEC).is_none() {
+            return Err(format!(
+                "{flag} {n} overflows the simulator's u64 microsecond clock"
+            ));
         }
     }
     Ok(args)
@@ -175,6 +187,9 @@ mod tests {
             ("physical --nodes 0", "--nodes"),
             ("workload --hours 0", "--hours"),
             ("harvest --days 0", "--days"),
+            // The first values whose microsecond count exceeds u64::MAX.
+            ("workload --hours 5124095577", "--hours"),
+            ("harvest --days 213503983", "--days"),
         ] {
             let err = parse_line(line)
                 .err()

@@ -1,18 +1,11 @@
 //! The FunctionBench-derived benchmark suite (Table 2).
 //!
 //! The paper ports nine Python FunctionBench workloads to OpenWhisk and
-//! builds 401 function images from them. This module provides the same
-//! suite in two forms:
-//!
-//! * [`workload`] — calibrated service-demand models used to build the
-//!   401-function workload that drives every load-balancing experiment
-//!   (Figures 12–17);
-//! * real, pure-Rust compute kernels (matrix multiply, linear solver,
-//!   float ops, table rendering, stream cipher, image filters, logistic
-//!   regression) used by the runnable examples to demonstrate the suite
-//!   on actual CPU work.
+//! builds 401 function images from them. This module models that suite
+//! as calibrated service demands: [`Family::profile`] gives each family's
+//! execution profile, and [`workload`] builds the 401-function workload
+//! that drives every load-balancing experiment (Figures 12–17).
 
-use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 use hrv_trace::dist::{Clamped, LogNormal, LogUniform, Sampler};
@@ -55,36 +48,6 @@ impl Family {
         Family::ImageClassification,
         Family::TextClassification,
     ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Family::Floatop => "floatop",
-            Family::Matmult => "matmult",
-            Family::Linpack => "linpack",
-            Family::Chameleon => "chameleon",
-            Family::Pyaes => "pyaes",
-            Family::ImageProcessing => "image-processing",
-            Family::VideoProcessing => "video-processing",
-            Family::ImageClassification => "image-classification",
-            Family::TextClassification => "text-classification",
-        }
-    }
-
-    /// Table 2 description.
-    pub fn description(self) -> &'static str {
-        match self {
-            Family::Floatop => "Sine, cosine & square root",
-            Family::Matmult => "Square matrix multiplication",
-            Family::Linpack => "Linear equation solver",
-            Family::Chameleon => "HTML table rendering",
-            Family::Pyaes => "AES encryption & decryption",
-            Family::ImageProcessing => "Flip, rotate, resize, filter & grayscale images",
-            Family::VideoProcessing => "Grayscale video",
-            Family::ImageClassification => "MobileNet inference",
-            Family::TextClassification => "Logistic regression",
-        }
-    }
 
     /// Typical execution profile: `(median_secs, sigma, memory_mb)`.
     /// Medians follow FunctionBench measurements on the paper's input
@@ -152,277 +115,6 @@ pub fn workload(n_functions: usize, total_rps: f64, seeds: &SeedFactory) -> Work
     Workload { apps }
 }
 
-// ---------------------------------------------------------------------------
-// Real compute kernels (pure Rust) for the runnable examples.
-// ---------------------------------------------------------------------------
-
-/// Floating-point loop: `n` rounds of sine/cosine/sqrt (Table 2 floatop).
-pub fn floatop(n: u64) -> f64 {
-    let mut acc = 0.0f64;
-    for i in 1..=n {
-        let x = i as f64;
-        acc += x.sin() * x.cos() + x.sqrt();
-    }
-    acc
-}
-
-/// Square matrix multiplication of two deterministic `n × n` matrices;
-/// returns the trace of the product (Table 2 matmult).
-pub fn matmult(n: usize) -> f64 {
-    let a: Vec<f64> = (0..n * n).map(|i| ((i % 31) as f64) * 0.25 + 1.0).collect();
-    let b: Vec<f64> = (0..n * n).map(|i| ((i % 17) as f64) * 0.5 - 2.0).collect();
-    let mut c = vec![0.0; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let aik = a[i * n + k];
-            for j in 0..n {
-                c[i * n + j] += aik * b[k * n + j];
-            }
-        }
-    }
-    (0..n).map(|i| c[i * n + i]).sum()
-}
-
-/// Solves a deterministic diagonally dominant `n × n` linear system by
-/// Gaussian elimination with partial pivoting; returns the solution's
-/// checksum (Table 2 linpack).
-pub fn linpack(n: usize) -> f64 {
-    let mut a: Vec<f64> = (0..n * n)
-        .map(|i| {
-            let (r, c) = (i / n, i % n);
-            if r == c {
-                n as f64 + 1.0
-            } else {
-                ((r + 2 * c) % 7) as f64 * 0.3
-            }
-        })
-        .collect();
-    let mut x: Vec<f64> = (0..n).map(|i| (i % 5) as f64 + 1.0).collect();
-    for col in 0..n {
-        // Partial pivot.
-        let pivot = (col..n)
-            .max_by(|&p, &q| a[p * n + col].abs().total_cmp(&a[q * n + col].abs()))
-            .expect("non-empty column");
-        if pivot != col {
-            for j in 0..n {
-                a.swap(col * n + j, pivot * n + j);
-            }
-            x.swap(col, pivot);
-        }
-        let d = a[col * n + col];
-        assert!(d.abs() > 1e-12, "singular system");
-        for row in (col + 1)..n {
-            let f = a[row * n + col] / d;
-            for j in col..n {
-                a[row * n + j] -= f * a[col * n + j];
-            }
-            x[row] -= f * x[col];
-        }
-    }
-    for row in (0..n).rev() {
-        for j in (row + 1)..n {
-            x[row] -= a[row * n + j] * x[j];
-        }
-        x[row] /= a[row * n + row];
-    }
-    x.iter().sum()
-}
-
-/// Renders an HTML table of `rows × cols` cells, returning its length
-/// (Table 2 chameleon).
-pub fn render_table(rows: usize, cols: usize) -> usize {
-    let mut html = String::with_capacity(rows * cols * 16);
-    html.push_str("<table>\n");
-    for r in 0..rows {
-        html.push_str("  <tr>");
-        for c in 0..cols {
-            use std::fmt::Write;
-            write!(html, "<td>cell {r}:{c}</td>").expect("string write");
-        }
-        html.push_str("</tr>\n");
-    }
-    html.push_str("</table>\n");
-    html.len()
-}
-
-/// Encrypts-then-decrypts `len` bytes with a keyed xorshift stream cipher,
-/// verifying the round trip; returns a checksum (stands in for pyaes —
-/// same memory-bound byte-stream shape without pulling a crypto crate).
-pub fn stream_cipher(len: usize, key: u64) -> u64 {
-    fn keystream(mut state: u64) -> impl FnMut() -> u8 {
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state & 0xFF) as u8
-        }
-    }
-    let plain: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-    let mut ks = keystream(key | 1);
-    let cipher: Vec<u8> = plain.iter().map(|&b| b ^ ks()).collect();
-    let mut ks = keystream(key | 1);
-    let round: Vec<u8> = cipher.iter().map(|&b| b ^ ks()).collect();
-    assert_eq!(plain, round, "cipher round trip failed");
-    cipher.iter().fold(0u64, |acc, &b| {
-        acc.wrapping_mul(31).wrapping_add(u64::from(b))
-    })
-}
-
-/// A tiny grayscale image type for the image/video kernels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Image {
-    /// Width in pixels.
-    pub width: usize,
-    /// Height in pixels.
-    pub height: usize,
-    /// Row-major luminance values.
-    pub pixels: Vec<u8>,
-}
-
-impl Image {
-    /// A deterministic synthetic test image.
-    pub fn synthetic(width: usize, height: usize) -> Image {
-        let pixels = (0..width * height)
-            .map(|i| {
-                let (x, y) = (i % width, i / width);
-                ((x * 7 + y * 13) % 256) as u8
-            })
-            .collect();
-        Image {
-            width,
-            height,
-            pixels,
-        }
-    }
-
-    /// Horizontal flip.
-    pub fn flip(&self) -> Image {
-        let mut out = self.clone();
-        for y in 0..self.height {
-            for x in 0..self.width {
-                out.pixels[y * self.width + x] = self.pixels[y * self.width + (self.width - 1 - x)];
-            }
-        }
-        out
-    }
-
-    /// 90° clockwise rotation.
-    pub fn rotate90(&self) -> Image {
-        let mut pixels = vec![0u8; self.width * self.height];
-        for y in 0..self.height {
-            for x in 0..self.width {
-                pixels[x * self.height + (self.height - 1 - y)] = self.pixels[y * self.width + x];
-            }
-        }
-        Image {
-            width: self.height,
-            height: self.width,
-            pixels,
-        }
-    }
-
-    /// 3×3 box blur (edges clamped).
-    pub fn box_blur(&self) -> Image {
-        let mut out = self.clone();
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let mut sum = 0u32;
-                let mut n = 0u32;
-                for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        let yy = y as i64 + dy;
-                        let xx = x as i64 + dx;
-                        if yy >= 0 && yy < self.height as i64 && xx >= 0 && xx < self.width as i64 {
-                            sum += u32::from(self.pixels[yy as usize * self.width + xx as usize]);
-                            n += 1;
-                        }
-                    }
-                }
-                out.pixels[y * self.width + x] = (sum / n) as u8;
-            }
-        }
-        out
-    }
-
-    /// Sum of all pixels (checksum for tests).
-    pub fn checksum(&self) -> u64 {
-        self.pixels.iter().map(|&p| u64::from(p)).sum()
-    }
-}
-
-/// The image-processing pipeline of Table 2: flip → rotate → blur over a
-/// synthetic image; returns a checksum.
-pub fn image_pipeline(width: usize, height: usize) -> u64 {
-    Image::synthetic(width, height)
-        .flip()
-        .rotate90()
-        .box_blur()
-        .checksum()
-}
-
-/// "Video" processing: runs the grayscale/blur pipeline over `frames`
-/// synthetic frames (Table 2 video-processing).
-pub fn video_pipeline(width: usize, height: usize, frames: usize) -> u64 {
-    (0..frames)
-        .map(|f| {
-            let mut img = Image::synthetic(width, height);
-            // Frame-dependent perturbation so frames differ.
-            for p in img.pixels.iter_mut() {
-                *p = p.wrapping_add(f as u8);
-            }
-            img.box_blur().checksum()
-        })
-        .fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b))
-}
-
-/// Trains a logistic-regression classifier with plain gradient descent on
-/// a deterministic linearly separable set; returns training accuracy
-/// (Table 2 text-classification).
-pub fn logistic_regression(samples: usize, dims: usize, epochs: usize) -> f64 {
-    assert!(samples >= 2 && dims >= 1 && epochs >= 1);
-    let mut rng = SeedFactory::new(99).stream("logreg");
-    // Ground-truth weights define the labels.
-    let truth: Vec<f64> = (0..dims).map(|_| rng.random_range(-1.0..1.0f64)).collect();
-    let xs: Vec<Vec<f64>> = (0..samples)
-        .map(|_| (0..dims).map(|_| rng.random_range(-1.0..1.0f64)).collect())
-        .collect();
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| {
-            let dot: f64 = x.iter().zip(&truth).map(|(a, b)| a * b).sum();
-            if dot > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let mut w = vec![0.0f64; dims];
-    let lr = 0.5;
-    for _ in 0..epochs {
-        let mut grad = vec![0.0f64; dims];
-        for (x, &y) in xs.iter().zip(&ys) {
-            let dot: f64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
-            let pred = 1.0 / (1.0 + (-dot).exp());
-            for (g, &xi) in grad.iter_mut().zip(x) {
-                *g += (pred - y) * xi;
-            }
-        }
-        for (wi, g) in w.iter_mut().zip(&grad) {
-            *wi -= lr * g / samples as f64;
-        }
-    }
-    let correct = xs
-        .iter()
-        .zip(&ys)
-        .filter(|(x, &y)| {
-            let dot: f64 = x.iter().zip(&w).map(|(a, b)| a * b).sum();
-            (dot > 0.0) == (y > 0.5)
-        })
-        .count();
-    correct as f64 / samples as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,83 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn floatop_is_deterministic() {
-        assert_eq!(floatop(1_000), floatop(1_000));
-        assert!(floatop(1_000).is_finite());
-    }
-
-    #[test]
-    fn matmult_matches_naive_small_case() {
-        // For n=1: a=[1.0], b=[-2.0] → trace = -2.
-        assert!((matmult(1) + 2.0).abs() < 1e-12);
-        assert!(matmult(32).is_finite());
-    }
-
-    #[test]
-    fn linpack_solves_identityish_system() {
-        // The solver must reproduce the checksum of the true solution:
-        // verify via residual for a small n by re-deriving the RHS.
-        let s = linpack(16);
-        assert!(s.is_finite());
-        // Diagonally dominant systems keep the solution bounded.
-        assert!(s.abs() < 100.0, "{s}");
-    }
-
-    #[test]
-    fn render_table_scales_with_cells() {
-        let small = render_table(2, 2);
-        let big = render_table(20, 20);
-        assert!(big > 50 * small / 2);
-    }
-
-    #[test]
-    fn stream_cipher_round_trips() {
-        let a = stream_cipher(1 << 12, 0xDEADBEEF);
-        let b = stream_cipher(1 << 12, 0xDEADBEEF);
-        assert_eq!(a, b);
-        assert_ne!(a, stream_cipher(1 << 12, 0xFEEDFACE));
-    }
-
-    #[test]
-    fn image_ops_preserve_dimensions() {
-        let img = Image::synthetic(16, 9);
-        assert_eq!(img.flip().width, 16);
-        let rot = img.rotate90();
-        assert_eq!((rot.width, rot.height), (9, 16));
-        // Double flip is identity.
-        assert_eq!(img.flip().flip(), img);
-        // Four rotations are identity.
-        assert_eq!(img.rotate90().rotate90().rotate90().rotate90(), img);
-    }
-
-    #[test]
-    fn blur_smooths_the_image() {
-        let img = Image::synthetic(32, 32);
-        let blurred = img.box_blur();
-        // Total mass roughly preserved.
-        let a = img.checksum() as f64;
-        let b = blurred.checksum() as f64;
-        assert!((a - b).abs() / a < 0.1, "{a} vs {b}");
-    }
-
-    #[test]
-    fn pipelines_are_deterministic() {
-        assert_eq!(image_pipeline(32, 24), image_pipeline(32, 24));
-        assert_eq!(video_pipeline(16, 16, 4), video_pipeline(16, 16, 4));
-    }
-
-    #[test]
-    fn logistic_regression_learns() {
-        let acc = logistic_regression(200, 8, 200);
-        assert!(acc > 0.9, "accuracy {acc}");
-    }
-
-    #[test]
     fn families_cover_table_2() {
         assert_eq!(Family::ALL.len(), 9);
         for f in Family::ALL {
-            assert!(!f.name().is_empty());
-            assert!(!f.description().is_empty());
             let (median, sigma, mem) = f.profile();
             assert!(median > 0.0 && sigma > 0.0 && mem >= 128);
         }

@@ -13,8 +13,8 @@
 //!   keep-alive-aware capacity split;
 //! * [`cost`] — the discount/pricing model, the fixed-budget provisioning
 //!   of Table 3, and the amortized per-CPU price of Section 7.5;
-//! * [`funcbench`] — the FunctionBench suite of Table 2, as both workload
-//!   models and real Rust compute kernels;
+//! * [`funcbench`] — the FunctionBench suite of Table 2 as calibrated
+//!   workload models;
 //! * [`experiment`] — the harness behind every evaluation figure
 //!   (latency-vs-load sweeps, reliability runs, spot-vs-harvest packing);
 //! * [`report`] — text rendering of tables and series.
@@ -45,7 +45,6 @@
 pub mod cost;
 pub mod experiment;
 pub mod funcbench;
-pub mod live;
 pub mod provision;
 pub mod report;
 

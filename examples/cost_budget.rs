@@ -1,47 +1,18 @@
-//! Cost vs performance (Section 7.4): how many Harvest VMs the price of
-//! two regular VMs buys, and what that does to throughput.
+//! Cost of the same resources (Section 7.6): what 180 CPUs cost per hour
+//! as regular VMs vs Harvest VMs, at each discount level of Table 3.
+//!
+//! `experiments table3` / `fig17` print the fixed-budget side of the cost
+//! story (VMs per budget, throughput at equal cost); this table is the
+//! equal-resources side, which no `experiments` section prints.
 //!
 //! ```sh
 //! cargo run --release --example cost_budget
 //! ```
 
-use harvest_faas::cost::{
-    amortized_core_price, harvest_vm_rate, regular_vm_rate, saving, BudgetModel, Discounts,
-    REGULAR_CORE_HOUR,
-};
-use harvest_faas::experiment::{latency_sweep, SweepConfig, P99_SLO_SECS};
-use harvest_faas::hrv_lb::policy::PolicyKind;
-use harvest_faas::hrv_platform::world::ClusterSpec;
-use harvest_faas::hrv_trace::harvest::{heterogeneous_sizes, INSTALL_TIME};
-use harvest_faas::hrv_trace::time::SimDuration;
-use harvest_faas::report::{pct, ratio, Table};
+use harvest_faas::cost::{harvest_vm_rate, regular_vm_rate, saving, Discounts};
+use harvest_faas::report::{pct, Table};
 
 fn main() {
-    let model = BudgetModel::default();
-    println!(
-        "budget: {} regular VMs x {} CPUs = {:.0} cost units/hour\n",
-        model.baseline_vms,
-        model.baseline_cpus,
-        model.budget()
-    );
-
-    // Table 3: harvest VMs affordable per discount level.
-    let mut t = Table::new(
-        "Harvest VMs affordable at the baseline budget (Table 3)",
-        &["discount", "#VMs", "total CPUs", "CPU ratio"],
-    );
-    for row in model.table() {
-        t.row(vec![
-            row.discounts.label.into(),
-            row.vms.to_string(),
-            row.total_cpus.to_string(),
-            ratio(row.cpu_ratio),
-        ]);
-    }
-    println!("{}", t.render());
-
-    // Same-resources comparison: what a 180-CPU cluster costs as regular,
-    // spot-priced, or harvest VMs (the Section 7.6 cost analysis).
     let mut costs = Table::new(
         "hourly cost of 180 CPUs by VM kind",
         &["discount", "regular", "harvest", "saving"],
@@ -58,47 +29,5 @@ fn main() {
         ]);
     }
     println!("{}", costs.render());
-    println!("paper: harvest is 49% / 77% / 83% / 89% cheaper than regular VMs\n");
-
-    // Amortized per-core price of a stable harvest fleet.
-    let horizon = SimDuration::from_hours(12);
-    let sizes = heterogeneous_sizes(10, 5, 28, 180);
-    let fleet = ClusterSpec::from_sizes(&sizes, 32 * 1024, horizon).vms;
-    // Re-tag the fleet as harvest VMs (base 2, rest harvested).
-    let fleet: Vec<_> = fleet
-        .into_iter()
-        .map(|mut vm| {
-            vm.base_cpus = 2;
-            vm.max_cpus = vm.max_cpus.max(vm.initial_cpus);
-            vm
-        })
-        .collect();
-    if let Some(price) = amortized_core_price(&fleet, Discounts::TYPICAL, INSTALL_TIME) {
-        println!(
-            "amortized harvest core price: ${price:.3}/CPU-hour (regular: ${REGULAR_CORE_HOUR:.2}; paper's H2: $0.211)\n",
-        );
-    }
-
-    // Quick throughput check: baseline vs the Typical-budget cluster.
-    let cfg = SweepConfig {
-        n_functions: 120,
-        rps_points: vec![1.0, 2.0, 4.0, 8.0, 16.0],
-        duration: SimDuration::from_mins(6),
-        warmup: SimDuration::from_mins(1),
-        ..SweepConfig::quick()
-    };
-    let h = cfg.duration + SimDuration::from_mins(4);
-    let baseline = ClusterSpec::regular(2, 16, 64 * 1024, h);
-    let row = model.row(Discounts::TYPICAL);
-    let sizes = heterogeneous_sizes(row.vms as usize, 4, 28, row.total_cpus);
-    let typical = ClusterSpec::from_sizes(&sizes, 32 * 1024, h);
-    let base_sweep = latency_sweep(&baseline, PolicyKind::Mws, "baseline", &cfg);
-    let typ_sweep = latency_sweep(&typical, PolicyKind::Mws, "typical", &cfg);
-    let base_thr = base_sweep.max_rps_under_slo(P99_SLO_SECS);
-    let typ_thr = typ_sweep.max_rps_under_slo(P99_SLO_SECS);
-    println!(
-        "SLO throughput at equal cost: baseline {base_thr:.1} rps vs Typical harvest {typ_thr:.1} rps ({})",
-        ratio(typ_thr / base_thr.max(0.1)),
-    );
-    println!("paper: 2.2x to 9.0x more throughput at the same budget");
+    println!("paper: harvest is 49% / 77% / 83% / 89% cheaper than regular VMs");
 }

@@ -49,5 +49,5 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    println!("Next: examples/lb_shootout.rs compares MWS against JSQ and vanilla OpenWhisk.");
+    println!("Next: `experiments fig12` compares MWS against JSQ and vanilla OpenWhisk.");
 }
