@@ -450,11 +450,11 @@ mod tests {
         c.on_report(&CompletionReport {
             function: inv(0, 1).function,
             invocation: 0,
-            memory_mb: 256,
             exec_duration: SimDuration::from_secs(2),
             cpu_cores: 1.0,
             cold: true,
             arrival: SimTime::ZERO,
+            finished: SimTime::from_secs(2),
         });
         let v = c.view.get(id).unwrap();
         assert_eq!(v.memory_pending_mb, 0);
@@ -595,11 +595,11 @@ mod tests {
         a.on_report(&CompletionReport {
             function: inv(0, 1).function,
             invocation: 0,
-            memory_mb: 256,
             exec_duration: SimDuration::from_secs(2),
             cpu_cores: 1.0,
             cold: false,
             arrival: SimTime::ZERO,
+            finished: SimTime::from_secs(2),
         });
         b.apply_deltas(&a.take_dirty());
         let v = b.view.get(id).unwrap();

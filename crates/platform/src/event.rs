@@ -59,16 +59,15 @@ pub enum LossCause {
     DispatchDrop,
 }
 
-/// What an invoker tells the controller when an invocation finishes
+/// What an invoker tells the owning replica when an invocation finishes
 /// (Section 6.2: the response carries measured duration and CPU usage).
+/// The owner feeds its policy from it and writes the `Completed` record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionReport {
-    /// The finished invocation's function.
+    /// The finished invocation's function (routes the report to its owner).
     pub function: FunctionId,
-    /// The invocation id (for metrics joins).
+    /// The invocation id.
     pub invocation: u64,
-    /// Memory the placement had reserved, MiB.
-    pub memory_mb: u64,
     /// Measured execution duration (queueing at the invoker excluded).
     pub exec_duration: SimDuration,
     /// Measured CPU usage in cores.
@@ -77,6 +76,8 @@ pub struct CompletionReport {
     pub cold: bool,
     /// When the invocation originally arrived at the controller.
     pub arrival: SimTime,
+    /// When it finished at the invoker, one bus hop before the report lands.
+    pub finished: SimTime,
 }
 
 /// Every event the platform world can process.
@@ -155,7 +156,8 @@ pub enum Event {
         /// The receiving replica.
         replica: ReplicaIndex,
     },
-    /// An invoker's completion report reaches the controller.
+    /// An invoker's completion report reaches the replica that owns the
+    /// invocation, which writes its `Completed` record.
     Report {
         /// The reporting invoker.
         invoker: InvokerIndex,
@@ -378,6 +380,10 @@ pub enum Event {
     },
 }
 
+// Every calendar slot and envelope carries an `Event`, so its size is the
+// hot path's stride; `Report` is the largest variant.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
+
 impl Event {
     /// The entity that handles this event: the platform's one routing
     /// table. The router dispatches on it and `Ctx::send` addresses
@@ -518,11 +524,11 @@ mod tests {
                     report: CompletionReport {
                         function: FUNCTION,
                         invocation: 1,
-                        memory_mb: 256,
                         exec_duration: SimDuration::ZERO,
                         cpu_cores: 1.0,
                         cold: false,
                         arrival: T,
+                        finished: T,
                     },
                 },
             ),

@@ -31,7 +31,6 @@ use hrv_trace::time::{SimDuration, SimTime};
 use crate::config::{PlatformConfig, VmTemplate};
 use crate::event::{CompletionReport, Event, InvokerIndex, LossCause};
 use crate::mailbox::{invoker_entity, EntityId};
-use crate::metrics::{InvocationRecord, Outcome};
 use crate::telemetry::Hop;
 use crate::world::Ctx;
 
@@ -1278,8 +1277,6 @@ impl InvokerState {
         }
         for run in finished {
             let inv = run.invocation;
-            let latency = now.since(inv.arrival).as_secs_f64();
-            let exec = now.since(run.exec_start).as_secs_f64();
             if self.tel_enabled {
                 ctx.record(
                     self.entity(),
@@ -1291,25 +1288,16 @@ impl InvokerState {
                         .push_phase(phase_split(&run, hop, now, ctx.cfg.cold_start_delay));
                 }
             }
-            ctx.metrics.push(InvocationRecord {
-                id: inv.id,
-                arrival: inv.arrival,
-                finished: now,
-                latency_secs: latency,
-                exec_secs: exec,
-                cold: run.cold,
-                exec_started: true,
-                outcome: Outcome::Completed,
-            });
+            // The owning replica writes the record when this lands.
             let report = CompletionReport {
                 function: inv.function,
                 invocation: inv.id,
-                memory_mb: inv.memory_mb,
-                exec_duration: SimDuration::from_secs_f64(exec),
+                exec_duration: now.since(run.exec_start),
                 // Reported as the cgroup's cores-while-running reading.
                 cpu_cores: inv.cpu_demand,
                 cold: run.cold,
                 arrival: inv.arrival,
+                finished: now,
             };
             let invoker = self.index;
             self.send(ctx.cfg.bus_latency, Event::Report { invoker, report }, ctx);
@@ -1725,6 +1713,21 @@ mod tests {
         // Post-eviction timers are ignored gracefully.
         let finished = drive(&mut iv, &mut cal, &c, SimTime::from_secs(100));
         assert!(finished.is_empty());
+    }
+
+    #[test]
+    fn dispatch_hops_die_with_the_vm() {
+        // Every invocation here dies with the VM, so the hops noted at
+        // delivery go too: work implanted after a redeploy without a hop
+        // must not inherit a dead life's.
+        let (mut iv, mut cal) = fresh(1, 64 * 1024);
+        let hop = Hop {
+            sent_at: SimTime::from_secs(4),
+            delivered_at: SimTime::from_secs(5),
+        };
+        iv.hops.insert(8, hop);
+        iv.evict(SimTime::from_secs(20), &mut cal);
+        assert!(iv.hops.is_empty());
     }
 
     #[test]

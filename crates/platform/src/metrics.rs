@@ -531,26 +531,14 @@ impl MetricsCollector {
     }
 
     /// Sorts the record sink into its canonical order: finish time, then
-    /// invocation id, then outcome. Records for different invocations can
-    /// share a finish instant (and one invocation can even finalize twice
-    /// at the same instant — a completion whose report is still in flight
-    /// when the horizon censors it), and their push order depends on
-    /// which shard emitted them; this sort is what makes the final
-    /// sequence byte-identical for every shard count. Sample rows sort by
-    /// time for the same reason.
+    /// invocation id (each id has one record: its owning replica writes
+    /// it). Records for different invocations can share a finish instant,
+    /// and their push order depends on which shard emitted them; this sort
+    /// is what makes the final sequence byte-identical for every shard
+    /// count. Sample rows sort by time for the same reason.
     pub fn canonicalize_records(&mut self) {
-        fn outcome_rank(o: Outcome) -> u8 {
-            match o {
-                Outcome::Completed => 0,
-                Outcome::FailedEviction => 1,
-                Outcome::Rejected => 2,
-                Outcome::Censored => 3,
-                Outcome::Lost => 4,
-            }
-        }
         self.coalesce_partial_samples();
-        self.records
-            .sort_by_key(|r| (r.finished, r.id, outcome_rank(r.outcome)));
+        self.records.sort_by_key(|r| (r.finished, r.id));
         self.samples.sort_by_key(|s| s.at);
         self.replica_occupancy.sort_by_key(|r| r.replica);
         self.phases.sort_by_key(|p| (p.finished, p.id));

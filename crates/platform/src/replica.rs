@@ -188,6 +188,18 @@ impl ReplicaState {
                     self.attempts.remove(&report.invocation);
                 }
                 self.controller.on_report(&report);
+                // The owner writes every outcome, this one included, so an
+                // id leaves the in-flight set exactly when it gets a record.
+                ctx.metrics.push(InvocationRecord {
+                    id: report.invocation,
+                    arrival: report.arrival,
+                    finished: report.finished,
+                    latency_secs: report.finished.since(report.arrival).as_secs_f64(),
+                    exec_secs: report.exec_duration.as_secs_f64(),
+                    cold: report.cold,
+                    exec_started: true,
+                    outcome: Outcome::Completed,
+                });
             }
             Event::InvokerDown { invoker, .. } => {
                 self.controller.on_invoker_down(InvokerId(invoker));
@@ -503,7 +515,9 @@ impl ReplicaState {
     }
 
     /// Marks everything this replica still has in flight as censored and
-    /// flushes its occupancy counters (after the run).
+    /// flushes its occupancy counters (after the run). An in-flight id is
+    /// one with no record yet: a completion whose `Report` is still on the
+    /// bus is censored here, once.
     pub(crate) fn censor_remaining(
         &mut self,
         now: SimTime,

@@ -283,7 +283,8 @@ impl ShardedSimulation {
 /// clock (flushing its replica-occupancy rows on the way out), then
 /// shard 0 absorbs every peer's metrics; counters are sums, records
 /// re-sort into canonical order, and buffered per-invoker utilization
-/// rows coalesce inside `canonicalize_records`.
+/// rows coalesce inside `canonicalize_records`. Every run is held to
+/// invocation conservation ([`SimOutput::assert_conservation`]).
 pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
     let events: u64 = results.iter().map(|(_, r)| r.events).sum();
     let end_time = results
@@ -323,7 +324,7 @@ pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutpu
     w0.metrics
         .set_coldstart_totals(prewarm_spawns, prewarm_hits, wasted_prewarms, idle_mib_secs);
     w0.metrics.canonicalize_records();
-    SimOutput {
+    let out = SimOutput {
         cold_starts,
         warm_starts,
         recorder: std::mem::take(&mut w0.tel.recorder),
@@ -333,7 +334,9 @@ pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutpu
             end_time,
             reason,
         },
-    }
+    };
+    out.assert_conservation();
+    out
 }
 
 #[cfg(test)]

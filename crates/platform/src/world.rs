@@ -1212,6 +1212,7 @@ mod tests {
 mod migration_tests {
     use super::*;
     use crate::config::MigrationConfig;
+    use crate::metrics::Outcome;
     use hrv_lb::policy::PolicyKind;
     use hrv_trace::faas::{AppId, FunctionId};
 
@@ -1322,38 +1323,42 @@ mod migration_tests {
     }
 
     /// The dispatch hop (for the phase split) is the holding invoker's:
-    /// it rides in the migration payload and dies with the VM. Events are
-    /// put on the calendar directly, as if a replica had sent them.
+    /// it rides in the migration payload and dies with the VM. Both
+    /// invocations arrive through their owning replica, which places them
+    /// on invoker 0 (invoker 1 deploys later); the migration order and
+    /// the crash are put on the calendar directly, as if the owner and a
+    /// fault plan had sent them. (That the crash also clears the hops it
+    /// held is `invoker.rs`'s `dispatch_hops_die_with_the_vm`.)
     #[test]
     fn dispatch_hop_travels_with_a_migration_and_dies_with_its_invoker() {
-        use crate::invoker::RunningInvocation;
         let horizon = SimDuration::from_secs(120);
         let cfg = PlatformConfig {
+            bus_latency: SimDuration::from_millis(500),
             telemetry: hrv_telemetry::TelemetryConfig::on(),
             ..PlatformConfig::default()
         };
+        let vm = |deploy: u64| {
+            VmTrace::constant(
+                SimTime::from_secs(deploy),
+                SimTime::ZERO + horizon,
+                VmEnd::Censored,
+                8,
+                16 * 1024,
+            )
+        };
+        let trace = vec![long_invocation(7, 4, 20.0), long_invocation(8, 4, 20.0)];
         let mut sim = Simulation::new(
-            ClusterSpec::regular(2, 8, 16 * 1024, horizon),
-            vec![],
+            ClusterSpec::from_traces(vec![vm(0), vm(6)]),
+            trace,
             PolicyKind::Jsq.build(),
             cfg,
             5,
         );
-        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
         let cal = &mut sim.shards[0].1;
-        // Invocation 7 is dispatched to invoker 0 (half a second on the
-        // bus), then migrated to invoker 1, where it finishes.
-        let moved = long_invocation(7, 4, 20.0);
+        // Invocation 7 (container 0) is migrated to invoker 1, where it
+        // finishes; invocation 8 dies with invoker 0.
         cal.schedule(
-            at(5_000),
-            Event::Deliver {
-                invoker: 0,
-                invocation: moved,
-                sent_at: at(4_500),
-            },
-        );
-        cal.schedule(
-            at(10_000),
+            SimTime::from_secs(10),
             Event::MigrateExtract {
                 src: 0,
                 dst: 1,
@@ -1361,46 +1366,22 @@ mod migration_tests {
                 transfer: SimDuration::from_secs(1),
             },
         );
-        // Invocation 8 is dispatched to invoker 0 too, which then crashes
-        // and comes back; when 8 is implanted there without a hop, the
-        // one noted before the crash must be gone.
-        let crashed = long_invocation(8, 4, 20.0);
-        cal.schedule(
-            at(5_000),
-            Event::Deliver {
-                invoker: 0,
-                invocation: crashed,
-                sent_at: at(4_500),
-            },
-        );
-        cal.schedule(at(20_000), Event::FaultCrash { invoker: 0 });
-        cal.schedule(at(21_000), Event::VmDeploy { invoker: 0 });
-        cal.schedule(
-            at(22_000),
-            Event::MigrateImplant {
-                dst: 0,
-                src: 1,
-                run: Box::new(RunningInvocation {
-                    invocation: crashed,
-                    cold: false,
-                    exec_start: at(22_000),
-                }),
-                remaining: 1.0,
-                hop: None,
-            },
-        );
+        cal.schedule(SimTime::from_secs(20), Event::FaultCrash { invoker: 0 });
         let out = sim.run(horizon);
-        assert_eq!(out.collector.migrations, 2);
-        let completed: Vec<u64> = (out.collector.records.iter())
-            .filter(|r| r.outcome == crate::metrics::Outcome::Completed)
-            .map(|r| r.id)
+        assert_eq!(out.collector.migrations, 1);
+        let outcomes: Vec<(u64, Outcome)> = (out.collector.records.iter())
+            .map(|r| (r.id, r.outcome))
             .collect();
-        assert_eq!(completed, [8, 7], "both invocations finish");
+        assert_eq!(
+            outcomes,
+            [(8, Outcome::FailedEviction), (7, Outcome::Completed)]
+        );
+        // Placed the instant it arrived, after one 500 ms hop to invoker 0.
         let [phase] = out.collector.phases[..] else {
             panic!("one phase row expected: {:?}", out.collector.phases);
         };
         assert_eq!(phase.id, 7);
-        assert_eq!((phase.sched_us, phase.bus_us), (500_000, 500_000));
+        assert_eq!((phase.sched_us, phase.bus_us), (0, 500_000));
     }
 }
 
