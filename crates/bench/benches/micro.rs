@@ -9,7 +9,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use harvest_faas::hrv_lb::estimate::SampleHistogram;
 use harvest_faas::hrv_lb::hashring::HashRing;
 use harvest_faas::hrv_lb::hashring::WalkSeen;
 use harvest_faas::hrv_lb::mws::Mws;
@@ -365,15 +364,6 @@ fn bench_mws(c: &mut Criterion) {
 }
 
 fn bench_histograms(c: &mut Criterion) {
-    c.bench_function("histogram/record_and_percentile", |b| {
-        b.iter(|| {
-            let mut h = SampleHistogram::for_durations();
-            for i in 1..500u32 {
-                h.record(f64::from(i) * 0.01);
-            }
-            black_box(h.percentile(99.0))
-        })
-    });
     // The hybrid cold-start policy's hot path: one IAT record per
     // arrival, two percentile walks per idle decision.
     c.bench_function("histogram/hybrid_idle_decision", |b| {

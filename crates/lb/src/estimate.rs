@@ -1,69 +1,29 @@
 //! Controller-side per-function statistics.
 //!
-//! The modified OpenWhisk controller (Section 6.2) maintains, per function,
+//! The modified OpenWhisk controller (Section 6.2) keeps, per function,
 //! histograms of observed execution times and CPU usage plus a periodically
-//! updated invocation arrival rate; MWS consumes their expectations. These
-//! are *learned online from samples* — the load balancer never peeks at the
-//! workload model's ground truth.
-
-use serde::{Deserialize, Serialize};
+//! updated invocation arrival rate. MWS consumes only their expectations,
+//! so this controller keeps a running mean of each instead of a histogram.
+//! These are *learned online from samples* — the load balancer never peeks
+//! at the workload model's ground truth.
 
 use hrv_trace::faas::FunctionId;
 use hrv_trace::rng::IdMap;
 use hrv_trace::time::{SimDuration, SimTime};
 
-/// A small positive-valued histogram over log-spaced bins with an exact
-/// running mean. The histogram gives percentile estimates; the mean feeds
-/// the MWS usage estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SampleHistogram {
-    lo: f64,
-    ratio_ln: f64,
-    counts: Vec<u64>,
+/// The exact running mean of a non-negative sample stream.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunningMean {
     n: u64,
     sum: f64,
 }
 
-impl SampleHistogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` log-spaced bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < lo < hi` and `bins >= 1`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo > 0.0 && hi > lo && bins >= 1);
-        SampleHistogram {
-            lo,
-            ratio_ln: (hi / lo).ln() / bins as f64,
-            counts: vec![0; bins + 2], // + under/overflow
-            n: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Default spec for execution durations: 1 ms – 1 h.
-    pub fn for_durations() -> Self {
-        SampleHistogram::new(0.001, 3_600.0, 64)
-    }
-
-    /// Default spec for per-invocation CPU usage: 1/64 – 64 cores.
-    pub fn for_cpu() -> Self {
-        SampleHistogram::new(1.0 / 64.0, 64.0, 48)
-    }
-
-    /// Records one sample (clamped into range for binning; the mean uses
-    /// the exact value).
+impl RunningMean {
+    /// Records one sample.
     pub fn record(&mut self, x: f64) {
         assert!(x.is_finite() && x >= 0.0, "bad sample {x}");
         self.n += 1;
         self.sum += x;
-        let idx = if x < self.lo {
-            0
-        } else {
-            let i = ((x / self.lo).ln() / self.ratio_ln) as usize;
-            (i + 1).min(self.counts.len() - 1)
-        };
-        self.counts[idx] += 1;
     }
 
     /// Number of samples.
@@ -79,76 +39,29 @@ impl SampleHistogram {
             Some(self.sum / self.n as f64)
         }
     }
-
-    /// Approximate `p`-th percentile from the binned counts (upper bin
-    /// edge), or `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p));
-        if self.n == 0 {
-            return None;
-        }
-        let target = (p / 100.0 * self.n as f64).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(if i == 0 {
-                    self.lo
-                } else {
-                    self.lo * ((i as f64) * self.ratio_ln).exp()
-                });
-            }
-        }
-        Some(self.lo * ((self.counts.len() as f64) * self.ratio_ln).exp())
-    }
 }
 
-/// Sliding-window arrival-rate estimator: counts arrivals in rotating
-/// fixed-width buckets and reports the rate over the covered window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Buckets in the arrival-rate window.
+const RATE_BUCKETS: usize = 6;
+/// Width of one arrival-rate bucket: 10 s, so the window is a minute.
+const RATE_BUCKET_MICROS: u64 = 10_000_000;
+/// The window the rate is averaged over, in seconds.
+const RATE_WINDOW_SECS: f64 = (RATE_BUCKET_MICROS * RATE_BUCKETS as u64) as f64 / 1e6;
+
+/// Sliding-window arrival-rate estimator: counts arrivals in six rotating
+/// 10-second buckets and reports the rate over the one-minute window.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RateEstimator {
-    bucket_width: SimDuration,
-    buckets: Vec<u64>,
+    buckets: [u64; RATE_BUCKETS],
     /// Index of the bucket epoch currently being filled.
     epoch: u64,
-    /// Total arrivals ever (for bootstrapping diagnostics).
-    total: u64,
     started: bool,
 }
 
 impl RateEstimator {
-    /// Creates an estimator with `n_buckets` buckets of `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `n_buckets < 2`.
-    pub fn new(bucket_width: SimDuration, n_buckets: usize) -> Self {
-        assert!(!bucket_width.is_zero() && n_buckets >= 2);
-        RateEstimator {
-            bucket_width,
-            buckets: vec![0; n_buckets],
-            epoch: 0,
-            total: 0,
-            started: false,
-        }
-    }
-
-    /// Default: six 10-second buckets (a one-minute window).
-    pub fn default_window() -> Self {
-        RateEstimator::new(SimDuration::from_secs(10), 6)
-    }
-
-    fn epoch_of(&self, now: SimTime) -> u64 {
-        now.as_micros() / self.bucket_width.as_micros()
-    }
-
     /// Rotates buckets forward to `now`, zeroing skipped epochs.
     fn rotate(&mut self, now: SimTime) {
-        let e = self.epoch_of(now);
+        let e = now.as_micros() / RATE_BUCKET_MICROS;
         if !self.started {
             self.epoch = e;
             self.started = true;
@@ -157,10 +70,9 @@ impl RateEstimator {
         if e <= self.epoch {
             return;
         }
-        let skipped = (e - self.epoch).min(self.buckets.len() as u64);
+        let skipped = (e - self.epoch).min(RATE_BUCKETS as u64);
         for k in 1..=skipped {
-            let idx = ((self.epoch + k) % self.buckets.len() as u64) as usize;
-            self.buckets[idx] = 0;
+            self.buckets[((self.epoch + k) % RATE_BUCKETS as u64) as usize] = 0;
         }
         self.epoch = e;
     }
@@ -168,47 +80,33 @@ impl RateEstimator {
     /// Records one arrival at `now`.
     pub fn record_arrival(&mut self, now: SimTime) {
         self.rotate(now);
-        let idx = (self.epoch % self.buckets.len() as u64) as usize;
-        self.buckets[idx] += 1;
-        self.total += 1;
+        self.buckets[(self.epoch % RATE_BUCKETS as u64) as usize] += 1;
     }
 
     /// Estimated arrivals/second over the sliding window at `now`.
     pub fn rate(&mut self, now: SimTime) -> f64 {
         self.rotate(now);
-        let window = self.bucket_width.as_secs_f64() * self.buckets.len() as f64;
-        self.buckets.iter().sum::<u64>() as f64 / window
-    }
-
-    /// Total arrivals ever recorded.
-    pub fn total(&self) -> u64 {
-        self.total
+        self.buckets.iter().sum::<u64>() as f64 / RATE_WINDOW_SECS
     }
 }
 
 /// Everything the controller has learned about one function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FunctionStats {
     /// Observed execution durations, seconds.
-    pub duration: SampleHistogram,
+    pub duration: RunningMean,
     /// Observed CPU usage, cores.
-    pub cpu: SampleHistogram,
+    pub cpu: RunningMean,
     /// Arrival-rate estimator.
     pub arrivals: RateEstimator,
 }
 
-impl Default for FunctionStats {
-    fn default() -> Self {
-        FunctionStats {
-            duration: SampleHistogram::for_durations(),
-            cpu: SampleHistogram::for_cpu(),
-            arrivals: RateEstimator::default_window(),
-        }
-    }
-}
+// One entry per function in every replica's registry, on the
+// per-invocation path: it stays inline and small.
+const _: () = assert!(std::mem::size_of::<FunctionStats>() <= 96);
 
 /// Priors used before any completion sample exists for a function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsPriors {
     /// Assumed execution time, seconds.
     pub duration_secs: f64,
@@ -341,7 +239,7 @@ mod tests {
 
     #[test]
     fn histogram_mean_is_exact() {
-        let mut h = SampleHistogram::for_durations();
+        let mut h = RunningMean::default();
         for x in [0.1, 0.2, 0.3] {
             h.record(x);
         }
@@ -350,36 +248,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_percentile_brackets_value() {
-        let mut h = SampleHistogram::new(0.001, 1_000.0, 120);
-        for i in 1..=1_000 {
-            h.record(i as f64 / 100.0); // 0.01 .. 10.0
-        }
-        let p50 = h.percentile(50.0).unwrap();
-        assert!((4.0..7.0).contains(&p50), "p50 {p50}");
-        let p99 = h.percentile(99.0).unwrap();
-        assert!((9.0..12.0).contains(&p99), "p99 {p99}");
-    }
-
-    #[test]
     fn histogram_empty_has_no_estimates() {
-        let h = SampleHistogram::for_cpu();
+        let h = RunningMean::default();
         assert!(h.mean().is_none());
-        assert!(h.percentile(50.0).is_none());
-    }
-
-    #[test]
-    fn histogram_out_of_range_samples_clamp() {
-        let mut h = SampleHistogram::new(1.0, 10.0, 4);
-        h.record(0.5);
-        h.record(100.0);
-        assert_eq!(h.count(), 2);
-        assert!(h.percentile(10.0).unwrap() <= 1.0);
+        assert_eq!(h.count(), 0);
     }
 
     #[test]
     fn rate_estimator_tracks_steady_rate() {
-        let mut r = RateEstimator::default_window();
+        let mut r = RateEstimator::default();
         // 5 arrivals/second for 2 minutes.
         for i in 0..600u64 {
             r.record_arrival(SimTime::from_micros(i * 200_000));
@@ -390,14 +267,13 @@ mod tests {
 
     #[test]
     fn rate_estimator_decays_after_idle() {
-        let mut r = RateEstimator::default_window();
+        let mut r = RateEstimator::default();
         for i in 0..100u64 {
             r.record_arrival(SimTime::from_micros(i * 100_000));
         }
         assert!(r.rate(SimTime::from_secs(10)) > 0.5);
         // Two minutes of silence: window empties.
         assert_eq!(r.rate(SimTime::from_secs(140)), 0.0);
-        assert_eq!(r.total(), 100);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! plus power-of-`d` sampling to cut the `O(N)` scan.
 
 use hrv_trace::faas::FunctionId;
-use hrv_trace::time::{SimDuration, SimTime};
+use hrv_trace::time::SimTime;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
-use crate::estimate::{StatsPriors, StatsRegistry};
 use crate::policy::LoadBalancer;
 use crate::view::{ClusterView, InvokerId, InvokerView, LoadWeights};
 
@@ -36,7 +35,6 @@ pub struct Jsq {
     /// (power-of-d-choices) instead of the whole fleet.
     sample_d: Option<usize>,
     weights: LoadWeights,
-    stats: StatsRegistry,
     /// Reused index buffer for Floyd's sampling (placement is the hot
     /// path: one call per arrival).
     scratch: Vec<usize>,
@@ -57,7 +55,6 @@ impl Jsq {
             metric,
             sample_d,
             weights: LoadWeights::default(),
-            stats: StatsRegistry::new(StatsPriors::default(), 1),
             scratch: Vec::new(),
         }
     }
@@ -155,14 +152,6 @@ impl LoadBalancer for Jsq {
             }
             None => full_scan(self),
         }
-    }
-
-    fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
-        self.stats.record_arrival(function, now);
-    }
-
-    fn on_completion(&mut self, function: FunctionId, duration: SimDuration, cpu_cores: f64) {
-        self.stats.record_completion(function, duration, cpu_cores);
     }
 }
 

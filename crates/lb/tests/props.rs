@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use hrv_lb::estimate::SampleHistogram;
+use hrv_lb::estimate::RunningMean;
 use hrv_lb::hashring::HashRing;
 use hrv_lb::mws::Mws;
 use hrv_lb::policy::LoadBalancer;
@@ -66,24 +66,20 @@ proptest! {
         prop_assert_eq!(seen, expect);
     }
 
-    /// Histogram percentiles are monotone in `p` and bracket the sample
-    /// range (within one bin of slack).
+    /// The running mean is the samples' sum over their count, bit for
+    /// bit: MWS's usage estimate reads it, so it must not drift from the
+    /// plain quotient.
     #[test]
-    fn histogram_percentiles_are_monotone(
-        samples in prop::collection::vec(0.001f64..3_000.0, 1..300),
+    fn running_mean_is_sum_over_count(
+        samples in prop::collection::vec(0.0f64..3_000.0, 1..300),
     ) {
-        let mut h = SampleHistogram::for_durations();
+        let mut m = RunningMean::default();
         for &x in &samples {
-            h.record(x);
+            m.record(x);
         }
-        let ps = [1.0, 25.0, 50.0, 75.0, 99.0, 100.0];
-        let values: Vec<f64> = ps.iter().map(|&p| h.percentile(p).unwrap()).collect();
-        for w in values.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-9, "percentiles not monotone: {:?}", values);
-        }
-        // The mean is exact regardless of binning.
         let exact = samples.iter().sum::<f64>() / samples.len() as f64;
-        prop_assert!((h.mean().unwrap() - exact).abs() < 1e-9);
+        prop_assert_eq!(m.mean().unwrap().to_bits(), exact.to_bits());
+        prop_assert_eq!(m.count(), samples.len() as u64);
     }
 
     /// The weighted-load metric is bounded by the weight sum and ordered

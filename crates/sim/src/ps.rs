@@ -25,14 +25,16 @@
 //! `(vfinish − V) · c`.
 //!
 //! That constant is what makes the hot paths cheap: jobs complete in
-//! `vfinish` order, so a min-heap on `(vfinish, id)` yields
-//! `next_completion` from the heap top and lets `advance` step from
-//! completion to completion — O(log n) per *completion* instead of
-//! O(jobs) per *event* as in the reference formulation
-//! ([`crate::ps_reference`], kept as an executable specification).
+//! `vfinish` order, so the active jobs are kept in one sequence sorted by
+//! `(vfinish, id)`. `next_completion` reads its front, and `advance` steps
+//! from completion to completion by popping it — O(1) per *completion*
+//! instead of O(jobs) per *event* as in the reference formulation
+//! ([`crate::ps_reference`], kept as an executable specification). An
+//! invoker's queue is short (in the claim benchmark's workloads at most 5
+//! jobs are active when another is added), so the sorted insert and the
+//! scans in `remove` and `remaining` touch a cache line or two.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::VecDeque;
 
 use hrv_trace::time::{SimDuration, SimTime};
 
@@ -43,32 +45,14 @@ pub const COMPLETION_EPS: f64 = 1e-9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
-/// A job still consuming CPU: its cap and its constant virtual finish.
+/// A job still consuming CPU: its constant virtual finish, id and cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ActiveJob {
-    /// Max cores this job can use at once.
-    cap: f64,
     /// The virtual time at which its demand reaches zero.
     vfinish: f64,
-}
-
-/// Heap key ordering finite `f64`s numerically (virtual finish times are
-/// always finite and non-negative, where `total_cmp` equals `<`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct VKey(f64);
-
-impl Eq for VKey {}
-
-impl PartialOrd for VKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for VKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+    id: JobId,
+    /// Max cores this job can use at once.
+    cap: f64,
 }
 
 /// A processor-sharing queue over a resizable CPU pool.
@@ -94,21 +78,15 @@ pub struct PsQueue {
     capacity: f64,
     /// GPS virtual time: cumulative per-cap service delivered so far.
     vtime: f64,
-    /// Jobs still consuming CPU, by id.
-    active: BTreeMap<JobId, ActiveJob>,
-    /// Jobs drained to zero, awaiting [`take_completed`](Self::take_completed).
-    completed: BTreeSet<JobId>,
-    /// Min-heap over `(vfinish, id)` of active jobs, with lazy deletion:
-    /// entries whose `(vfinish, id)` no longer matches `active` are
-    /// skipped on pop.
-    heap: BinaryHeap<Reverse<(VKey, JobId)>>,
+    /// Jobs still consuming CPU, in completion order: by `vfinish`
+    /// (always finite and non-negative, where `total_cmp` equals `<`),
+    /// ties toward the smaller id.
+    active: VecDeque<ActiveJob>,
+    /// Jobs drained to zero, in id order, awaiting
+    /// [`take_completed`](Self::take_completed).
+    completed: Vec<JobId>,
     /// Σ caps of *active* jobs.
     total_cap: f64,
-    /// Multiset of active-job caps keyed by bit pattern (positive floats
-    /// order identically to their bits), so
-    /// [`take_completed`](Self::take_completed) can bound its heap window
-    /// by the smallest cap instead of scanning every job.
-    caps: BTreeMap<u64, u32>,
     last: SimTime,
     /// Integral of occupied cores over time, for utilization accounting.
     busy_core_seconds: f64,
@@ -121,11 +99,9 @@ impl PsQueue {
         PsQueue {
             capacity,
             vtime: 0.0,
-            active: BTreeMap::new(),
-            completed: BTreeSet::new(),
-            heap: BinaryHeap::new(),
+            active: VecDeque::new(),
+            completed: Vec::new(),
             total_cap: 0.0,
-            caps: BTreeMap::new(),
             last: SimTime::ZERO,
             busy_core_seconds: 0.0,
         }
@@ -203,62 +179,24 @@ impl PsQueue {
         ((job.vfinish - self.vtime) * job.cap).max(0.0)
     }
 
-    fn caps_insert(&mut self, cap: f64) {
-        *self.caps.entry(cap.to_bits()).or_insert(0) += 1;
-    }
-
-    fn caps_remove(&mut self, cap: f64) {
-        let bits = cap.to_bits();
-        match self.caps.get_mut(&bits) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                self.caps.remove(&bits);
-            }
-            None => debug_assert!(false, "cap multiset out of sync"),
-        }
-    }
-
-    /// Smallest cap among active jobs, if any.
-    fn min_active_cap(&self) -> Option<f64> {
-        self.caps.keys().next().map(|&bits| f64::from_bits(bits))
-    }
-
-    /// The earliest valid heap entry, discarding stale ones. Does not pop
-    /// the returned entry.
-    fn peek_earliest(&mut self) -> Option<(VKey, JobId)> {
-        while let Some(&Reverse((vkey, id))) = self.heap.peek() {
-            match self.active.get(&id) {
-                Some(job) if job.vfinish == vkey.0 => return Some((vkey, id)),
-                _ => {
-                    // Stale: job was removed, completed, or re-added with
-                    // a different vfinish.
-                    self.heap.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// Moves the job at the heap top into the completed set.
-    fn complete_top(&mut self, id: JobId) {
-        self.heap.pop();
-        let job = self.active.remove(&id).expect("heap/active desync");
+    /// Moves the job at the front of the finish order into the completed
+    /// set.
+    fn complete_front(&mut self) {
+        let job = self.active.pop_front().expect("a front job to complete");
         self.total_cap = (self.total_cap - job.cap).max(0.0);
-        self.caps_remove(job.cap);
-        self.completed.insert(id);
+        let at = self.completed.partition_point(|&id| id < job.id);
+        self.completed.insert(at, job.id);
         if self.active.is_empty() {
-            // Absorb float drift and rebase virtual time; the heap holds
-            // only stale entries at this point.
+            // Absorb float drift and rebase virtual time.
             self.total_cap = 0.0;
             self.vtime = 0.0;
-            self.heap.clear();
         }
     }
 
     /// Integrates service up to `now` by stepping virtual time from
     /// completion to completion: each step advances `V` at the current
     /// `dV/dt`, harvests every job whose `vfinish` has been reached, and
-    /// re-evaluates the rate. Cost is O(log n) per completion — advancing
+    /// re-evaluates the rate. Cost is O(1) per completion — advancing
     /// over a quiet interval is O(1) regardless of queue length, and
     /// busy-time accounting stays exact even when the caller strides past
     /// completions.
@@ -275,8 +213,8 @@ impl PsQueue {
                 break;
             }
             // Earliest internal completion among active jobs.
-            let eta = match self.peek_earliest() {
-                Some((vkey, _)) => (vkey.0 - self.vtime) / rate,
+            let eta = match self.active.front() {
+                Some(job) => (job.vfinish - self.vtime) / rate,
                 None => break,
             };
             let step = eta.max(0.0).min(dt);
@@ -285,14 +223,13 @@ impl PsQueue {
             dt -= step;
             // Harvest everything whose virtual finish has been reached.
             let mut harvested = false;
-            while let Some((_, id)) = self.peek_earliest() {
-                let job = self.active[&id];
-                if self.active_remaining(&job) <= COMPLETION_EPS {
-                    self.complete_top(id);
-                    harvested = true;
-                } else {
-                    break;
-                }
+            while self
+                .active
+                .front()
+                .is_some_and(|job| self.active_remaining(job) <= COMPLETION_EPS)
+            {
+                self.complete_front();
+                harvested = true;
             }
             if step <= 0.0 && !harvested {
                 break; // float-dust guard; cannot regress further
@@ -309,30 +246,39 @@ impl PsQueue {
     pub fn add(&mut self, id: JobId, demand: f64, cap: f64) {
         assert!(demand > 0.0 && demand.is_finite(), "bad demand {demand}");
         assert!(cap > 0.0 && cap.is_finite(), "bad cap {cap}");
-        assert!(!self.completed.contains(&id), "duplicate job {id:?}");
+        assert!(
+            self.completed.binary_search(&id).is_err() && self.position(id).is_none(),
+            "duplicate job {id:?}"
+        );
         let vfinish = self.vtime + demand / cap;
-        let prev = self.active.insert(id, ActiveJob { cap, vfinish });
-        assert!(prev.is_none(), "duplicate job {id:?}");
-        self.heap.push(Reverse((VKey(vfinish), id)));
+        let at = self.active.partition_point(|job| {
+            job.vfinish
+                .total_cmp(&vfinish)
+                .then(job.id.cmp(&id))
+                .is_lt()
+        });
+        self.active.insert(at, ActiveJob { vfinish, id, cap });
         self.total_cap += cap;
-        self.caps_insert(cap);
+    }
+
+    /// Where an active job sits in the finish order.
+    fn position(&self, id: JobId) -> Option<usize> {
+        self.active.iter().position(|job| job.id == id)
     }
 
     /// Removes a job (kill/eviction), returning its remaining demand.
     /// Returns `None` if the job is not present.
     pub fn remove(&mut self, id: JobId) -> Option<f64> {
-        if self.completed.remove(&id) {
+        if let Ok(at) = self.completed.binary_search(&id) {
+            self.completed.remove(at);
             return Some(0.0);
         }
-        let job = self.active.remove(&id)?;
+        let job = self.active.remove(self.position(id)?)?;
         let left = self.active_remaining(&job);
-        // The job's heap entry goes stale and is skipped on a later pop.
         self.total_cap -= job.cap;
-        self.caps_remove(job.cap);
         if self.active.is_empty() {
             self.total_cap = 0.0; // absorb float drift
             self.vtime = 0.0;
-            self.heap.clear();
         }
         Some(left)
     }
@@ -348,66 +294,60 @@ impl PsQueue {
 
     /// Remaining demand of a job, if present.
     pub fn remaining(&self, id: JobId) -> Option<f64> {
-        if self.completed.contains(&id) {
+        if self.completed.binary_search(&id).is_ok() {
             return Some(0.0);
         }
-        self.active.get(&id).map(|j| self.active_remaining(j))
+        self.active
+            .iter()
+            .find(|job| job.id == id)
+            .map(|job| self.active_remaining(job))
     }
 
     /// When the next job will complete if nothing changes, with its id.
     /// Ties break toward the smallest `JobId`. Returns `None` when idle or
-    /// completely starved (zero capacity). O(1) apart from skipping
-    /// lazily-deleted heap entries.
-    pub fn next_completion(&mut self) -> Option<(SimTime, JobId)> {
+    /// completely starved (zero capacity). O(1).
+    pub fn next_completion(&self) -> Option<(SimTime, JobId)> {
         // A job already drained to zero completes "now".
-        if let Some(&id) = self.completed.iter().next() {
+        if let Some(&id) = self.completed.first() {
             return Some((self.last, id));
         }
         let rate = self.rate_per_cap();
         if rate <= 0.0 {
             return None;
         }
-        let (vkey, id) = self.peek_earliest()?;
-        let eta = (vkey.0 - self.vtime).max(0.0) / rate;
+        let job = self.active.front()?;
+        let eta = (job.vfinish - self.vtime).max(0.0) / rate;
         // Round up so the completion event never fires early.
         let d = SimDuration::from_micros((eta * 1e6).ceil().max(0.0).min(u64::MAX as f64) as u64);
-        Some((self.last.saturating_add(d), id))
+        Some((self.last.saturating_add(d), job.id))
     }
 
     /// Removes and returns all jobs whose remaining demand is ≤ `eps`
     /// (typically [`COMPLETION_EPS`] scaled by rounding slack), in id
     /// order. Call [`advance`](Self::advance) first.
     ///
-    /// Cost is O(w·log n) where `w` is the number of heap entries inside
-    /// the candidate window, not O(n): a job qualifies only when
-    /// `(vfinish − V)·cap ≤ eps`, so every qualifier satisfies
-    /// `vfinish ≤ V + eps / min_cap` and lives in a prefix of the heap.
+    /// A job qualifies only when `(vfinish − V)·cap ≤ eps`, so every
+    /// qualifier satisfies `vfinish ≤ V + eps / min_cap` and lies in a
+    /// prefix of the finish order; only that prefix is tested.
     pub fn take_completed(&mut self, eps: f64) -> Vec<JobId> {
-        let mut done: Vec<JobId> = self.completed.iter().copied().collect();
-        if let Some(min_cap) = self.min_active_cap() {
+        let mut done = std::mem::take(&mut self.completed);
+        if let Some(min_cap) = self.active.iter().map(|job| job.cap).reduce(f64::min) {
             let vlimit = self.vtime + eps.max(0.0) / min_cap;
-            // Pop the candidate prefix; keep qualifiers, return the rest.
-            let mut keep: Vec<Reverse<(VKey, JobId)>> = Vec::new();
-            while let Some((vkey, id)) = self.peek_earliest() {
-                if vkey.0 > vlimit {
-                    break;
-                }
-                let entry = self.heap.pop().expect("peeked entry exists");
-                let job = self.active[&id];
-                if self.active_remaining(&job) <= eps {
-                    // Leave the job in `active`; the removal loop below
-                    // handles bookkeeping (its heap entry is gone, which
-                    // lazy deletion tolerates).
-                    done.push(id);
-                } else {
-                    keep.push(entry);
-                }
+            let mut drained: Vec<JobId> = self
+                .active
+                .iter()
+                .take_while(|job| job.vfinish <= vlimit)
+                .filter(|job| self.active_remaining(job) <= eps)
+                .map(|job| job.id)
+                .collect();
+            // Removal in id order keeps `total_cap`'s float subtractions
+            // in a fixed order.
+            drained.sort_unstable();
+            for &id in &drained {
+                self.remove(id);
             }
-            self.heap.extend(keep);
-        }
-        done.sort_unstable();
-        for id in &done {
-            self.remove(*id);
+            done.extend(drained);
+            done.sort_unstable();
         }
         done
     }
@@ -416,9 +356,9 @@ impl PsQueue {
     pub fn job_ids(&self) -> Vec<JobId> {
         let mut ids: Vec<JobId> = self
             .active
-            .keys()
-            .chain(self.completed.iter())
-            .copied()
+            .iter()
+            .map(|job| job.id)
+            .chain(self.completed.iter().copied())
             .collect();
         ids.sort_unstable();
         ids
@@ -590,7 +530,7 @@ mod tests {
     #[test]
     fn removed_job_heap_entry_is_skipped() {
         // Remove the would-be-next job; the following completion must
-        // come from the surviving job, not the stale heap entry.
+        // come from the surviving job, not the removed one.
         let mut q = PsQueue::new(2.0);
         q.add(JobId(0), 1.0, 1.0);
         q.add(JobId(1), 4.0, 1.0);
@@ -604,7 +544,7 @@ mod tests {
     #[test]
     fn readded_id_gets_fresh_finish_time() {
         // Same id re-added after removal must be tracked by its new
-        // vfinish, not the stale one.
+        // vfinish, not the old one.
         let mut q = PsQueue::new(1.0);
         q.add(JobId(7), 10.0, 1.0);
         q.advance(t(1.0));
@@ -644,5 +584,64 @@ mod tests {
         q.add(JobId(1), 0.25, 1.0);
         let (when, id) = q.next_completion().unwrap();
         assert_eq!((when, id), (t(1_000_000.25), JobId(1)));
+    }
+
+    #[test]
+    fn equal_virtual_finish_completes_smallest_id_first() {
+        // Both jobs finish at V = 1 (2 cpu-s at 2 cores, 1 cpu-s at 1
+        // core), added largest id first.
+        let mut q = PsQueue::new(8.0);
+        q.add(JobId(5), 2.0, 2.0);
+        q.add(JobId(2), 1.0, 1.0);
+        q.add(JobId(9), 3.0, 1.0);
+        assert_eq!(q.next_completion(), Some((t(1.0), JobId(2))));
+        q.remove(JobId(2));
+        assert_eq!(q.next_completion(), Some((t(1.0), JobId(5))));
+        q.add(JobId(2), 1.0, 1.0);
+        q.advance(t(1.0));
+        assert_eq!(q.next_completion(), Some((t(1.0), JobId(2))));
+        assert_eq!(q.take_completed(US), vec![JobId(2), JobId(5)]);
+        assert_eq!(q.job_ids(), vec![JobId(9)]);
+    }
+
+    #[test]
+    fn take_completed_with_mixed_caps_returns_ids_sorted() {
+        // Undersubscribed, so V = t. Jobs 3 and 9 drain exactly at V = 1
+        // and `advance` harvests them; 1 (cap 2) and 4 (cap 0.5) are
+        // within `eps` of done; 7 (cap 2) is inside the `eps / min_cap`
+        // window but 2e-6 cpu-s short; 6 is far off.
+        let mut q = PsQueue::new(16.0);
+        q.add(JobId(9), 2.0, 2.0);
+        q.add(JobId(3), 0.5, 0.5);
+        q.add(JobId(4), 0.500_000_4, 0.5);
+        q.add(JobId(1), 2.000_000_2, 2.0);
+        q.add(JobId(7), 2.000_002, 2.0);
+        q.add(JobId(6), 1.0, 0.5);
+        q.advance(t(1.0));
+        assert_eq!(
+            q.take_completed(1e-6),
+            vec![JobId(1), JobId(3), JobId(4), JobId(9)]
+        );
+        assert_eq!(q.job_ids(), vec![JobId(6), JobId(7)]);
+        assert!((q.cores_in_use() - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn drained_id_is_readded_after_remove() {
+        // An id drained to zero but not yet taken can be removed (nothing
+        // left to run) and then re-added as a fresh job.
+        let mut q = PsQueue::new(1.0);
+        q.add(JobId(4), 1.0, 1.0);
+        q.add(JobId(8), 5.0, 1.0);
+        q.advance(t(2.0));
+        assert_eq!(q.remaining(JobId(4)), Some(0.0));
+        assert_eq!(q.remove(JobId(4)), Some(0.0));
+        assert_eq!(q.remaining(JobId(4)), None);
+        q.add(JobId(4), 1.5, 1.0);
+        // Two jobs share one core: 4 needs 3 s, 8 has 4 cpu-s left.
+        assert_eq!(q.next_completion(), Some((t(5.0), JobId(4))));
+        q.advance(t(5.0));
+        assert_eq!(q.take_completed(US), vec![JobId(4)]);
+        assert_eq!(q.job_ids(), vec![JobId(8)]);
     }
 }
