@@ -538,10 +538,10 @@ impl MetricsCollector {
     /// count. Sample rows sort by time for the same reason.
     pub fn canonicalize_records(&mut self) {
         self.coalesce_partial_samples();
-        self.records.sort_by_key(|r| (r.finished, r.id));
+        sort_unique(&mut self.records, |r| r.finished, |r| r.id);
         self.samples.sort_by_key(|s| s.at);
         self.replica_occupancy.sort_by_key(|r| r.replica);
-        self.phases.sort_by_key(|p| (p.finished, p.id));
+        sort_unique(&mut self.phases, |p| p.finished, |p| p.id);
     }
 
     /// Folds the buffered per-invoker sample rows into fleet-wide
@@ -553,7 +553,7 @@ impl MetricsCollector {
             return;
         }
         let mut rows = std::mem::take(&mut self.partial_samples);
-        rows.sort_by_key(|r| (r.at, r.invoker));
+        sort_unique(&mut rows, |r| r.at, |r| r.invoker);
         let mut i = 0usize;
         while i < rows.len() {
             let at = rows[i].at;
@@ -732,6 +732,32 @@ pub struct RunMetrics {
     /// Additive phase decomposition of the latency distribution
     /// (telemetry-enabled runs with the record sink; `None` otherwise).
     pub phases: Option<LatencyAttribution>,
+}
+
+/// Sorts `rows` in place on `(major, minor)`, a key unique to each row
+/// (one record or phase row per invocation, one sample row per invoker
+/// and tick). A unique key makes the unstable sort's order exactly the
+/// stable sort's, without a stable sort's scratch buffer of half the
+/// rows. One shard pushes its rows in `major` order (the instant they
+/// were written), so then only runs of equal `major` need sorting, which
+/// is linear overall; rows merged from several shards take the full sort.
+fn sort_unique<T, A: Ord, B: Ord>(
+    rows: &mut [T],
+    major: impl Fn(&T) -> A,
+    minor: impl Fn(&T) -> B,
+) {
+    if rows.is_sorted_by_key(&major) {
+        for run in rows.chunk_by_mut(|a, b| major(a) == major(b)) {
+            run.sort_unstable_by_key(&minor);
+        }
+    } else {
+        rows.sort_unstable_by_key(|r| (major(r), minor(r)));
+    }
+    debug_assert!(
+        rows.windows(2)
+            .all(|w| (major(&w[0]), minor(&w[0])) < (major(&w[1]), minor(&w[1]))),
+        "canonical sort keys must be unique"
+    );
 }
 
 impl RunMetrics {
@@ -915,6 +941,95 @@ mod tests {
         c.arrivals = 4;
         let (arrivals, accounted) = c.conservation();
         assert_ne!(arrivals, accounted);
+    }
+
+    /// A fixed pseudo-random permutation of `rows`; with `major`, then
+    /// stably ordered on it, as one shard pushes its rows.
+    fn arranged<T: Copy, K: Ord>(rows: &[T], major: Option<fn(&T) -> K>) -> Vec<T> {
+        let mut keyed: Vec<(u64, T)> = (0u64..)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
+            .zip(rows.iter().copied())
+            .collect();
+        keyed.sort_by_key(|&(k, _)| k);
+        let mut out: Vec<T> = keyed.into_iter().map(|(_, r)| r).collect();
+        if let Some(major) = major {
+            out.sort_by_key(major);
+        }
+        out
+    }
+
+    #[test]
+    fn canonical_order_is_the_stable_sort_order() {
+        // Many rows share a finish instant (or a tick), so the second key
+        // decides their order; every full key is unique.
+        let records: Vec<_> = (0..500)
+            .map(|i| {
+                let latency = ((i % 5) as f64) * 0.25;
+                rec(i, (i * 7) % 13, latency, i % 3 == 0, Outcome::Completed)
+            })
+            .collect();
+        let phases: Vec<_> = records
+            .iter()
+            .map(|r| PhaseRecord {
+                id: r.id,
+                arrival: r.arrival,
+                finished: r.finished,
+                cold: r.cold,
+                sched_us: r.id,
+                bus_us: 2_000,
+                queue_us: r.id % 11,
+                coldstart_us: 0,
+                exec_us: 1_000,
+            })
+            .collect();
+        // Magnitudes far apart, so a float sum in another order differs.
+        let partial: Vec<_> = (0..40u32)
+            .flat_map(|invoker| {
+                (0..6u64).map(move |tick| PartialSample {
+                    at: SimTime::from_secs(5 * tick),
+                    invoker,
+                    total_cpus: 4,
+                    cpus_in_use: 10f64.powi(invoker as i32 % 17 - 8) + tick as f64,
+                })
+            })
+            .collect();
+
+        // Rows merged from several shards arrive in any order; one
+        // shard's arrive ordered on the first key.
+        for one_shard in [false, true] {
+            let records = arranged(&records, one_shard.then_some(|r| r.finished));
+            let phases = arranged(&phases, one_shard.then_some(|p| p.finished));
+            let partial = arranged(&partial, one_shard.then_some(|p| p.at));
+            let mut c = MetricsCollector::new();
+            for &r in &records {
+                c.push(r);
+            }
+            for &p in &phases {
+                c.push_phase(p);
+            }
+            for p in &partial {
+                c.push_partial_sample(p.at, p.invoker, p.total_cpus, p.cpus_in_use);
+            }
+            c.canonicalize_records();
+
+            let mut want_records = records;
+            want_records.sort_by_key(|r| (r.finished, r.id));
+            assert_eq!(c.records, want_records);
+            let mut want_phases = phases;
+            want_phases.sort_by_key(|p| (p.finished, p.id));
+            assert_eq!(c.phases, want_phases);
+            let mut rows = partial;
+            rows.sort_by_key(|r| (r.at, r.invoker));
+            let want_samples: Vec<_> = rows
+                .chunk_by(|a, b| a.at == b.at)
+                .map(|tick| UtilizationSample {
+                    at: tick[0].at,
+                    total_cpus: tick.iter().map(|r| r.total_cpus).sum(),
+                    cpus_in_use: tick.iter().fold(0.0, |sum, r| sum + r.cpus_in_use),
+                })
+                .collect();
+            assert_eq!(c.samples, want_samples);
+        }
     }
 
     #[test]

@@ -383,7 +383,7 @@ impl Workload {
             for session in sessions {
                 emit_session(app, session, end, &mut rng, |at, func, duration| {
                     all.push(Invocation {
-                        id: 0,
+                        id: all.len() as u64,
                         function: FunctionId { app: app.id, func },
                         arrival: at,
                         duration,
@@ -393,7 +393,10 @@ impl Workload {
                 });
             }
         }
-        all.sort_by_key(|inv| (inv.arrival, inv.function));
+        // The generation index breaks `(arrival, function)` ties the way
+        // a stable sort would, so the in-place sort needs no scratch
+        // buffer; ids are then renumbered in arrival order.
+        all.sort_unstable_by_key(|inv| (inv.arrival, inv.function, inv.id));
         for (i, inv) in all.iter_mut().enumerate() {
             inv.id = i as u64;
         }
@@ -581,6 +584,55 @@ mod tests {
         let wl = Workload::generate(&spec, &seeds());
         let trace = wl.invocations(SimDuration::from_hours(1), &seeds());
         (wl, trace)
+    }
+
+    #[test]
+    fn equal_arrival_and_function_keep_generation_order() {
+        // Session gaps are at least 1 µs, so one app's sessions never
+        // collide; a burst's extras, 50 ms or more after their head, do.
+        // At 10⁶ sessions/s nearly every microsecond holds a session, so
+        // the extras of the first 10 ms land on later heads of the same
+        // single function, and only generation order separates the two:
+        // their durations show which went first.
+        let apps: Vec<_> = (0..2)
+            .map(|id| {
+                let duration = Box::new(LogUniform::new(0.1, 10.0));
+                AppModel::new(AppId(id), AppClass::Short, 4e6, 256, 1.0, 1, duration)
+                    .with_burst(4.0)
+            })
+            .collect();
+        let workload = Workload { apps };
+        let horizon = SimDuration::from_millis(60);
+        let end = SimTime::ZERO + horizon;
+        let mut generated = Vec::new();
+        for app in &workload.apps {
+            let mut rng = seeds().stream_indexed("workload-arrivals", u64::from(app.id.0));
+            let sessions =
+                PoissonProcess::new(app.session_rate()).times(&mut rng, SimTime::ZERO, horizon);
+            for session in sessions {
+                emit_session(app, session, end, &mut rng, |at, func, duration| {
+                    generated.push(Invocation {
+                        id: 0,
+                        function: FunctionId { app: app.id, func },
+                        arrival: at,
+                        duration,
+                        memory_mb: app.memory_mb,
+                        cpu_demand: app.cpu_demand,
+                    });
+                });
+            }
+        }
+        let mut want = generated;
+        want.sort_by_key(|inv| (inv.arrival, inv.function));
+        for (i, inv) in want.iter_mut().enumerate() {
+            inv.id = i as u64;
+        }
+        let ties = want
+            .windows(2)
+            .filter(|w| (w[0].arrival, w[0].function) == (w[1].arrival, w[1].function))
+            .count();
+        assert!(ties > 100, "only {ties} ties");
+        assert_eq!(workload.invocations(horizon, &seeds()), want);
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //! *next* session starts, so each source holds generated-but-unreleased
 //! invocations in a small per-app min-heap and only releases the minimum
 //! once it is strictly earlier than the next unexpanded session. Ordering
-//! ties: the materialized sort key is `(arrival, FunctionId)` under a
-//! stable sort. Equal keys across apps are impossible (`FunctionId` embeds
-//! the app id), and within an app the per-source sequence number preserves
-//! generation order — exactly what the stable sort preserves — so the
-//! merge reproduces the sort bit for bit.
+//! ties: the materialized sort key is `(arrival, FunctionId)`, ties broken
+//! by generation order. Equal keys across apps are impossible
+//! (`FunctionId` embeds the app id), and within an app the per-source
+//! sequence number preserves generation order, so the merge reproduces
+//! the sort bit for bit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,10 +65,21 @@ impl<S: ArrivalStream + ?Sized> ArrivalStream for Box<S> {
     }
 }
 
+/// Arrivals handed over between two releases of the trace's spent
+/// capacity: 16 384 × 48 B ≈ 768 KiB.
+const RELEASE_STEP: usize = 16_384;
+
 /// Adapts a materialized, arrival-sorted trace to [`ArrivalStream`].
+///
+/// The stream owns the trace and gives back the memory of what it has
+/// handed over as it goes, so a run's records can grow into it: the trace
+/// is held latest-first, each arrival is popped off the back, and each
+/// time the arrivals left reach a multiple of 16 384 the vector shrinks
+/// to them.
 #[derive(Debug)]
 pub struct SortedTraceStream {
-    iter: std::vec::IntoIter<Invocation>,
+    /// The arrivals not yet handed over, latest first.
+    remaining: Vec<Invocation>,
 }
 
 impl SortedTraceStream {
@@ -77,20 +88,23 @@ impl SortedTraceStream {
     /// # Panics
     ///
     /// Panics (debug builds) if the trace is not sorted by arrival.
-    pub fn new(trace: Vec<Invocation>) -> Self {
+    pub fn new(mut trace: Vec<Invocation>) -> Self {
         debug_assert!(
             trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "trace must be sorted by arrival"
         );
-        SortedTraceStream {
-            iter: trace.into_iter(),
-        }
+        trace.reverse();
+        SortedTraceStream { remaining: trace }
     }
 }
 
 impl ArrivalStream for SortedTraceStream {
     fn next_invocation(&mut self) -> Option<Invocation> {
-        self.iter.next()
+        let inv = self.remaining.pop()?;
+        if self.remaining.len().is_multiple_of(RELEASE_STEP) {
+            self.remaining.shrink_to_fit();
+        }
+        Some(inv)
     }
 }
 
@@ -330,6 +344,52 @@ mod tests {
         let trace =
             Workload::generate(&spec, &seeds).invocations(SimDuration::from_mins(5), &seeds);
         assert_eq!(collect(SortedTraceStream::new(trace.clone())), trace);
+    }
+
+    /// Invocations `0..n`, one per microsecond.
+    fn ramp(n: usize) -> Vec<Invocation> {
+        (0..n as u64)
+            .map(|id| Invocation {
+                id,
+                function: FunctionId {
+                    app: crate::faas::AppId(0),
+                    func: 0,
+                },
+                arrival: SimTime::ZERO + SimDuration::from_micros(id),
+                duration: SimDuration::from_millis(1),
+                memory_mb: 256,
+                cpu_demand: 1.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sorted_trace_stream_releases_what_it_handed_over() {
+        let trace = ramp(3 * RELEASE_STEP + 5);
+        let mut stream = SortedTraceStream::new(trace.clone());
+        for want in &trace {
+            assert_eq!(stream.next_invocation().as_ref(), Some(want));
+            let spent = stream.remaining.capacity() - stream.remaining.len();
+            assert!(spent < RELEASE_STEP, "{spent} spent slots held");
+        }
+        assert_eq!(stream.remaining.capacity(), 0);
+        assert!(stream.next_invocation().is_none());
+    }
+
+    #[test]
+    fn sorted_trace_stream_of_nothing_yields_nothing() {
+        let mut stream = SortedTraceStream::new(Vec::new());
+        assert!(stream.next_invocation().is_none());
+        assert!(stream.next_invocation().is_none());
+    }
+
+    #[test]
+    fn sorted_trace_stream_of_one_yields_it_once() {
+        let one = ramp(1);
+        let mut stream = SortedTraceStream::new(one.clone());
+        assert_eq!(stream.next_invocation().as_ref(), Some(&one[0]));
+        assert!(stream.next_invocation().is_none());
+        assert!(stream.next_invocation().is_none());
     }
 
     #[test]
