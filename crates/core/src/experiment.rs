@@ -734,7 +734,7 @@ mod tests {
             &spec,
             horizon,
             2,
-            PolicyKind::Random,
+            PolicyKind::JsqSampled(1),
             &PlatformConfig::default(),
             9,
         );

@@ -6,7 +6,9 @@
 //! and a [`SeedFactory`] into a concrete [`FaultPlan`]. Each process
 //! draws from its own labelled stream, so enabling one fault family
 //! never perturbs the draws of another, and a zero-rate process draws
-//! nothing at all.
+//! nothing at all. The shapes of the faults — delay distributions,
+//! straggler derate and window lengths — are the constants below; a spec
+//! sets only how often each family strikes.
 
 use hrv_trace::dist::{BoundedPareto, Exponential, Sampler};
 use hrv_trace::rng::SeedFactory;
@@ -15,8 +17,27 @@ use rand::RngExt;
 
 use crate::plan::{DispatchFaults, FaultKind, FaultPlan, WarningFault};
 
-/// Parameters of a bounded-Pareto delay: `(lo, hi, alpha)` in seconds.
-pub type ParetoParams = (f64, f64, f64);
+/// Bounded-Pareto parameters `(lo, hi, alpha)` of a late eviction
+/// warning's delay, seconds.
+pub const WARNING_DELAY: (f64, f64, f64) = (5.0, 25.0, 1.5);
+
+/// Bounded-Pareto parameters `(lo, hi, alpha)` of a delayed dispatch's
+/// extra latency, seconds.
+pub const DISPATCH_DELAY: (f64, f64, f64) = (0.05, 2.0, 1.3);
+
+/// Fraction of allocated CPUs a straggler actually progresses at.
+pub const STRAGGLER_FACTOR: f64 = 0.25;
+
+/// How long each straggler window lasts.
+pub const STRAGGLER_DURATION: SimDuration = SimDuration::from_secs(60);
+
+/// How long each cluster-view staleness window lasts.
+pub const STALENESS_WINDOW: SimDuration = SimDuration::from_secs(5);
+
+const _: () = assert!(
+    STRAGGLER_FACTOR > 0.0 && STRAGGLER_FACTOR <= 1.0,
+    "STRAGGLER_FACTOR must be in (0, 1]"
+);
 
 /// A declarative fault scenario: Poisson rates and Bernoulli
 /// probabilities for every fault family the platform can absorb.
@@ -31,26 +52,20 @@ pub struct FaultSpec {
     pub crashes_per_hour: f64,
     /// Probability that an invoker's eviction warning never arrives.
     pub warning_drop_prob: f64,
-    /// Probability (given not dropped) that the warning arrives late.
+    /// Probability (given not dropped) that the warning arrives late, by
+    /// [`WARNING_DELAY`].
     pub warning_delay_prob: f64,
-    /// Bounded-Pareto parameters of the warning delay, seconds.
-    pub warning_delay: ParetoParams,
     /// Probability that a dispatch message is lost.
     pub dispatch_drop_prob: f64,
-    /// Probability that a dispatch message is delayed.
+    /// Probability that a dispatch message is delayed, by
+    /// [`DISPATCH_DELAY`].
     pub dispatch_delay_prob: f64,
-    /// Bounded-Pareto parameters of the dispatch delay, seconds.
-    pub dispatch_delay: ParetoParams,
-    /// Straggler windows opening per hour, cluster-wide.
+    /// Straggler windows opening per hour, cluster-wide (each derates its
+    /// invoker to [`STRAGGLER_FACTOR`] for [`STRAGGLER_DURATION`]).
     pub stragglers_per_hour: f64,
-    /// Fraction of allocated CPUs a straggler actually progresses at.
-    pub straggler_factor: f64,
-    /// How long each straggler window lasts.
-    pub straggler_duration: SimDuration,
-    /// Cluster-view staleness windows per hour.
+    /// Cluster-view staleness windows per hour (each lasts
+    /// [`STALENESS_WINDOW`]).
     pub staleness_per_hour: f64,
-    /// How long each staleness window lasts.
-    pub staleness_window: SimDuration,
 }
 
 impl FaultSpec {
@@ -60,15 +75,10 @@ impl FaultSpec {
             crashes_per_hour: 0.0,
             warning_drop_prob: 0.0,
             warning_delay_prob: 0.0,
-            warning_delay: (5.0, 25.0, 1.5),
             dispatch_drop_prob: 0.0,
             dispatch_delay_prob: 0.0,
-            dispatch_delay: (0.05, 2.0, 1.3),
             stragglers_per_hour: 0.0,
-            straggler_factor: 0.25,
-            straggler_duration: SimDuration::from_secs(60),
             staleness_per_hour: 0.0,
-            staleness_window: SimDuration::from_secs(5),
         }
     }
 
@@ -87,7 +97,6 @@ impl FaultSpec {
             dispatch_delay_prob: (0.05 * intensity).min(0.5),
             stragglers_per_hour: 12.0 * intensity,
             staleness_per_hour: 6.0 * intensity,
-            ..FaultSpec::none()
         }
     }
 
@@ -95,9 +104,8 @@ impl FaultSpec {
     ///
     /// # Panics
     ///
-    /// Panics on negative rates, probabilities outside `[0, 1]`, a
-    /// drop+delay dispatch mass above 1, or a straggler factor outside
-    /// `(0, 1]`.
+    /// Panics on negative rates, probabilities outside `[0, 1]`, or a
+    /// drop+delay dispatch mass above 1.
     pub fn validate(&self) {
         let rate = |v: f64, name: &str| {
             assert!(v.is_finite() && v >= 0.0, "{name} must be >= 0, got {v}");
@@ -118,11 +126,6 @@ impl FaultSpec {
         assert!(
             self.dispatch_drop_prob + self.dispatch_delay_prob <= 1.0,
             "dispatch drop + delay probability exceeds 1"
-        );
-        assert!(
-            self.straggler_factor > 0.0 && self.straggler_factor <= 1.0,
-            "straggler_factor must be in (0, 1], got {}",
-            self.straggler_factor
         );
     }
 
@@ -155,7 +158,7 @@ impl FaultSpec {
         // Warning faults: one roll per invoker slot, from an indexed
         // stream so adding a slot never shifts another slot's fate.
         if self.warning_drop_prob > 0.0 || self.warning_delay_prob > 0.0 {
-            let (lo, hi, alpha) = self.warning_delay;
+            let (lo, hi, alpha) = WARNING_DELAY;
             let delay = BoundedPareto::new(lo, hi, alpha);
             for slot in 0..n_invokers {
                 let mut rng = seeds.stream_indexed("fault/warning", u64::from(slot));
@@ -181,11 +184,11 @@ impl FaultSpec {
                     SimTime::ZERO + t,
                     FaultKind::StragglerStart {
                         invoker: victim,
-                        factor: self.straggler_factor,
+                        factor: STRAGGLER_FACTOR,
                     },
                 );
                 plan.push(
-                    SimTime::ZERO + t + self.straggler_duration,
+                    SimTime::ZERO + t + STRAGGLER_DURATION,
                     FaultKind::StragglerEnd { invoker: victim },
                 );
                 t += SimDuration::from_secs_f64(gap.sample(&mut rng));
@@ -199,10 +202,7 @@ impl FaultSpec {
             let mut t = SimDuration::from_secs_f64(gap.sample(&mut rng));
             while t < horizon {
                 plan.push(SimTime::ZERO + t, FaultKind::ViewFreeze);
-                plan.push(
-                    SimTime::ZERO + t + self.staleness_window,
-                    FaultKind::ViewThaw,
-                );
+                plan.push(SimTime::ZERO + t + STALENESS_WINDOW, FaultKind::ViewThaw);
                 t += SimDuration::from_secs_f64(gap.sample(&mut rng));
             }
         }
@@ -210,7 +210,7 @@ impl FaultSpec {
         // Dispatch faults stay a runtime process; only the seed is drawn
         // here (derived, not sampled, so the stream stays untouched).
         if self.dispatch_drop_prob > 0.0 || self.dispatch_delay_prob > 0.0 {
-            let (lo, hi, alpha) = self.dispatch_delay;
+            let (lo, hi, alpha) = DISPATCH_DELAY;
             plan.dispatch = Some(DispatchFaults {
                 drop_prob: self.dispatch_drop_prob,
                 delay_prob: self.dispatch_delay_prob,
@@ -307,14 +307,5 @@ mod tests {
         let a = only_crash.compile(6, h, &seeds);
         let b = both.compile(6, h, &seeds);
         assert_eq!(crashes(&a), crashes(&b));
-    }
-
-    #[test]
-    #[should_panic(expected = "straggler_factor")]
-    fn validate_rejects_zero_straggler_factor() {
-        let mut spec = FaultSpec::none();
-        spec.straggler_factor = 0.0;
-        spec.stragglers_per_hour = 1.0;
-        spec.compile(2, SimDuration::from_hours(1), &SeedFactory::new(1));
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Load-balancing policies for serverless platforms on harvested
 //! resources: the paper's **min-worker-set (MWS)** algorithm
-//! ([`mws`]), the **join-the-shortest-queue** family ([`jsq`]),
-//! **vanilla OpenWhisk** memory bin-packing ([`vanilla`]), and simple
-//! baselines ([`simple`]); plus the consistent-hash ring ([`hashring`]),
-//! the controller's fleet view ([`view`]), and the learned per-function
-//! statistics ([`estimate`]) they consume.
+//! ([`mws`]), the **join-the-shortest-queue** family ([`jsq`]) and
+//! **vanilla OpenWhisk** memory bin-packing ([`vanilla`]); plus the
+//! consistent-hash ring ([`hashring`]), the controller's fleet view
+//! ([`view`]), and the learned per-function statistics ([`estimate`])
+//! they consume.
 
 pub mod estimate;
 pub mod hashring;
@@ -14,7 +14,6 @@ pub mod jsq;
 pub mod mws;
 pub mod ownership;
 pub mod policy;
-pub mod simple;
 pub mod vanilla;
 pub mod view;
 

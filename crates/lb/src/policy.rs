@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::jsq::{Jsq, JsqMetric};
 use crate::mws::Mws;
-use crate::simple::{Random, RoundRobin};
 use crate::vanilla::VanillaOpenWhisk;
 use crate::view::{ClusterView, InvokerId, LoadWeights};
 
@@ -64,7 +63,8 @@ pub enum PolicyKind {
     /// JSQ using expected-demand-weighted queue length (ablation).
     JsqWeightedQueueLength,
     /// JSQ sampling `d` random invokers instead of scanning all
-    /// (power-of-d-choices; Section 5.1's overhead reduction).
+    /// (power-of-d-choices; Section 5.1's overhead reduction). `d = 1`
+    /// places uniformly at random over the placeable invokers.
     JsqSampled(usize),
     /// Vanilla OpenWhisk memory bin-packing (Section 6.1), quota = full
     /// VM memory.
@@ -72,10 +72,6 @@ pub enum PolicyKind {
     /// Vanilla OpenWhisk with an explicit per-invoker user-memory quota
     /// in MiB (deployed OpenWhisk's `userMemory`).
     VanillaQuota(u64),
-    /// Uniform random placement.
-    Random,
-    /// Round-robin placement.
-    RoundRobin,
 }
 
 impl PolicyKind {
@@ -93,8 +89,6 @@ impl PolicyKind {
             }
             PolicyKind::Vanilla => Box::new(VanillaOpenWhisk::new()),
             PolicyKind::VanillaQuota(mb) => Box::new(VanillaOpenWhisk::with_quota(mb)),
-            PolicyKind::Random => Box::new(Random::new()),
-            PolicyKind::RoundRobin => Box::new(RoundRobin::new()),
         }
     }
 
@@ -108,8 +102,6 @@ impl PolicyKind {
             PolicyKind::JsqSampled(d) => format!("JSQ-d{d}"),
             PolicyKind::Vanilla => "Vanilla".into(),
             PolicyKind::VanillaQuota(mb) => format!("Vanilla-q{mb}"),
-            PolicyKind::Random => "Random".into(),
-            PolicyKind::RoundRobin => "RoundRobin".into(),
         }
     }
 }
@@ -128,8 +120,6 @@ mod tests {
             PolicyKind::JsqSampled(2),
             PolicyKind::Vanilla,
             PolicyKind::VanillaQuota(2_048),
-            PolicyKind::Random,
-            PolicyKind::RoundRobin,
         ];
         for kind in kinds {
             let lb = kind.build();

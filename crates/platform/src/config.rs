@@ -54,83 +54,106 @@ impl Default for ResourceMonitorConfig {
     }
 }
 
+/// Fixed setup cost of a live migration before state transfer begins.
+pub const MIGRATION_SETUP: SimDuration = SimDuration::from_millis(500);
+
+/// Only invocations whose remaining work exceeds this many seconds are
+/// migrated; anything shorter finishes within the eviction grace period
+/// anyway.
+pub const MIGRATION_MIN_REMAINING_SECS: f64 = 25.0;
+
 /// Live migration of long invocations off eviction-warned VMs — the
 /// paper's Section 4.4 proposal (nested-VM migration / snapshot-restore),
-/// implemented here as an optional platform feature.
+/// implemented here as an optional platform feature. A transfer takes
+/// [`MIGRATION_SETUP`] plus `per_gib` per GiB of container memory.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MigrationConfig {
     /// Master switch (off by default, as in the paper).
     pub enabled: bool,
-    /// Fixed setup cost before state transfer begins.
-    pub setup: SimDuration,
     /// Transfer time per GiB of container memory ("the total time for
     /// which the source VM must be available").
     pub per_gib: SimDuration,
-    /// Only invocations whose remaining work exceeds this are migrated;
-    /// anything shorter finishes within the eviction grace period anyway.
-    pub min_remaining_secs: f64,
 }
 
 impl Default for MigrationConfig {
     fn default() -> Self {
         MigrationConfig {
             enabled: false,
-            setup: SimDuration::from_millis(500),
             per_gib: SimDuration::from_secs(4),
-            min_remaining_secs: 25.0,
         }
     }
 }
+
+/// How many times one invocation may be re-dispatched before it is
+/// declared lost.
+pub const MAX_RETRIES: u32 = 3;
+
+/// First retry backoff; attempt `n` waits `BACKOFF_BASE * 2^n`, capped at
+/// [`BACKOFF_CAP`].
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_millis(500);
+
+/// Upper bound on the exponential retry backoff.
+pub const BACKOFF_CAP: SimDuration = SimDuration::from_secs(10);
+
+/// Retries each controller replica may spend over the whole run; once its
+/// budget is spent, further destroyed work it owns is declared lost
+/// immediately. The budget is per controller replica, so a run with `R`
+/// replicas may retry up to `R * RETRY_BUDGET` times in all.
+pub const RETRY_BUDGET: u64 = 1_000_000;
+
+/// How often each controller replica sweeps invoker health.
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Silence (no ping) after which an invoker is quarantined out of
+/// placement. [`PlatformConfig::validate`] requires it to exceed the ping
+/// interval when recovery is on.
+pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// Silence after which a quarantined invoker is removed from the cluster
+/// view entirely.
+pub const DOWN_AFTER: SimDuration = SimDuration::from_secs(10);
+
+/// Queue-pressure level a ping must report for it to count as a
+/// straggler strike.
+pub const STRAGGLER_PRESSURE: f64 = 8.0;
+
+/// Consecutive straggler strikes before quarantine.
+pub const STRAGGLER_STRIKES: u32 = 5;
+
+const _: () = {
+    assert!(!PROBE_INTERVAL.is_zero(), "probe interval must be positive");
+    assert!(
+        DOWN_AFTER.as_micros() >= PROBE_TIMEOUT.as_micros(),
+        "DOWN_AFTER must be at least the probe timeout"
+    );
+    assert!(
+        !BACKOFF_BASE.is_zero() && BACKOFF_CAP.as_micros() >= BACKOFF_BASE.as_micros(),
+        "backoff must be positive and capped above its base"
+    );
+    assert!(
+        STRAGGLER_PRESSURE > 0.0 && STRAGGLER_STRIKES >= 1,
+        "straggler quarantine needs a positive pressure threshold and at \
+         least one strike"
+    );
+};
 
 /// Failure recovery: retry/re-dispatch of destroyed work plus
 /// health-probe quarantine of silent or straggling invokers. Off by
 /// default — with it disabled the platform behaves bit-identically to a
-/// build that predates fault injection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// build that predates fault injection. Its limits and timings are the
+/// constants [`MAX_RETRIES`] through [`STRAGGLER_STRIKES`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryConfig {
     /// Master switch.
     pub enabled: bool,
-    /// How many times one invocation may be re-dispatched before it is
-    /// declared lost.
-    pub max_retries: u32,
-    /// First retry backoff; attempt `n` waits `base * 2^n`, capped.
-    pub backoff_base: SimDuration,
-    /// Upper bound on the exponential backoff.
-    pub backoff_cap: SimDuration,
-    /// Global budget of retries across the whole run; once spent, further
-    /// destroyed work is declared lost immediately.
-    pub retry_budget: u64,
-    /// How often the controller sweeps invoker health.
-    pub probe_interval: SimDuration,
-    /// Silence (no ping) after which an invoker is quarantined out of
-    /// placement. Must exceed the ping interval.
-    pub probe_timeout: SimDuration,
-    /// Silence after which a quarantined invoker is removed from the
-    /// cluster view entirely.
-    pub down_after: SimDuration,
-    /// Queue-pressure level a ping must report for it to count as a
-    /// straggler strike.
-    pub straggler_pressure: f64,
-    /// Consecutive straggler strikes before quarantine.
-    pub straggler_strikes: u32,
 }
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            enabled: false,
-            max_retries: 3,
-            backoff_base: SimDuration::from_millis(500),
-            backoff_cap: SimDuration::from_secs(10),
-            retry_budget: 1_000_000,
-            probe_interval: SimDuration::from_secs(1),
-            probe_timeout: SimDuration::from_secs(3),
-            down_after: SimDuration::from_secs(10),
-            straggler_pressure: 8.0,
-            straggler_strikes: 5,
-        }
-    }
-}
+/// How often each controller replica broadcasts its pending
+/// placement-charge deltas to its peers. Staleness between replicas is
+/// bounded by this interval plus one bus hop.
+/// [`PlatformConfig::validate`] requires it to be at least one bus hop
+/// when there is more than one replica.
+pub const RECONCILE_INTERVAL: SimDuration = SimDuration::from_millis(200);
 
 /// Controller replication: partition the placement path across `replicas`
 /// controller replicas, each owning the functions whose MWS ring walks
@@ -138,7 +161,8 @@ impl Default for RecoveryConfig {
 /// shard `r % shards`, so with enough shards the placement path
 /// parallelizes instead of serializing on shard 0. Each replica keeps its
 /// own `HashRing` + `ClusterView`; placement charges are reconciled
-/// between replicas via periodic `ViewDelta` envelopes.
+/// between replicas via `ViewDelta` envelopes every
+/// [`RECONCILE_INTERVAL`].
 ///
 /// The default (`replicas: 1`) is the classic single-controller platform,
 /// byte-identical to the pre-replication code path (pinned by golden
@@ -149,21 +173,21 @@ pub struct ControllerShardingConfig {
     /// count: records are a function of the replica count, never of how
     /// replicas are laid out over shards.
     pub replicas: u32,
-    /// How often each replica broadcasts its pending placement-charge
-    /// deltas to its peers. Must be at least one bus hop when
-    /// `replicas > 1`. Staleness between replicas is bounded by this
-    /// interval plus one bus hop.
-    pub reconcile_interval: SimDuration,
 }
 
 impl Default for ControllerShardingConfig {
     fn default() -> Self {
-        ControllerShardingConfig {
-            replicas: 1,
-            reconcile_interval: SimDuration::from_millis(200),
-        }
+        ControllerShardingConfig { replicas: 1 }
     }
 }
+
+/// How often the controller retries invocations it could not place.
+pub const PLACEMENT_RETRY: SimDuration = SimDuration::from_millis(250);
+
+const _: () = assert!(
+    !PLACEMENT_RETRY.is_zero(),
+    "retry interval must be positive"
+);
 
 /// All tunables of the platform model. Defaults follow OpenWhisk defaults
 /// and the paper's setup where stated.
@@ -191,14 +215,12 @@ pub struct PlatformConfig {
     /// CPUs` is at or above this, new invocations wait in the invoker
     /// queue (Section 6.2's admission control).
     pub admission_pressure: f64,
-    /// How often the controller retries invocations it could not place.
-    pub placement_retry: SimDuration,
     /// How long an invocation may wait for placement before it is
     /// rejected.
     pub placement_timeout: SimDuration,
     /// Controller replication: how many simulated controller replicas
-    /// partition the placement path, and how often they reconcile their
-    /// cluster views. Defaults to one replica — the classic platform.
+    /// partition the placement path. Defaults to one replica — the
+    /// classic platform.
     #[serde(default)]
     pub sharding: ControllerShardingConfig,
     /// Resource-monitor settings.
@@ -230,7 +252,6 @@ impl Default for PlatformConfig {
             bus_latency: SimDuration::from_millis(2),
             ping_interval: SimDuration::from_secs(1),
             admission_pressure: 1.0,
-            placement_retry: SimDuration::from_millis(250),
             placement_timeout: SimDuration::from_secs(60),
             sharding: ControllerShardingConfig::default(),
             monitor: ResourceMonitorConfig::default(),
@@ -272,16 +293,12 @@ impl PlatformConfig {
              the bus-latency lookahead"
         );
         assert!(
-            !self.placement_retry.is_zero(),
-            "retry interval must be positive"
-        );
-        assert!(
             self.sharding.replicas >= 1,
             "need at least one controller replica"
         );
         if self.sharding.replicas > 1 {
             assert!(
-                self.sharding.reconcile_interval >= self.bus_latency,
+                RECONCILE_INTERVAL >= self.bus_latency,
                 "reconcile interval must be at least one bus hop: view \
                  deltas are cross-entity messages bound by the lookahead"
             );
@@ -305,28 +322,10 @@ impl PlatformConfig {
             );
         }
         if self.recovery.enabled {
-            let r = &self.recovery;
             assert!(
-                !r.probe_interval.is_zero(),
-                "probe interval must be positive"
-            );
-            assert!(
-                r.probe_timeout > self.ping_interval,
+                PROBE_TIMEOUT > self.ping_interval,
                 "probe timeout must exceed the ping interval, or every \
                  healthy invoker reads as silent"
-            );
-            assert!(
-                r.down_after >= r.probe_timeout,
-                "down_after must be at least the probe timeout"
-            );
-            assert!(
-                !r.backoff_base.is_zero() && r.backoff_cap >= r.backoff_base,
-                "backoff must be positive and capped above its base"
-            );
-            assert!(
-                r.straggler_pressure > 0.0 && r.straggler_strikes >= 1,
-                "straggler quarantine needs a positive pressure threshold \
-                 and at least one strike"
             );
         }
     }
@@ -431,10 +430,7 @@ mod tests {
     #[should_panic(expected = "ring capacity")]
     fn zero_telemetry_ring_is_rejected() {
         let config = PlatformConfig {
-            telemetry: TelemetryConfig::Flight(FlightConfig {
-                ring_capacity: 0,
-                ..FlightConfig::default()
-            }),
+            telemetry: TelemetryConfig::Flight(FlightConfig { ring_capacity: 0 }),
             ..PlatformConfig::default()
         };
         config.validate();
@@ -452,7 +448,7 @@ mod tests {
     fn recovery_probe_timeout_must_exceed_ping_interval() {
         let mut config = PlatformConfig::default();
         config.recovery.enabled = true;
-        config.recovery.probe_timeout = config.ping_interval;
+        config.ping_interval = PROBE_TIMEOUT;
         config.validate();
     }
 
@@ -469,7 +465,8 @@ mod tests {
     fn sub_bus_reconcile_interval_is_rejected() {
         let mut config = PlatformConfig::default();
         config.sharding.replicas = 4;
-        config.sharding.reconcile_interval = SimDuration::from_micros(1);
+        config.bus_latency = RECONCILE_INTERVAL + SimDuration::from_micros(1);
+        config.ping_interval = config.bus_latency;
         config.validate();
     }
 

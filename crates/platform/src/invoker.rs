@@ -28,7 +28,7 @@ use hrv_trace::harvest::{VmTrace, EVICTION_GRACE};
 use hrv_trace::rng::IdMap;
 use hrv_trace::time::{SimDuration, SimTime};
 
-use crate::config::{PlatformConfig, VmTemplate};
+use crate::config::{PlatformConfig, VmTemplate, MIGRATION_MIN_REMAINING_SECS};
 use crate::event::{CompletionReport, Event, InvokerIndex, LossCause};
 use crate::mailbox::{invoker_entity, EntityId};
 use crate::telemetry::Hop;
@@ -919,13 +919,10 @@ impl InvokerState {
     }
 
     /// Lists running invocations whose remaining demand exceeds
-    /// `min_remaining_secs` — the migration candidates when the eviction
-    /// warning arrives. Returns `(container, remaining_secs, memory_mb)`.
-    pub fn migration_candidates(
-        &mut self,
-        now: SimTime,
-        min_remaining_secs: f64,
-    ) -> Vec<(u64, f64, u64)> {
+    /// [`MIGRATION_MIN_REMAINING_SECS`] — the migration candidates when the
+    /// eviction warning arrives. Returns `(container, remaining_secs,
+    /// memory_mb)`.
+    pub fn migration_candidates(&mut self, now: SimTime) -> Vec<(u64, f64, u64)> {
         if !self.alive {
             return Vec::new();
         }
@@ -934,7 +931,7 @@ impl InvokerState {
             .iter()
             .filter_map(|(&cid, run)| {
                 let remaining = self.ps.remaining(JobId(cid))?;
-                if remaining / run.invocation.cpu_demand > min_remaining_secs {
+                if remaining / run.invocation.cpu_demand > MIGRATION_MIN_REMAINING_SECS {
                     Some((cid, remaining, run.invocation.memory_mb))
                 } else {
                     None
@@ -1393,8 +1390,7 @@ impl InvokerState {
     /// destination from, so migration works unchanged when the controller
     /// is sharded.
     fn plan_migrations<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
-        let m = ctx.cfg.migration;
-        if !m.enabled {
+        if !ctx.cfg.migration.enabled {
             return;
         }
         let Some(warned_at) = self.warned_at else {
@@ -1403,9 +1399,7 @@ impl InvokerState {
         if ctx.now >= warned_at + EVICTION_GRACE {
             return;
         }
-        for (container, _remaining, memory_mb) in
-            self.migration_candidates(ctx.now, m.min_remaining_secs)
-        {
+        for (container, _remaining, memory_mb) in self.migration_candidates(ctx.now) {
             let Some(run) = self.running_invocation(container) else {
                 continue;
             };

@@ -18,8 +18,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use hrv_telemetry::{CounterRegistry, LatencyAttribution, PhaseRecord, PhaseTotals};
-use hrv_trace::stats::{percentile_unsorted, Cdf, LogHistogram, OnlineStats};
+use hrv_telemetry::{CounterRegistry, LatencyAttribution, PhaseRecord};
+use hrv_trace::stats::{Cdf, LogHistogram, OnlineStats};
 use hrv_trace::time::{SimDuration, SimTime};
 
 /// How one invocation's life ended.
@@ -364,9 +364,6 @@ pub struct MetricsCollector {
     /// Per-invocation latency phase rows (telemetry-enabled runs with the
     /// record sink on; empty otherwise).
     pub phases: Vec<PhaseRecord>,
-    /// Constant-memory phase sums, maintained whenever telemetry is on —
-    /// the streaming tier's view of the attribution.
-    pub phase_totals: PhaseTotals,
     /// Whether [`MetricsCollector::set_coldstart_totals`] ran on this
     /// collector — the assign-once guard that keeps shard merges from
     /// double-counting the invoker-summed totals.
@@ -390,7 +387,6 @@ impl Default for MetricsCollector {
             dropped_completions: 0,
             counters: CounterRegistry::new(),
             phases: Vec::new(),
-            phase_totals: PhaseTotals::default(),
             coldstart_installed: false,
             record_sink: true,
         }
@@ -442,11 +438,9 @@ impl MetricsCollector {
         self.streaming.quarantine_micros += span.as_micros();
     }
 
-    /// Folds one invocation's phase split into the collector: the
-    /// streaming sums always, the per-invocation row only when the record
-    /// sink is on (mirroring [`MetricsCollector::push`]).
+    /// Keeps one invocation's phase split when the record sink is on
+    /// (mirroring [`MetricsCollector::push`]).
     pub fn push_phase(&mut self, phase: PhaseRecord) {
-        self.phase_totals.add(&phase);
         if self.record_sink {
             self.phases.push(phase);
         }
@@ -519,7 +513,6 @@ impl MetricsCollector {
         self.partial_samples.extend(other.partial_samples);
         self.replica_occupancy.extend(other.replica_occupancy);
         self.phases.extend(other.phases);
-        self.phase_totals.merge(&other.phase_totals);
         self.counters.merge(&other.counters);
         self.streaming.merge(&other.streaming);
         self.arrivals += other.arrivals;
@@ -682,30 +675,6 @@ impl MetricsCollector {
             ),
         }
     }
-
-    /// Single-percentile fast path over the record sink: fills `buf` with
-    /// the completed latencies arriving at or after `warmup` and selects
-    /// the `p`-th percentile in O(n) without sorting, reusing `buf`'s
-    /// allocation across calls. Matches `aggregate(...).latency_percentile(p)`.
-    pub fn latency_percentile_with(
-        &self,
-        warmup: SimTime,
-        p: f64,
-        buf: &mut Vec<f64>,
-    ) -> Option<f64> {
-        buf.clear();
-        buf.extend(
-            self.records
-                .iter()
-                .filter(|r| r.arrival >= warmup && r.outcome == Outcome::Completed)
-                .map(|r| r.latency_secs),
-        );
-        if buf.is_empty() {
-            None
-        } else {
-            Some(percentile_unsorted(buf, p))
-        }
-    }
 }
 
 /// Aggregated results of one run.
@@ -771,14 +740,6 @@ impl RunMetrics {
     pub fn p99(&self) -> Option<f64> {
         self.latency_percentile(99.0)
     }
-
-    /// True if this run met a P99 SLO of `slo_secs`.
-    pub fn meets_slo(&self, slo_secs: f64) -> bool {
-        match self.p99() {
-            Some(p99) => p99 <= slo_secs,
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -842,7 +803,6 @@ mod tests {
         let m = MetricsCollector::new().aggregate(SimTime::ZERO);
         assert_eq!(m.arrivals, 0);
         assert!(m.latency.is_none());
-        assert!(!m.meets_slo(50.0));
         assert_eq!(m.throughput_rps, 0.0);
     }
 
@@ -880,35 +840,6 @@ mod tests {
                 "{p99} vs {exact_p99}"
             );
         }
-    }
-
-    #[test]
-    fn latency_percentile_fast_path_matches_aggregate() {
-        let mut c = MetricsCollector::new();
-        for i in 0..150 {
-            c.push(rec(
-                i,
-                i,
-                ((i * 31) % 150) as f64 + 0.5,
-                false,
-                Outcome::Completed,
-            ));
-        }
-        c.push(rec(150, 150, 0.0, false, Outcome::Rejected));
-        let m = c.aggregate(SimTime::from_secs(10));
-        let mut buf = Vec::new();
-        for p in [0.0, 50.0, 99.0, 100.0] {
-            let fast = c
-                .latency_percentile_with(SimTime::from_secs(10), p, &mut buf)
-                .unwrap();
-            assert!(
-                (fast - m.latency_percentile(p).unwrap()).abs() < 1e-9,
-                "p{p}"
-            );
-        }
-        assert!(c
-            .latency_percentile_with(SimTime::from_secs(10_000), 50.0, &mut buf)
-            .is_none());
     }
 
     #[test]
@@ -1044,8 +975,9 @@ mod tests {
                 Outcome::Completed,
             ));
         }
-        let m = c.aggregate(SimTime::ZERO);
-        assert!(!m.meets_slo(50.0));
-        assert!(m.meets_slo(150.0));
+        // Five 100 s stragglers in 100: a 50 s P99 SLO is missed, a 150 s
+        // one met.
+        let p99 = c.aggregate(SimTime::ZERO).p99().unwrap();
+        assert!(p99 > 50.0 && p99 <= 150.0, "p99 {p99}");
     }
 }

@@ -18,6 +18,11 @@ use hrv_trace::faas::Invocation;
 use hrv_trace::harvest::EVICTION_GRACE;
 use hrv_trace::time::{SimDuration, SimTime};
 
+use crate::config::{
+    BACKOFF_BASE, BACKOFF_CAP, DOWN_AFTER, MAX_RETRIES, MIGRATION_SETUP, PLACEMENT_RETRY,
+    PROBE_INTERVAL, PROBE_TIMEOUT, RECONCILE_INTERVAL, RETRY_BUDGET, STRAGGLER_PRESSURE,
+    STRAGGLER_STRIKES,
+};
 use crate::controller::{Controller, RouteOutcome};
 use crate::event::{Event, InvokerIndex, LossCause, ReplicaIndex};
 use crate::mailbox::{replica_entity, EntityId};
@@ -59,8 +64,8 @@ pub(crate) struct ReplicaState {
     /// Invocations waiting on a scheduled [`Event::Redispatch`], so a run
     /// that ends first can censor them.
     pending_redispatch: BTreeMap<u64, Invocation>,
-    /// Remaining retry budget (from [`crate::config::RecoveryConfig`];
-    /// per replica, so the fleet-wide budget scales with replication).
+    /// Remaining retry budget (starts at [`RETRY_BUDGET`]; per replica,
+    /// so the fleet-wide budget scales with replication).
     retry_budget: u64,
     /// When each currently-quarantined invoker entered quarantine.
     quarantine_since: BTreeMap<InvokerIndex, SimTime>,
@@ -81,7 +86,6 @@ impl ReplicaState {
         index: ReplicaIndex,
         controller: Controller,
         dispatch_faults: Option<DispatchSampler>,
-        retry_budget: u64,
         first_free_slot: u32,
     ) -> Self {
         ReplicaState {
@@ -92,7 +96,7 @@ impl ReplicaState {
             dispatch_faults,
             attempts: HashMap::new(),
             pending_redispatch: BTreeMap::new(),
-            retry_budget,
+            retry_budget: RETRY_BUDGET,
             quarantine_since: BTreeMap::new(),
             straggler_strikes: HashMap::new(),
             placements: 0,
@@ -154,10 +158,8 @@ impl ReplicaState {
                         self.send(ctx.cfg.bus_latency, delta, ctx);
                     }
                 }
-                ctx.cal.schedule_after(
-                    ctx.cfg.sharding.reconcile_interval,
-                    Event::ReconcileTick { replica },
-                );
+                ctx.cal
+                    .schedule_after(RECONCILE_INTERVAL, Event::ReconcileTick { replica });
             }
             Event::MonitorTick => self.on_monitor_tick(ctx),
             Event::FaultViewFreeze { frozen } => self.monitor_mut().view_frozen = frozen,
@@ -303,22 +305,21 @@ impl ReplicaState {
         ctx: &mut Ctx<'_, C>,
     ) {
         self.controller.forget_inflight(inv.id);
-        let r = ctx.cfg.recovery;
-        let attempt = if r.enabled {
+        let recovery = ctx.cfg.recovery.enabled;
+        let attempt = if recovery {
             self.attempts.get(&inv.id).copied().unwrap_or(0)
         } else {
             0
         };
-        if r.enabled && attempt < r.max_retries && self.retry_budget > 0 {
+        if recovery && attempt < MAX_RETRIES && self.retry_budget > 0 {
             self.retry_budget -= 1;
             self.attempts.insert(inv.id, attempt + 1);
-            let backoff = r
-                .backoff_base
+            let backoff = BACKOFF_BASE
                 .mul_f64(2f64.powi(attempt as i32))
-                .min(r.backoff_cap);
+                .min(BACKOFF_CAP);
             let detection = match cause {
                 LossCause::Eviction => ctx.cfg.ping_interval,
-                LossCause::Crash | LossCause::DeadDelivery => r.probe_timeout,
+                LossCause::Crash | LossCause::DeadDelivery => PROBE_TIMEOUT,
                 LossCause::DispatchDrop => SimDuration::ZERO,
             };
             if cause != LossCause::DispatchDrop {
@@ -343,7 +344,7 @@ impl ReplicaState {
         // pre-fault platform reported it (an eviction failure) so legacy
         // runs stay byte-identical; a lost dispatch message has no legacy
         // equivalent and is always a loss.
-        let outcome = if r.enabled || cause == LossCause::DispatchDrop {
+        let outcome = if recovery || cause == LossCause::DispatchDrop {
             Outcome::Lost
         } else {
             Outcome::FailedEviction
@@ -361,7 +362,7 @@ impl ReplicaState {
             self.retry_armed = true;
             let replica = self.index;
             ctx.cal
-                .schedule_after(ctx.cfg.placement_retry, Event::RetryQueue { replica });
+                .schedule_after(PLACEMENT_RETRY, Event::RetryQueue { replica });
         }
     }
 
@@ -416,14 +417,13 @@ impl ReplicaState {
         pressure: f64,
         ctx: &mut Ctx<'_, C>,
     ) {
-        let r = ctx.cfg.recovery;
-        if pressure >= r.straggler_pressure {
+        if pressure >= STRAGGLER_PRESSURE {
             let strikes = *self
                 .straggler_strikes
                 .entry(idx)
                 .and_modify(|s| *s += 1)
                 .or_insert(1);
-            if strikes >= r.straggler_strikes {
+            if strikes >= STRAGGLER_STRIKES {
                 self.quarantine(idx, ctx.now, ctx.metrics);
             }
         } else {
@@ -433,15 +433,14 @@ impl ReplicaState {
     }
 
     /// The periodic health-probe sweep: invokers silent past the probe
-    /// timeout are quarantined; silent past `down_after`, they are
+    /// timeout are quarantined; silent past [`DOWN_AFTER`], they are
     /// declared dead and removed from the view.
     fn on_health_sweep<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
-        let r = ctx.cfg.recovery;
-        if !r.enabled {
+        if !ctx.cfg.recovery.enabled {
             return;
         }
-        for (id, silence) in self.controller.silent_invokers(ctx.now, r.probe_timeout) {
-            if silence >= r.down_after {
+        for (id, silence) in self.controller.silent_invokers(ctx.now, PROBE_TIMEOUT) {
+            if silence >= DOWN_AFTER {
                 self.unquarantine(id.0, ctx.now, ctx.metrics);
                 self.controller.on_invoker_down(id);
             } else {
@@ -450,7 +449,7 @@ impl ReplicaState {
         }
         let replica = self.index;
         ctx.cal
-            .schedule_after(r.probe_interval, Event::HealthSweep { replica });
+            .schedule_after(PROBE_INTERVAL, Event::HealthSweep { replica });
     }
 
     /// The resource monitor's capacity-floor check, read off this
@@ -493,10 +492,10 @@ impl ReplicaState {
         warned_at: SimTime,
         ctx: &mut Ctx<'_, C>,
     ) {
-        let m = ctx.cfg.migration;
         let bus = ctx.cfg.bus_latency;
         let deadline = warned_at + EVICTION_GRACE;
-        let transfer = m.setup + m.per_gib.mul_f64(memory_mb as f64 / 1024.0);
+        let transfer =
+            MIGRATION_SETUP + ctx.cfg.migration.per_gib.mul_f64(memory_mb as f64 / 1024.0);
         // The extract order takes one bus hop, then the state transfer
         // itself must land before the source is evicted.
         if ctx.now + bus + transfer.max(bus) >= deadline {

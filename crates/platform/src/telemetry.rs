@@ -30,7 +30,6 @@ pub struct Hop {
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
     enabled: bool,
-    dump_last: usize,
     /// The bounded per-entity span rings.
     pub recorder: FlightRecorder,
 }
@@ -40,7 +39,6 @@ impl TelemetrySink {
     pub fn new(cfg: &TelemetryConfig) -> Self {
         TelemetrySink {
             enabled: cfg.enabled(),
-            dump_last: cfg.dump_last(),
             recorder: FlightRecorder::new(cfg.ring_capacity()),
         }
     }
@@ -49,11 +47,6 @@ impl TelemetrySink {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// How many trailing events a crash dump should include.
-    pub fn dump_last(&self) -> usize {
-        self.dump_last
     }
 
     /// Records one span event (no-op when disabled).

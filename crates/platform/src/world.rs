@@ -22,7 +22,7 @@ use hrv_trace::time::{SimDuration, SimTime};
 
 use hrv_telemetry::{FlightRecorder, SpanKind};
 
-use crate::config::PlatformConfig;
+use crate::config::{PlatformConfig, PROBE_INTERVAL, RECONCILE_INTERVAL};
 use crate::controller::Controller;
 use crate::event::{Event, InvokerIndex, ReplicaIndex};
 use crate::invoker::{first_sample_at, InvokerState, SlotSource};
@@ -334,19 +334,13 @@ impl PlatformWorld {
             .collect();
         for &r in &hosted {
             if cfg.recovery.enabled {
-                cal.schedule_after(
-                    cfg.recovery.probe_interval,
-                    Event::HealthSweep { replica: r },
-                );
+                cal.schedule_after(PROBE_INTERVAL, Event::HealthSweep { replica: r });
             }
             // Reconciliation only exists between peers: with a single
             // replica no tick is scheduled and event counts match the
             // pre-replication platform exactly.
             if replica_count > 1 {
-                cal.schedule_after(
-                    cfg.sharding.reconcile_interval,
-                    Event::ReconcileTick { replica: r },
-                );
+                cal.schedule_after(RECONCILE_INTERVAL, Event::ReconcileTick { replica: r });
             }
         }
         if !cfg.sample_interval.is_zero() {
@@ -383,7 +377,6 @@ impl PlatformWorld {
                     r,
                     controller,
                     faults.dispatch.as_ref().map(|d| d.sampler()),
-                    cfg.recovery.retry_budget,
                     spec.vms.len() as u32,
                 )
             })
@@ -586,8 +579,11 @@ impl SimOutput {
     pub fn assert_conservation(&self) {
         let (arrived, resolved) = self.collector.conservation();
         if arrived != resolved {
-            let n = hrv_telemetry::FlightConfig::default().dump_last as usize;
-            hrv_telemetry::dump::write_default("conservation", &self.recorder, n);
+            hrv_telemetry::dump::write_default(
+                "conservation",
+                &self.recorder,
+                hrv_telemetry::dump::DUMP_LAST,
+            );
         }
         self.collector.assert_conservation();
     }
@@ -791,8 +787,6 @@ mod tests {
             PolicyKind::Jsq,
             PolicyKind::JsqSampled(2),
             PolicyKind::Vanilla,
-            PolicyKind::Random,
-            PolicyKind::RoundRobin,
         ] {
             let spec = ClusterSpec::regular(4, 16, 64 * 1024, SimDuration::from_secs(400));
             let out = run(policy, spec, 2.0, 300);
@@ -1306,7 +1300,6 @@ mod migration_tests {
             migration: MigrationConfig {
                 enabled: true,
                 per_gib: SimDuration::from_secs(120),
-                ..MigrationConfig::default()
             },
             ..PlatformConfig::default()
         };

@@ -91,57 +91,6 @@ impl PhaseComponents {
     }
 }
 
-/// Constant-memory phase sums — the streaming-only fallback when
-/// per-invocation phase rows are not materialized.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseTotals {
-    /// Invocations folded in.
-    pub count: u64,
-    pub sched_secs: f64,
-    pub bus_secs: f64,
-    pub queue_secs: f64,
-    pub coldstart_secs: f64,
-    pub exec_secs: f64,
-}
-
-impl PhaseTotals {
-    /// Folds one invocation's phase split into the sums.
-    pub fn add(&mut self, rec: &PhaseRecord) {
-        let c = rec.components();
-        self.count += 1;
-        self.sched_secs += c.sched_secs;
-        self.bus_secs += c.bus_secs;
-        self.queue_secs += c.queue_secs;
-        self.coldstart_secs += c.coldstart_secs;
-        self.exec_secs += c.exec_secs;
-    }
-
-    /// Adds a peer shard's sums.
-    pub fn merge(&mut self, other: &PhaseTotals) {
-        self.count += other.count;
-        self.sched_secs += other.sched_secs;
-        self.bus_secs += other.bus_secs;
-        self.queue_secs += other.queue_secs;
-        self.coldstart_secs += other.coldstart_secs;
-        self.exec_secs += other.exec_secs;
-    }
-
-    /// Mean phase vector, or `None` before any invocation completed.
-    pub fn mean(&self) -> Option<PhaseComponents> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.count as f64;
-        Some(PhaseComponents {
-            sched_secs: self.sched_secs / n,
-            bus_secs: self.bus_secs / n,
-            queue_secs: self.queue_secs / n,
-            coldstart_secs: self.coldstart_secs / n,
-            exec_secs: self.exec_secs / n,
-        })
-    }
-}
-
 /// Phase decomposition of an entire run's latency distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyAttribution {
@@ -248,18 +197,5 @@ mod tests {
         assert_eq!(a.percentile_row(100.0).id, 100);
         let p99 = a.percentile(99.0);
         assert!((p99.total_secs() - (2_000.0 + 99_000.0) / 1e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_matches_totals() {
-        let rows = vec![row(0, 100, 0, 0, 0, 100), row(1, 300, 0, 0, 0, 100)];
-        let mut totals = PhaseTotals::default();
-        for r in &rows {
-            totals.add(r);
-        }
-        let a = LatencyAttribution::from_rows(rows).unwrap();
-        let m = totals.mean().unwrap();
-        assert!((a.mean().sched_secs - m.sched_secs).abs() < 1e-12);
-        assert!((a.mean().total_secs() - m.total_secs()).abs() < 1e-12);
     }
 }

@@ -18,6 +18,10 @@ use crate::span::NO_INVOCATION;
 /// this path as an artifact when a test or smoke step fails.
 pub const DEFAULT_DUMP_DIR: &str = "target/flight_recorder";
 
+/// How many trailing events (canonically merged across entities and
+/// shards) a crash dump renders.
+pub const DUMP_LAST: usize = 64;
+
 /// Renders the trailing `n` events of the canonical merge as text.
 pub fn render(label: &str, recorder: &FlightRecorder, n: usize) -> String {
     let tail = recorder.tail(n);

@@ -20,8 +20,8 @@
 //!   `MetricsCollector` field (skipped ping reports); each is a per-shard
 //!   partial sum that adds on merge.
 //! * [`perfetto`] — a Chrome/Perfetto trace-event JSON exporter.
-//! * [`dump`] — crash-dump rendering of the flight recorder for
-//!   conservation / determinism failures.
+//! * [`dump`] — crash-dump rendering of the flight recorder's last
+//!   [`dump::DUMP_LAST`] events for conservation / determinism failures.
 
 pub mod attribution;
 pub mod counters;
@@ -30,7 +30,7 @@ pub mod perfetto;
 pub mod recorder;
 pub mod span;
 
-pub use attribution::{LatencyAttribution, PhaseComponents, PhaseRecord, PhaseTotals};
+pub use attribution::{LatencyAttribution, PhaseComponents, PhaseRecord};
 pub use counters::{CounterId, CounterRegistry};
 pub use recorder::FlightRecorder;
 pub use span::{SpanEvent, SpanKind, NO_INVOCATION};
@@ -45,17 +45,11 @@ pub struct FlightConfig {
     /// shard-invariant: an entity's ring always holds its own last
     /// `ring_capacity` spans no matter which shard recorded them.
     pub ring_capacity: u32,
-    /// How many trailing events (per shard, canonically merged) a crash
-    /// dump renders.
-    pub dump_last: u32,
 }
 
 impl Default for FlightConfig {
     fn default() -> Self {
-        FlightConfig {
-            ring_capacity: 256,
-            dump_last: 64,
-        }
+        FlightConfig { ring_capacity: 256 }
     }
 }
 
@@ -91,14 +85,6 @@ impl TelemetryConfig {
             TelemetryConfig::Flight(f) => f.ring_capacity as usize,
         }
     }
-
-    /// Crash-dump tail length (zero when off).
-    pub fn dump_last(&self) -> usize {
-        match self {
-            TelemetryConfig::Off => 0,
-            TelemetryConfig::Flight(f) => f.dump_last as usize,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +104,7 @@ mod tests {
         let cfg = TelemetryConfig::on();
         assert!(cfg.enabled());
         assert!(cfg.ring_capacity() >= 64);
-        assert!(cfg.dump_last() >= 16);
+        const { assert!(dump::DUMP_LAST >= 16) };
     }
 
     #[test]

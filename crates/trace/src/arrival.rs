@@ -87,11 +87,6 @@ impl RateProfile {
         RateProfile { points }
     }
 
-    /// Creates a flat profile with one rate.
-    pub fn flat(rate: f64) -> Self {
-        RateProfile::new(vec![(SimDuration::ZERO, rate)])
-    }
-
     /// The rate at offset `t` from the profile start.
     pub fn rate_at(&self, t: SimDuration) -> f64 {
         let idx = self.points.partition_point(|&(off, _)| off <= t);
@@ -227,7 +222,7 @@ mod tests {
 
     #[test]
     fn scaled_profile() {
-        let prof = RateProfile::flat(2.0).scaled(3.0);
+        let prof = RateProfile::new(vec![(SimDuration::ZERO, 2.0)]).scaled(3.0);
         assert_eq!(prof.rate_at(SimDuration::ZERO), 6.0);
     }
 

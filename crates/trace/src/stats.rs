@@ -359,23 +359,6 @@ pub fn percentile_unsorted(samples: &mut [f64], p: f64) -> f64 {
     lo_val * (1.0 - frac) + hi_val * frac
 }
 
-/// Renders an ASCII sparkline of a CDF over log-spaced points — used by the
-/// `experiments` binary to eyeball distribution shapes in a terminal.
-pub fn ascii_cdf(cdf: &Cdf, lo: f64, hi: f64, cols: usize) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    assert!(lo > 0.0 && hi > lo && cols > 0);
-    let ratio = (hi / lo).powf(1.0 / cols.max(1) as f64);
-    let mut out = String::with_capacity(cols * 3);
-    let mut x = lo;
-    for _ in 0..cols {
-        let f = cdf.fraction_at_or_below(x);
-        let idx = ((f * 8.0) as usize).min(7);
-        out.push(BARS[idx]);
-        x *= ratio;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,12 +544,5 @@ mod tests {
         h.record(500.0); // overflow
         assert_eq!(h.percentile(0.0).unwrap(), 1.0);
         assert!((h.percentile(100.0).unwrap() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ascii_cdf_renders() {
-        let cdf = Cdf::from_samples((1..=100).map(|i| i as f64).collect());
-        let art = ascii_cdf(&cdf, 1.0, 100.0, 10);
-        assert_eq!(art.chars().count(), 10);
     }
 }

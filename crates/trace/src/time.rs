@@ -157,11 +157,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// Fractional hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3_600.0
-    }
-
     /// Fractional days.
     pub fn as_days_f64(self) -> f64 {
         self.as_secs_f64() / 86_400.0

@@ -181,7 +181,7 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        let n = harvest_faas::hrv_platform::FlightConfig::default().dump_last as usize;
+        let n = harvest_faas::hrv_platform::tel::dump::DUMP_LAST;
         harvest_faas::hrv_platform::tel::dump::write_default(
             &format!("determinism-{slug}-baseline"),
             &a.recorder,
@@ -662,8 +662,8 @@ fn panicking_shard_fails_the_run_instead_of_hanging() {
 
 #[test]
 fn random_policy_is_seeded_not_ambient() {
-    // The Random policy draws from the simulation's seeded RNG stream —
-    // two runs with the same seed place identically.
+    // Random placement (`JsqSampled(1)`) draws from the simulation's
+    // seeded RNG stream — two runs with the same seed place identically.
     let horizon = SimDuration::from_mins(10);
     let seeds = SeedFactory::new(7);
     let spec = WorkloadSpec::paper_fsmall().scaled(30, 5.0);
@@ -673,7 +673,7 @@ fn random_policy_is_seeded_not_ambient() {
         Simulation::new(
             ClusterSpec::regular(5, 8, 16 * 1024, horizon),
             trace.clone(),
-            PolicyKind::Random.build(),
+            PolicyKind::JsqSampled(1).build(),
             PlatformConfig::default(),
             1234,
         )

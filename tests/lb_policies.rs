@@ -113,8 +113,6 @@ fn every_policy_survives_vm_churn() {
         PolicyKind::JsqQueueLength,
         PolicyKind::JsqWeightedQueueLength,
         PolicyKind::Vanilla,
-        PolicyKind::Random,
-        PolicyKind::RoundRobin,
     ] {
         let out = Simulation::new(
             ClusterSpec::from_traces(vms.clone()),

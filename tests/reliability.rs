@@ -49,7 +49,15 @@ fn failures_are_rare_under_random_placement() {
     let horizon = SimDuration::from_hours(4);
     let vms = churny_cluster(12, 3, horizon);
     let spec = WorkloadSpec::paper_fsmall().scaled(119, 6.0);
-    let result = reliability(&vms, &spec, horizon, 3, PolicyKind::Random, &platform(), 11);
+    let result = reliability(
+        &vms,
+        &spec,
+        horizon,
+        3,
+        PolicyKind::JsqSampled(1),
+        &platform(),
+        11,
+    );
     assert!(result.invocations > 100_000, "{}", result.invocations);
     assert!(result.vm_evictions >= 12);
     // Only invocations longer than the 30-second grace that happen to be

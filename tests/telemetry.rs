@@ -202,7 +202,7 @@ fn flight_recorder_is_shard_invariant() {
             if events != base_events {
                 // Post-mortem for CI: the dumps land where the failure-path
                 // artifact upload looks.
-                let n = harvest_faas::hrv_platform::FlightConfig::default().dump_last as usize;
+                let n = harvest_faas::hrv_platform::tel::dump::DUMP_LAST;
                 harvest_faas::hrv_platform::tel::dump::write_default(
                     "telemetry-shard-baseline",
                     &baseline.recorder,
