@@ -109,12 +109,11 @@ pub enum Event {
         /// The invoker whose queue should be checked.
         invoker: InvokerIndex,
     },
-    /// An idle container's keep-alive expired.
+    /// The invoker's earliest idle keep-alive deadline is due: reap that
+    /// one container (the invoker knows which).
     KeepAliveExpired {
         /// Owning invoker.
         invoker: InvokerIndex,
-        /// The idle container to reap.
-        container: u64,
     },
     /// A cold-start policy's prewarm order arrives at the invoker:
     /// spawn a container for `function` ahead of its predicted next
@@ -489,9 +488,7 @@ mod tests {
             ),
             Event::Deliver { .. } => (on_invoker, Event::StartupDone { invoker, container }),
             Event::StartupDone { .. } => (on_invoker, Event::Completion { invoker }),
-            Event::Completion { .. } => {
-                (on_invoker, Event::KeepAliveExpired { invoker, container })
-            }
+            Event::Completion { .. } => (on_invoker, Event::KeepAliveExpired { invoker }),
             Event::KeepAliveExpired { .. } => (
                 on_invoker,
                 Event::Prewarm {

@@ -63,8 +63,10 @@ pub struct Container {
     /// Last time it finished serving (for LRU eviction; doubles as the
     /// idle-span start for warm memory-time accounting).
     pub last_used: SimTime,
-    /// Pending keep-alive timer when idle.
-    pub keepalive: Option<EventId>,
+    /// Keep-alive deadline while idle (`None` while starting or busy,
+    /// and for a zero-TTL container awaiting its same-tick reap). The
+    /// invoker's one reaper timer is armed at the earliest of these.
+    pub expires: Option<SimTime>,
     /// Born from a cold-start policy's prewarm order (for hit/waste
     /// accounting).
     pub prewarmed: bool,
@@ -146,6 +148,15 @@ impl ContainerStore {
             .filter(|c| c.state == ContainerState::Idle)
             .min_by_key(|c| (c.last_used, c.id))
             .map(|c| c.id)
+    }
+
+    /// The earliest keep-alive deadline and its container (lowest id
+    /// among equals) — the next one the reaper takes.
+    fn next_expiry(&self) -> Option<(SimTime, u64)> {
+        self.slab
+            .iter()
+            .filter_map(|c| Some((c.expires?, c.id)))
+            .min()
     }
 }
 
@@ -250,6 +261,10 @@ pub struct InvokerState {
     /// queue's next completion has not actually changed — on a hot path
     /// (every deliver/resize/drain) this avoids most calendar churn.
     armed: Option<(SimTime, JobId)>,
+    /// The one keep-alive timer: armed if and only if some idle container
+    /// has a deadline, and always at the earliest one (DESIGN.md,
+    /// *Keep-alive deadline*).
+    reaper: Option<(SimTime, EventId)>,
     memory_used: u64,
     next_container: u64,
     /// Cores committed to containers still cold-starting.
@@ -318,6 +333,7 @@ impl InvokerState {
             running: BTreeMap::new(),
             completion_timer: None,
             armed: None,
+            reaper: None,
             memory_used: 0,
             next_container: 0,
             starting_cap: 0.0,
@@ -480,14 +496,12 @@ impl InvokerState {
             ContainerState::Idle,
             "destroyed a non-idle container"
         );
-        if let Some(ev) = c.keepalive {
-            cal.cancel(ev);
-        }
         self.idle_mib_secs += now.saturating_since(c.last_used).as_secs_f64() * c.memory_mb as f64;
         if c.prewarmed && c.served == 0 {
             self.wasted_prewarms += 1;
         }
         self.memory_used -= c.memory_mb;
+        self.deadline_cleared(c.expires, cal);
     }
 
     fn start_warm(
@@ -498,14 +512,13 @@ impl InvokerState {
         cal: &mut impl EventCalendar<Event>,
     ) {
         let c = self.containers.get_mut(cid).expect("warm container exists");
-        if let Some(ev) = c.keepalive.take() {
-            cal.cancel(ev);
-        }
+        let expires = c.expires.take();
         c.state = ContainerState::Busy;
         if c.prewarmed && c.served == 0 {
             self.prewarm_hits += 1;
         }
         self.idle_mib_secs += now.saturating_since(c.last_used).as_secs_f64() * c.memory_mb as f64;
+        self.deadline_cleared(expires, cal);
         self.warm_starts += 1;
         if self.tel_enabled {
             self.tel
@@ -540,7 +553,7 @@ impl InvokerState {
             memory_mb: invocation.memory_mb,
             state: ContainerState::Starting,
             last_used: now,
-            keepalive: None,
+            expires: None,
             prewarmed: false,
             served: 0,
         });
@@ -659,13 +672,9 @@ impl InvokerState {
             c.served += 1;
             match decision.keep_alive {
                 Some(ttl) => {
-                    c.keepalive = Some(cal.schedule(
-                        now.saturating_add(ttl),
-                        Event::KeepAliveExpired {
-                            invoker: self.index,
-                            container: cid,
-                        },
-                    ));
+                    let deadline = now.saturating_add(ttl);
+                    c.expires = Some(deadline);
+                    self.deadline_set(deadline, cal);
                 }
                 // Zero keep-alive: reap after the drain pass below, so
                 // same-tick queued work may still reuse the container.
@@ -742,7 +751,7 @@ impl InvokerState {
             memory_mb,
             state: ContainerState::Starting,
             last_used: now,
-            keepalive: None,
+            expires: None,
             prewarmed: true,
             served: 0,
         });
@@ -785,33 +794,71 @@ impl InvokerState {
         debug_assert_eq!(c.state, ContainerState::Starting);
         c.state = ContainerState::Idle;
         c.last_used = now;
-        c.keepalive = Some(cal.schedule(
-            now.saturating_add(ttl),
-            Event::KeepAliveExpired {
-                invoker: self.index,
-                container: cid,
-            },
-        ));
+        let deadline = now.saturating_add(ttl);
+        c.expires = Some(deadline);
+        self.deadline_set(deadline, cal);
         self.drain(now, cal, cfg);
     }
 
-    /// Reaps an idle container whose keep-alive expired.
-    pub fn keepalive_expired(
-        &mut self,
-        now: SimTime,
-        cid: u64,
-        cal: &mut impl EventCalendar<Event>,
-    ) {
-        if !self.alive {
+    /// The reaper fired: reap the idle container with the lowest
+    /// `(deadline, id)`, which is due now, and re-arm at the next
+    /// deadline. Each expiring container is one firing at its own
+    /// deadline.
+    pub fn keepalive_expired(&mut self, now: SimTime, cal: &mut impl EventCalendar<Event>) {
+        // The event driving this is the armed reaper (eviction cancels
+        // it); it has been consumed by the calendar.
+        let Some((at, _)) = self.reaper.take() else {
+            return;
+        };
+        debug_assert_eq!(at, now, "the reaper fired off its deadline");
+        let (deadline, cid) = self
+            .containers
+            .next_expiry()
+            .expect("an armed reaper has an idle deadline");
+        debug_assert_eq!(
+            deadline, now,
+            "the reaper is armed at the earliest deadline"
+        );
+        self.destroy_container(now, cid, cal);
+        self.arm_reaper(cal);
+    }
+
+    /// A container went idle with keep-alive `deadline`: re-arm only if
+    /// that is earlier than the armed one, which a fixed TTL never gives
+    /// while another container is idle.
+    fn deadline_set(&mut self, deadline: SimTime, cal: &mut impl EventCalendar<Event>) {
+        if self.reaper.is_none_or(|(at, _)| deadline < at) {
+            self.arm_reaper(cal);
+        }
+    }
+
+    /// A container left idle (warm start or destruction) holding
+    /// `expires`: only if that was the armed deadline can the earliest
+    /// one have moved.
+    fn deadline_cleared(&mut self, expires: Option<SimTime>, cal: &mut impl EventCalendar<Event>) {
+        if expires.is_some() && expires == self.reaper.map(|(at, _)| at) {
+            self.arm_reaper(cal);
+        }
+    }
+
+    /// Points the reaper at the earliest idle deadline, touching the
+    /// calendar only when that deadline moved.
+    fn arm_reaper(&mut self, cal: &mut impl EventCalendar<Event>) {
+        let next = self.containers.next_expiry().map(|(at, _)| at);
+        if self.reaper.map(|(at, _)| at) == next {
             return;
         }
-        // The timer may have been cancelled logically but already popped;
-        // only reap genuinely idle containers.
-        if let Some(c) = self.containers.get_mut(cid) {
-            if c.state == ContainerState::Idle {
-                c.keepalive = None;
-                self.destroy_container(now, cid, cal);
-            }
+        if let Some((_, ev)) = self.reaper.take() {
+            cal.cancel(ev);
+        }
+        if let Some(at) = next {
+            let timer = cal.schedule(
+                at,
+                Event::KeepAliveExpired {
+                    invoker: self.index,
+                },
+            );
+            self.reaper = Some((at, timer));
         }
     }
 
@@ -876,10 +923,10 @@ impl InvokerState {
             cal.cancel(ev);
         }
         self.armed = None;
+        if let Some((_, ev)) = self.reaper.take() {
+            cal.cancel(ev);
+        }
         for c in self.containers.iter() {
-            if let Some(ev) = c.keepalive {
-                cal.cancel(ev);
-            }
             // Close the idle spans and charge speculative spawns that the
             // eviction kills before they ever served.
             if c.state == ContainerState::Idle {
@@ -996,7 +1043,7 @@ impl InvokerState {
             memory_mb: run.invocation.memory_mb,
             state: ContainerState::Busy,
             last_used: now,
-            keepalive: None,
+            expires: None,
             prewarmed: false,
             served: 1,
         });
@@ -1119,9 +1166,7 @@ impl InvokerState {
                 self.startup_done(now, container, ctx.cal, cfg);
             }
             Event::Completion { .. } => self.on_completion(ctx),
-            Event::KeepAliveExpired { container, .. } => {
-                self.keepalive_expired(now, container, ctx.cal);
-            }
+            Event::KeepAliveExpired { .. } => self.keepalive_expired(now, ctx.cal),
             Event::Prewarm {
                 function,
                 memory_mb,
@@ -1581,9 +1626,7 @@ mod tests {
             match ev.event {
                 Event::StartupDone { container, .. } => iv.startup_done(ev.at, container, cal, cfg),
                 Event::Completion { .. } => finished.extend(iv.completion_tick(ev.at, cal, cfg)),
-                Event::KeepAliveExpired { container, .. } => {
-                    iv.keepalive_expired(ev.at, container, cal);
-                }
+                Event::KeepAliveExpired { .. } => iv.keepalive_expired(ev.at, cal),
                 Event::PrewarmReady { container, .. } => {
                     iv.prewarm_ready(ev.at, container, cal, cfg);
                 }
@@ -2182,6 +2225,138 @@ mod tests {
         }
     }
 
+    fn secs(s: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs_f64(s)
+    }
+
+    /// Where the invoker's one keep-alive timer is armed, if it is.
+    fn reaper_at(iv: &InvokerState) -> Option<SimTime> {
+        iv.reaper.map(|(at, _)| at)
+    }
+
+    /// `k` one-second invocations of distinct functions at t = 0: each
+    /// cold-starts (0.5 s) and idles at 1.5 s with a 61.5 s deadline.
+    fn idle_together(k: u64) -> (InvokerState, hrv_sim::calendar::Calendar<Event>) {
+        let (mut iv, mut cal) = fresh(8, 64 * 1024);
+        let c = cfg();
+        for i in 0..k {
+            iv.deliver(SimTime::ZERO, inv(i, i as u32, 1.0, 256), &mut cal, &c);
+        }
+        assert_eq!(
+            drive(&mut iv, &mut cal, &c, SimTime::from_secs(10)).len(),
+            k as usize
+        );
+        (iv, cal)
+    }
+
+    #[test]
+    fn idle_containers_share_one_pending_timer() {
+        let (iv, mut cal) = idle_together(5);
+        assert_eq!(iv.container_count(), 5);
+        // No completion is pending; the only event is the reaper, at the
+        // (shared) earliest deadline.
+        assert_eq!(cal.len(), 1);
+        assert_eq!(reaper_at(&iv), Some(secs(61.5)));
+        assert_eq!(cal.peek_time(), Some(secs(61.5)));
+    }
+
+    #[test]
+    fn same_instant_deadlines_fire_once_per_container() {
+        let (mut iv, mut cal) = idle_together(3);
+        let mut fired = 0;
+        while let Some(ev) = cal.pop() {
+            assert!(matches!(ev.event, Event::KeepAliveExpired { invoker: 0 }));
+            assert_eq!(ev.at, secs(61.5));
+            let before = iv.container_count();
+            iv.keepalive_expired(ev.at, &mut cal);
+            assert_eq!(iv.container_count(), before - 1, "each firing reaps one");
+            fired += 1;
+        }
+        assert_eq!(fired, 3);
+        assert_eq!(reaper_at(&iv), None);
+        assert_eq!(iv.snapshot().memory_used_mb, 0);
+    }
+
+    #[test]
+    fn warm_start_spares_its_container_and_moves_the_timer() {
+        let (mut iv, mut cal) = fresh(4, 4_096);
+        let c = cfg();
+        // App 1 idles at 1.5 s (deadline 61.5 s), app 2 at 2.5 s (62.5 s).
+        iv.deliver(SimTime::ZERO, inv(0, 1, 1.0, 256), &mut cal, &c);
+        iv.deliver(SimTime::ZERO, inv(1, 2, 2.0, 256), &mut cal, &c);
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(10));
+        assert_eq!(reaper_at(&iv), Some(secs(61.5)));
+        // A 100 s job warm-starts on app 1's container, which held the
+        // armed deadline: the timer moves to app 2's.
+        iv.deliver(SimTime::from_secs(10), inv(2, 1, 100.0, 256), &mut cal, &c);
+        assert_eq!(iv.warm_starts, 1);
+        assert_eq!(reaper_at(&iv), Some(secs(62.5)));
+        // Past app 1's old deadline only app 2's container is gone.
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(70));
+        assert_eq!(iv.container_count(), 1);
+        assert!(
+            iv.running_invocation(0).is_some(),
+            "the busy container survives"
+        );
+        assert_eq!(reaper_at(&iv), None);
+        // It finishes at 110 s and is reaped on its own new deadline.
+        let finished = drive(&mut iv, &mut cal, &c, SimTime::from_secs(120));
+        assert_eq!(finished.len(), 1);
+        assert_eq!(reaper_at(&iv), Some(secs(170.0)));
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(200));
+        assert_eq!(iv.container_count(), 0);
+        assert!(cal.is_empty());
+    }
+
+    /// A variable-TTL policy: 300 s for app 1, 30 s for every other app.
+    #[derive(Debug)]
+    struct TtlByApp;
+
+    impl ColdStartPolicy for TtlByApp {
+        fn observe_arrival(&mut self, _function: FunctionId, _now: SimTime) {}
+
+        fn on_idle(&mut self, function: FunctionId, _ctx: &IdleCtx) -> IdleDecision {
+            let secs = if function.app == AppId(1) { 300 } else { 30 };
+            IdleDecision::keep(SimDuration::from_secs(secs))
+        }
+
+        fn name(&self) -> &'static str {
+            "ttl-by-app"
+        }
+    }
+
+    #[test]
+    fn shorter_ttl_rearms_the_timer_earlier() {
+        let (mut iv, mut cal) = fresh(4, 4_096);
+        let c = cfg();
+        iv.set_policy(Box::new(TtlByApp));
+        iv.deliver(SimTime::ZERO, inv(0, 1, 1.0, 256), &mut cal, &c);
+        iv.deliver(SimTime::ZERO, inv(1, 2, 2.0, 256), &mut cal, &c);
+        // App 1 idles first (deadline 301.5 s); app 2's later idle spell
+        // ends sooner (32.5 s) and takes the timer over.
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(2));
+        assert_eq!(reaper_at(&iv), Some(secs(301.5)));
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(10));
+        assert_eq!(reaper_at(&iv), Some(secs(32.5)));
+        assert_eq!(cal.len(), 1, "the later timer was cancelled");
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(40));
+        assert_eq!(iv.container_count(), 1);
+        assert_eq!(reaper_at(&iv), Some(secs(301.5)));
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(400));
+        assert_eq!(iv.container_count(), 0);
+    }
+
+    #[test]
+    fn eviction_leaves_no_keep_alive_pending() {
+        let (mut iv, mut cal) = idle_together(4);
+        assert_eq!(cal.len(), 1);
+        let work = iv.evict(SimTime::from_secs(20), &mut cal);
+        assert!(work.started.is_empty() && work.queued.is_empty());
+        assert_eq!(reaper_at(&iv), None);
+        assert!(cal.is_empty());
+        assert!(cal.pop().is_none());
+    }
+
     /// The `BTreeMap<u64, Container>` the slab replaced, with the scans
     /// written as the invoker used to write them.
     #[derive(Default)]
@@ -2218,7 +2393,7 @@ mod tests {
             memory_mb: 256,
             state,
             last_used: SimTime::from_secs(last_used),
-            keepalive: None,
+            expires: None,
             prewarmed: false,
             served: 0,
         }

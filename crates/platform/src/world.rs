@@ -579,11 +579,7 @@ impl SimOutput {
     pub fn assert_conservation(&self) {
         let (arrived, resolved) = self.collector.conservation();
         if arrived != resolved {
-            hrv_telemetry::dump::write_default(
-                "conservation",
-                &self.recorder,
-                hrv_telemetry::dump::DUMP_LAST,
-            );
+            hrv_telemetry::dump::write_default("conservation", &self.recorder);
         }
         self.collector.assert_conservation();
     }

@@ -69,13 +69,14 @@ pub fn write(dir: &Path, label: &str, recorder: &FlightRecorder, n: usize) -> io
     Ok(path)
 }
 
-/// Best-effort dump to [`DEFAULT_DUMP_DIR`] (resolved against the current
-/// working directory, falling back to `CARGO_TARGET_DIR`-style relative
-/// paths being absent in odd environments). Errors are swallowed — the
-/// dump must never mask the original panic.
-pub fn write_default(label: &str, recorder: &FlightRecorder, n: usize) -> Option<PathBuf> {
+/// Best-effort dump of the trailing [`DUMP_LAST`] events to
+/// [`DEFAULT_DUMP_DIR`] (resolved against the current working directory,
+/// falling back to `CARGO_TARGET_DIR`-style relative paths being absent
+/// in odd environments). Errors are swallowed — the dump must never mask
+/// the original panic.
+pub fn write_default(label: &str, recorder: &FlightRecorder) -> Option<PathBuf> {
     let dir = PathBuf::from(DEFAULT_DUMP_DIR);
-    match write(&dir, label, recorder, n) {
+    match write(&dir, label, recorder, DUMP_LAST) {
         Ok(p) => {
             eprintln!("flight recorder dumped to {}", p.display());
             Some(p)

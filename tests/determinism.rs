@@ -181,16 +181,13 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        let n = harvest_faas::hrv_platform::tel::dump::DUMP_LAST;
         harvest_faas::hrv_platform::tel::dump::write_default(
             &format!("determinism-{slug}-baseline"),
             &a.recorder,
-            n,
         );
         harvest_faas::hrv_platform::tel::dump::write_default(
             &format!("determinism-{slug}-sharded"),
             &b.recorder,
-            n,
         );
     }
     assert_eq!(a.run.events, b.run.events, "event counts diverged: {label}");

@@ -202,16 +202,13 @@ fn flight_recorder_is_shard_invariant() {
             if events != base_events {
                 // Post-mortem for CI: the dumps land where the failure-path
                 // artifact upload looks.
-                let n = harvest_faas::hrv_platform::tel::dump::DUMP_LAST;
                 harvest_faas::hrv_platform::tel::dump::write_default(
                     "telemetry-shard-baseline",
                     &baseline.recorder,
-                    n,
                 );
                 harvest_faas::hrv_platform::tel::dump::write_default(
                     &format!("telemetry-shard-S{shards}"),
                     &sharded.recorder,
-                    n,
                 );
             }
             assert_eq!(
