@@ -11,21 +11,29 @@
 //! deduplication uses an epoch-stamped mark table ([`WalkSeen`]) that a
 //! caller can reuse across placements — a full walk allocates nothing.
 //!
+//! An entry is one `u32`, `slot << b | vnode` with `b = ⌈log2 v⌉` bits
+//! for `v` vnodes per member (6 at the default 64), so a member slot must
+//! stay below `2^(32 − b)`. The hash is not stored: every probe of a
+//! binary search recomputes it from the member's id and the vnode index,
+//! and a walk reads only the slot. A paper-scale ring of 102 400 vnodes
+//! is then 400 KB instead of 1.6 MB of `(u64, u32)` pairs, for one
+//! `splitmix64` per probe.
+//!
 //! Membership changes are one pass over the ring each. A join — of one
 //! member or of a whole burst ([`HashRing::extend`]) — hashes the `v`
 //! vnodes of every new member, sorts them once and merges them in from
 //! the back, so every existing entry moves at most once: O(ring + b·v
 //! log b·v) for `b` joiners, against O(b · ring) for `b` separate joins
 //! (a 1 600-invoker fleet start is one sort of 102 400 pairs instead of
-//! 1 600 memmoves of a growing vector; a lone join at 1 600 members stays
-//! ≈ 46 µs). A leave drops the member's vnodes and renumbers the slot
+//! 1 600 memmoves of a growing vector; a lone join at 1 600 members takes
+//! ≈ 28 µs). A leave drops the member's vnodes and renumbers the slot
 //! that takes its place in a single sweep. The merge lays the ring out
 //! exactly as per-vnode `partition_point` + `insert`, one member after
 //! the other in argument order, would: a new vnode lands before every
 //! equal-hash entry already on the ring, a later joiner's before an
 //! earlier joiner's of the same burst (the batch is sorted by hash, then
-//! by slot descending), and equal hashes within one member carry the same
-//! slot, so their mutual order is not observable.
+//! by entry descending: slot, then vnode), and within one member the later
+//! vnode first, an order no walk can observe since walks read only slots.
 
 use std::cmp::Reverse;
 
@@ -79,13 +87,16 @@ impl WalkSeen {
 }
 
 /// A consistent-hash ring over invokers with virtual nodes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HashRing {
-    /// `(hash, member slot)` pairs sorted by hash. Slots index `members`.
-    ring: Vec<(u64, u32)>,
+    /// Vnode entries `slot << shift | vnode`, sorted by their hash
+    /// ([`Entries::hash`]). Slots index `members`.
+    ring: Vec<u32>,
     /// Slot → invoker table; slots are dense and renumbered on removal.
     members: Vec<InvokerId>,
     vnodes: u32,
+    /// Entry bits holding the vnode index: `⌈log2 vnodes⌉`.
+    shift: u32,
     /// Bumped on every membership change; walk order is a pure function
     /// of the ring content, so two walks at the same epoch (and the same
     /// start hash) yield the same invoker sequence. Lets callers cache
@@ -93,29 +104,43 @@ pub struct HashRing {
     epoch: u64,
 }
 
+impl Default for HashRing {
+    fn default() -> Self {
+        HashRing::new()
+    }
+}
+
 impl HashRing {
     /// Creates an empty ring with [`DEFAULT_VNODES`] replicas per invoker.
     pub fn new() -> Self {
-        HashRing {
-            ring: Vec::new(),
-            members: Vec::new(),
-            vnodes: DEFAULT_VNODES,
-            epoch: 0,
-        }
+        HashRing::with_vnodes(DEFAULT_VNODES)
     }
 
-    /// Creates an empty ring with a custom replica count.
+    /// Creates an empty ring with a custom replica count. The ring then
+    /// holds at most `2^(32 − ⌈log2 vnodes⌉)` members.
     ///
     /// # Panics
     ///
-    /// Panics if `vnodes` is zero.
+    /// Panics if `vnodes` is zero or above `2^31`.
     pub fn with_vnodes(vnodes: u32) -> Self {
-        assert!(vnodes >= 1);
+        assert!(
+            (1..=1 << 31).contains(&vnodes),
+            "vnodes must be in 1..=2^31, got {vnodes}"
+        );
         HashRing {
             ring: Vec::new(),
             members: Vec::new(),
             vnodes,
+            shift: u32::BITS - (vnodes - 1).leading_zeros(),
             epoch: 0,
+        }
+    }
+
+    /// The entry decoder over the current member table.
+    fn entries(&self) -> Entries<'_> {
+        Entries {
+            members: &self.members,
+            shift: self.shift,
         }
     }
 
@@ -148,16 +173,32 @@ impl HashRing {
     /// on the ring (or repeated in the burst) are skipped, every new
     /// member takes the next slot and bumps the epoch once. Returns how
     /// many joined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the members would not fit the entry's slot bits: at most
+    /// `2^(32 − ⌈log2 vnodes⌉)` (67 108 864 at 64 vnodes).
     pub fn extend(&mut self, ids: impl IntoIterator<Item = InvokerId>) -> usize {
         let fresh = self.not_yet_members(ids);
+        let capacity = 1u64 << (u32::BITS - self.shift);
+        assert!(
+            (self.members.len() + fresh.len()) as u64 <= capacity,
+            "a ring of {} vnodes per member holds at most {capacity} members",
+            self.vnodes
+        );
         self.epoch += fresh.len() as u64;
         let mut incoming = Vec::with_capacity(fresh.len() * self.vnodes as usize);
         for &id in &fresh {
             let slot = self.members.len() as u32;
             self.members.push(id);
-            incoming.extend((0..self.vnodes).map(|r| (Self::vnode_hash(id, r), slot)));
+            let base = slot << self.shift;
+            incoming.extend((0..self.vnodes).map(|r| (Self::vnode_hash(id, r), base | r)));
         }
-        merge_batch(&mut self.ring, &mut incoming);
+        let entries = Entries {
+            members: &self.members,
+            shift: self.shift,
+        };
+        merge_batch(&mut self.ring, &mut incoming, |e| entries.hash(e));
         fresh.len()
     }
 
@@ -192,12 +233,17 @@ impl HashRing {
         self.members.swap_remove(slot as usize);
         // The member formerly in the last slot moved into the hole, so
         // its vnodes are renumbered in the sweep that drops the victim's.
+        // A vnode keeps its index, so its hash — now read through the
+        // hole's member entry — does not change.
+        let shift = self.shift;
+        let vnode_mask = (1u32 << shift) - 1;
         self.ring.retain_mut(|entry| {
-            if entry.1 == slot {
+            let s = *entry >> shift;
+            if s == slot {
                 return false;
             }
-            if entry.1 == last {
-                entry.1 = slot;
+            if s == last {
+                *entry = slot << shift | (*entry & vnode_mask);
             }
             true
         });
@@ -233,9 +279,9 @@ impl HashRing {
         seen.begin(self.members.len());
         Successors {
             ring: &self.ring,
-            members: &self.members,
+            entries: self.entries(),
             offset: 0,
-            start: self.ring.partition_point(|&(rh, _)| rh < hash),
+            start: self.start(hash),
             seen: SeenStore::Owned(seen),
         }
     }
@@ -246,11 +292,17 @@ impl HashRing {
         seen.begin(self.members.len());
         Successors {
             ring: &self.ring,
-            members: &self.members,
+            entries: self.entries(),
             offset: 0,
-            start: self.ring.partition_point(|&(rh, _)| rh < hash),
+            start: self.start(hash),
             seen: SeenStore::Borrowed(seen),
         }
+    }
+
+    /// Index of the first entry whose hash is not below `hash`.
+    fn start(&self, hash: u64) -> usize {
+        let entries = self.entries();
+        self.ring.partition_point(|&e| entries.hash(e) < hash)
     }
 
     /// Walks invokers clockwise starting at `function`'s home — the MWS
@@ -265,26 +317,47 @@ impl HashRing {
     }
 }
 
-/// Merges the `(hash, slot)` vnodes of a burst of joiners into the sorted
-/// `ring`, laying it out exactly as inserting each at
-/// `partition_point(rh < h)`, member by member in slot order, would.
-/// Works from the back: the run of existing entries at or above each new
-/// hash is moved to its final place with one `copy_within`, so every
-/// entry moves at most once.
-fn merge_batch(ring: &mut Vec<(u64, u32)>, incoming: &mut [(u64, u32)]) {
-    // Among equal hashes the later joiner (higher slot) goes first.
-    incoming.sort_unstable_by_key(|&(h, slot)| (h, Reverse(slot)));
+/// Decodes ring entries against one member table.
+#[derive(Debug, Clone, Copy)]
+struct Entries<'a> {
+    members: &'a [InvokerId],
+    shift: u32,
+}
+
+impl Entries<'_> {
+    fn slot(self, entry: u32) -> u32 {
+        entry >> self.shift
+    }
+
+    /// The entry's ring position, recomputed rather than stored.
+    fn hash(self, entry: u32) -> u64 {
+        let vnode = entry & ((1u32 << self.shift) - 1);
+        HashRing::vnode_hash(self.members[self.slot(entry) as usize], vnode)
+    }
+}
+
+/// Merges the `(hash, entry)` vnodes of a burst of joiners into `ring`,
+/// whose entries are sorted by `hash`, laying it out exactly as inserting
+/// each at `partition_point(rh < h)`, member by member in slot order and
+/// vnode by vnode, would. Works from the back: the run of existing
+/// entries at or above each new hash is moved to its final place with
+/// one `copy_within`, so every entry moves at most once, and only the
+/// binary searches' probes hash.
+fn merge_batch(ring: &mut Vec<u32>, incoming: &mut [(u64, u32)], hash: impl Fn(u32) -> u64) {
+    // Among equal hashes the later joiner (higher slot) goes first, and
+    // within one joiner the later vnode, as successive inserts leave them.
+    incoming.sort_unstable_by_key(|&(h, entry)| (h, Reverse(entry)));
     // `ring[..src]` is the not-yet-placed prefix of the old ring and
     // `ring[dst..]` the finished suffix of the new one.
     let mut src = ring.len();
-    ring.resize(src + incoming.len(), (0, 0));
+    ring.resize(src + incoming.len(), 0);
     let mut dst = ring.len();
-    for &(h, slot) in incoming.iter().rev() {
-        let keep = ring[..src].partition_point(|&(rh, _)| rh < h);
+    for &(h, entry) in incoming.iter().rev() {
+        let keep = ring[..src].partition_point(|&e| hash(e) < h);
         let run = src - keep;
         ring.copy_within(keep..src, dst - run);
         dst -= run + 1;
-        ring[dst] = (h, slot);
+        ring[dst] = entry;
         src = keep;
     }
 }
@@ -311,8 +384,8 @@ impl SeenStore<'_> {
 /// order.
 #[derive(Debug)]
 pub struct Successors<'a> {
-    ring: &'a [(u64, u32)],
-    members: &'a [InvokerId],
+    ring: &'a [u32],
+    entries: Entries<'a>,
     offset: usize,
     start: usize,
     seen: SeenStore<'a>,
@@ -325,9 +398,9 @@ impl Iterator for Successors<'_> {
         while self.offset < self.ring.len() {
             let idx = (self.start + self.offset) % self.ring.len();
             self.offset += 1;
-            let (_, slot) = self.ring[idx];
+            let slot = self.entries.slot(self.ring[idx]);
             if self.seen.get().insert(slot) {
-                return Some(self.members[slot as usize]);
+                return Some(self.entries.members[slot as usize]);
             }
         }
         None
@@ -339,6 +412,7 @@ mod tests {
     use super::*;
     use hrv_trace::faas::AppId;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn f(app: u32, func: u32) -> FunctionId {
         FunctionId {
@@ -531,6 +605,73 @@ mod tests {
         assert_eq!(ring.epoch(), before.epoch() + 1);
     }
 
+    impl HashRing {
+        /// The ring as `(hash, slot)` pairs, the layout the reference
+        /// stores.
+        fn expanded(&self) -> Vec<(u64, u32)> {
+            let entries = self.entries();
+            self.ring
+                .iter()
+                .map(|&e| (entries.hash(e), entries.slot(e)))
+                .collect()
+        }
+    }
+
+    /// The ring as it was before entries were packed: stored
+    /// `(hash, slot)` pairs, joined by per-vnode sorted inserts and left
+    /// by a two-pass removal. The executable specification of the
+    /// packed ring's layout.
+    struct RefRing {
+        ring: Vec<(u64, u32)>,
+        members: Vec<InvokerId>,
+        vnodes: u32,
+        epoch: u64,
+    }
+
+    impl RefRing {
+        fn with_vnodes(vnodes: u32) -> Self {
+            RefRing {
+                ring: Vec::new(),
+                members: Vec::new(),
+                vnodes,
+                epoch: 0,
+            }
+        }
+
+        /// The one-member-at-a-time join `extend` replaced.
+        fn add(&mut self, id: InvokerId) -> bool {
+            if self.members.contains(&id) {
+                return false;
+            }
+            self.epoch += 1;
+            let slot = self.members.len() as u32;
+            self.members.push(id);
+            let hashes: Vec<u64> = (0..self.vnodes)
+                .map(|r| HashRing::vnode_hash(id, r))
+                .collect();
+            insert_vnodes(&mut self.ring, &hashes, slot);
+            true
+        }
+
+        /// The two-pass removal (`retain`, then renumber) `remove` fused.
+        fn remove(&mut self, id: InvokerId) -> bool {
+            let Some(slot) = self.members.iter().position(|&m| m == id) else {
+                return false;
+            };
+            self.epoch += 1;
+            let slot = slot as u32;
+            let last = (self.members.len() - 1) as u32;
+            self.ring.retain(|&(_, s)| s != slot);
+            self.members.swap_remove(slot as usize);
+            for entry in &mut self.ring {
+                if entry.1 == last {
+                    entry.1 = slot;
+                }
+            }
+            true
+        }
+    }
+
     /// The per-vnode sorted insert the merge replaced — the layout (and
     /// tie order) it must reproduce entry for entry.
     fn insert_vnodes(ring: &mut Vec<(u64, u32)>, hashes: &[u64], slot: u32) {
@@ -540,37 +681,30 @@ mod tests {
         }
     }
 
-    /// The one-member-at-a-time join `extend` replaced.
-    fn reference_add(ring: &mut HashRing, id: InvokerId) -> bool {
-        if ring.contains(id) {
-            return false;
-        }
-        ring.epoch += 1;
-        let slot = ring.members.len() as u32;
-        ring.members.push(id);
-        let hashes: Vec<u64> = (0..ring.vnodes)
-            .map(|r| HashRing::vnode_hash(id, r))
-            .collect();
-        insert_vnodes(&mut ring.ring, &hashes, slot);
-        true
+    /// Crafted vnodes for `merge_batch`: the entry of `(hash, slot)`
+    /// takes the slot's next free vnode index (below 32), and `hashes`
+    /// records its hash, which `merge_batch` reads back when it probes.
+    fn pack(pairs: &[(u64, u32)], hashes: &mut HashMap<u32, u64>) -> Vec<(u64, u32)> {
+        pairs
+            .iter()
+            .map(|&(h, slot)| {
+                let vnode = hashes.keys().filter(|&&e| e >> 5 == slot).count() as u32;
+                assert!(vnode < 32);
+                let entry = slot << 5 | vnode;
+                hashes.insert(entry, h);
+                (h, entry)
+            })
+            .collect()
     }
 
-    /// The two-pass removal (`retain`, then renumber) `remove` fused.
-    fn reference_remove(ring: &mut HashRing, id: InvokerId) -> bool {
-        let Some(slot) = ring.members.iter().position(|&m| m == id) else {
-            return false;
-        };
-        ring.epoch += 1;
-        let slot = slot as u32;
-        let last = (ring.members.len() - 1) as u32;
-        ring.ring.retain(|&(_, s)| s != slot);
-        ring.members.swap_remove(slot as usize);
-        for entry in &mut ring.ring {
-            if entry.1 == last {
-                entry.1 = slot;
-            }
-        }
-        true
+    /// Merges crafted `(hash, slot)` joiners into a crafted ring and
+    /// expands the result back to `(hash, slot)` pairs.
+    fn merge_pairs(old: &[(u64, u32)], joiners: &[(u64, u32)]) -> Vec<(u64, u32)> {
+        let mut hashes = HashMap::new();
+        let mut ring: Vec<u32> = pack(old, &mut hashes).iter().map(|&(_, e)| e).collect();
+        let mut incoming = pack(joiners, &mut hashes);
+        merge_batch(&mut ring, &mut incoming, |e| hashes[&e]);
+        ring.iter().map(|e| (hashes[e], e >> 5)).collect()
     }
 
     #[test]
@@ -587,13 +721,12 @@ mod tests {
         let mut expected = old.clone();
         insert_vnodes(&mut expected, &first, 2);
         insert_vnodes(&mut expected, &second, 3);
-        let mut merged = old;
-        let mut incoming: Vec<(u64, u32)> = first
+        let incoming: Vec<(u64, u32)> = first
             .iter()
             .map(|&h| (h, 2))
             .chain(second.iter().map(|&h| (h, 3)))
             .collect();
-        merge_batch(&mut merged, &mut incoming);
+        let merged = merge_pairs(&old, &incoming);
         assert_eq!(merged, expected);
         assert_eq!(
             merged,
@@ -617,11 +750,9 @@ mod tests {
             ]
         );
         // Into an empty ring, and nothing into a ring.
-        let mut empty = Vec::new();
-        merge_batch(&mut empty, &mut [(7, 0), (3, 1), (7, 1), (3, 0)]);
-        assert_eq!(empty, vec![(3, 1), (3, 0), (7, 1), (7, 0)]);
-        merge_batch(&mut empty, &mut []);
-        assert_eq!(empty.len(), 4);
+        let filled = merge_pairs(&[], &[(7, 0), (3, 1), (7, 1), (3, 0)]);
+        assert_eq!(filled, vec![(3, 1), (3, 0), (7, 1), (7, 0)]);
+        assert_eq!(merge_pairs(&filled, &[]), filled);
     }
 
     #[test]
@@ -650,15 +781,15 @@ mod tests {
         ) {
             let vnodes = [1u32, 3, 64][vnodes_idx];
             let mut ring = HashRing::with_vnodes(vnodes);
-            let mut reference = HashRing::with_vnodes(vnodes);
+            let mut reference = RefRing::with_vnodes(vnodes);
             for (join, id) in ops {
                 let id = InvokerId(id);
                 if join {
-                    prop_assert_eq!(ring.add(id), reference_add(&mut reference, id));
+                    prop_assert_eq!(ring.add(id), reference.add(id));
                 } else {
-                    prop_assert_eq!(ring.remove(id), reference_remove(&mut reference, id));
+                    prop_assert_eq!(ring.remove(id), reference.remove(id));
                 }
-                prop_assert_eq!(&ring.ring, &reference.ring);
+                prop_assert_eq!(&ring.expanded(), &reference.ring);
                 prop_assert_eq!(&ring.members, &reference.members);
                 prop_assert_eq!(ring.epoch, reference.epoch);
             }
@@ -678,19 +809,19 @@ mod tests {
         ) {
             let vnodes = [1u32, 3, 64][vnodes_idx];
             let mut ring = HashRing::with_vnodes(vnodes);
-            let mut reference = HashRing::with_vnodes(vnodes);
+            let mut reference = RefRing::with_vnodes(vnodes);
             for (burst, leave, leaver) in steps {
                 let joined = ring.extend(burst.iter().map(|&i| InvokerId(i)));
                 let expected = burst
                     .iter()
-                    .filter(|&&i| reference_add(&mut reference, InvokerId(i)))
+                    .filter(|&&i| reference.add(InvokerId(i)))
                     .count();
                 prop_assert_eq!(joined, expected);
                 if leave {
                     let id = InvokerId(leaver);
-                    prop_assert_eq!(ring.remove(id), reference_remove(&mut reference, id));
+                    prop_assert_eq!(ring.remove(id), reference.remove(id));
                 }
-                prop_assert_eq!(&ring.ring, &reference.ring);
+                prop_assert_eq!(&ring.expanded(), &reference.ring);
                 prop_assert_eq!(&ring.members, &reference.members);
                 prop_assert_eq!(ring.epoch, reference.epoch);
             }
@@ -712,9 +843,50 @@ mod tests {
                 insert_vnodes(&mut expected, hashes, slot);
                 incoming.extend(hashes.iter().map(|&h| (h, slot)));
             }
-            merge_batch(&mut ring, &mut incoming);
-            prop_assert_eq!(ring, expected);
+            prop_assert_eq!(merge_pairs(&ring, &incoming), expected);
         }
+    }
+
+    #[test]
+    fn entries_pack_slot_over_vnode_bits() {
+        for (vnodes, shift) in [(1, 0), (2, 1), (3, 2), (64, 6), (65, 7), (1 << 31, 31)] {
+            assert_eq!(
+                HashRing::with_vnodes(vnodes).shift,
+                shift,
+                "{vnodes} vnodes"
+            );
+        }
+        for vnodes in [1u32, 3, 64] {
+            let mut ring = HashRing::with_vnodes(vnodes);
+            ring.extend((0..9).map(InvokerId));
+            ring.remove(InvokerId(2));
+            assert_eq!(ring.ring.len(), 8 * vnodes as usize);
+            let pairs = ring.expanded();
+            assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0), "unsorted");
+            // Every member's vnodes are all there, each exactly once.
+            let mut entries = ring.ring.clone();
+            entries.sort_unstable();
+            let expected: Vec<u32> = (0..8)
+                .flat_map(|slot| (0..vnodes).map(move |r| slot << ring.shift | r))
+                .collect();
+            assert_eq!(entries, expected, "{vnodes} vnodes");
+            assert_eq!(ring.walk(f(5, 0)).count(), 8);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds at most 2 members")]
+    fn members_beyond_the_slot_bits_panic() {
+        // 2^31 vnodes leave one slot bit; the check fires before any
+        // vnode is hashed or allocated.
+        let mut ring = HashRing::with_vnodes(1 << 31);
+        ring.extend((0..3).map(InvokerId));
+    }
+
+    #[test]
+    #[should_panic(expected = "vnodes must be in 1..=2^31")]
+    fn zero_vnodes_panic() {
+        HashRing::with_vnodes(0);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! reaching the rest of the platform only through a `Ctx`.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroU64;
 
 use hrv_policy::{ColdStartPolicy, FixedKeepAlive, IdleCtx};
 use hrv_sim::calendar::{EventCalendar, EventId};
@@ -49,15 +50,34 @@ pub enum ContainerState {
     Idle,
 }
 
+/// A keep-alive deadline in eight bytes: `Option<Deadline>` uses the
+/// zero niche. It stores the instant plus one microsecond, so a deadline
+/// saturates one microsecond before `SimTime::MAX` — an instant no run's
+/// horizon reaches, like `SimTime::MAX` itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Deadline(NonZeroU64);
+
+impl Deadline {
+    fn new(at: SimTime) -> Self {
+        Deadline(NonZeroU64::MIN.saturating_add(at.as_micros()))
+    }
+
+    /// The instant the container expires.
+    pub fn at(self) -> SimTime {
+        SimTime::from_micros(self.0.get() - 1)
+    }
+}
+
 /// One function container.
 #[derive(Debug)]
 pub struct Container {
-    /// Container id (unique within the platform).
-    pub id: u64,
+    /// The invoker-local counter part of the container id; the
+    /// platform-wide id is `(invoker index << 32) | id`.
+    pub id: u32,
     /// The function this container serves.
     pub function: FunctionId,
     /// Memory footprint, MiB.
-    pub memory_mb: u64,
+    pub memory_mb: u32,
     /// Current state.
     pub state: ContainerState,
     /// Last time it finished serving (for LRU eviction; doubles as the
@@ -66,22 +86,28 @@ pub struct Container {
     /// Keep-alive deadline while idle (`None` while starting or busy,
     /// and for a zero-TTL container awaiting its same-tick reap). The
     /// invoker's one reaper timer is armed at the earliest of these.
-    pub expires: Option<SimTime>,
+    pub expires: Option<Deadline>,
     /// Born from a cold-start policy's prewarm order (for hit/waste
     /// accounting).
     pub prewarmed: bool,
-    /// Invocations this container has finished serving.
-    pub served: u64,
+    /// Invocations this container has finished serving (saturating).
+    pub served: u32,
 }
 
-/// One invoker's containers, kept sorted by id in one contiguous slab.
+// The slab of every invoker holds ≈ 50 of these at the paper's operating
+// point: 40 B each is ≈ 2 KB per invoker.
+const _: () = assert!(std::mem::size_of::<Container>() <= 40);
+
+/// One invoker's containers, kept sorted by local id in one contiguous
+/// slab.
 ///
 /// Ids come from the invoker's monotone counter, so an insert is a
 /// `push`, a lookup a binary search and a removal a `Vec::remove`; the
 /// scans (`find_idle`, `idle_peers`, `lru_idle`) run in ascending id
 /// order — the order, and therefore the tie-breaks, of the
-/// `BTreeMap<u64, Container>` this replaced. At the paper's operating
-/// point an invoker holds ≈ 50 containers, ≈ 3 KB.
+/// `BTreeMap<u64, Container>` this replaced (all of one invoker's
+/// platform-wide ids share their high half). At the paper's operating
+/// point an invoker holds ≈ 50 containers, ≈ 2 KB.
 #[derive(Debug, Default)]
 struct ContainerStore {
     slab: Vec<Container>,
@@ -100,16 +126,16 @@ impl ContainerStore {
         self.slab.clear();
     }
 
-    fn position(&self, cid: u64) -> Option<usize> {
-        self.slab.binary_search_by_key(&cid, |c| c.id).ok()
+    fn position(&self, id: u32) -> Option<usize> {
+        self.slab.binary_search_by_key(&id, |c| c.id).ok()
     }
 
-    fn get(&self, cid: u64) -> Option<&Container> {
-        self.position(cid).map(|i| &self.slab[i])
+    fn get(&self, id: u32) -> Option<&Container> {
+        self.position(id).map(|i| &self.slab[i])
     }
 
-    fn get_mut(&mut self, cid: u64) -> Option<&mut Container> {
-        self.position(cid).map(|i| &mut self.slab[i])
+    fn get_mut(&mut self, id: u32) -> Option<&mut Container> {
+        self.position(id).map(|i| &mut self.slab[i])
     }
 
     /// Adds a container whose id is above every id present.
@@ -121,12 +147,12 @@ impl ContainerStore {
         self.slab.push(c);
     }
 
-    fn remove(&mut self, cid: u64) -> Option<Container> {
-        self.position(cid).map(|i| self.slab.remove(i))
+    fn remove(&mut self, id: u32) -> Option<Container> {
+        self.position(id).map(|i| self.slab.remove(i))
     }
 
     /// The lowest-id idle container of `function`.
-    fn find_idle(&self, function: FunctionId) -> Option<u64> {
+    fn find_idle(&self, function: FunctionId) -> Option<u32> {
         self.slab
             .iter()
             .find(|c| c.state == ContainerState::Idle && c.function == function)
@@ -142,7 +168,7 @@ impl ContainerStore {
     }
 
     /// The least recently used idle container (lowest id among equals).
-    fn lru_idle(&self) -> Option<u64> {
+    fn lru_idle(&self) -> Option<u32> {
         self.slab
             .iter()
             .filter(|c| c.state == ContainerState::Idle)
@@ -152,11 +178,12 @@ impl ContainerStore {
 
     /// The earliest keep-alive deadline and its container (lowest id
     /// among equals) — the next one the reaper takes.
-    fn next_expiry(&self) -> Option<(SimTime, u64)> {
+    fn next_expiry(&self) -> Option<(SimTime, u32)> {
         self.slab
             .iter()
             .filter_map(|c| Some((c.expires?, c.id)))
             .min()
+            .map(|(deadline, id)| (deadline.at(), id))
     }
 }
 
@@ -266,7 +293,8 @@ pub struct InvokerState {
     /// *Keep-alive deadline*).
     reaper: Option<(SimTime, EventId)>,
     memory_used: u64,
-    next_container: u64,
+    /// The next container's local id.
+    next_container: u32,
     /// Cores committed to containers still cold-starting.
     starting_cap: f64,
     /// Total cold starts this invoker performed.
@@ -420,10 +448,48 @@ impl InvokerState {
         }
     }
 
-    fn container_id(&mut self) -> u64 {
-        let id = (u64::from(self.index) << 32) | self.next_container;
-        self.next_container += 1;
-        id
+    /// The platform-wide id of local container `id`, which events, the
+    /// PS queue and the run tables carry: the invoker index over the
+    /// counter.
+    fn cid(&self, id: u32) -> u64 {
+        (u64::from(self.index) << 32) | u64::from(id)
+    }
+
+    /// The local id inside the platform-wide container id `cid`.
+    fn local(&self, cid: u64) -> u32 {
+        debug_assert_eq!(
+            cid >> 32,
+            u64::from(self.index),
+            "another invoker's container"
+        );
+        cid as u32
+    }
+
+    /// Adds a container under the next local id, charges its memory and
+    /// returns its platform-wide id.
+    fn add_container(
+        &mut self,
+        now: SimTime,
+        function: FunctionId,
+        memory_mb: u64,
+        state: ContainerState,
+        prewarmed: bool,
+        served: u32,
+    ) -> u64 {
+        let id = self.next_container;
+        self.next_container = id.checked_add(1).expect("container ids exhausted");
+        self.containers.insert(Container {
+            id,
+            function,
+            memory_mb: u32::try_from(memory_mb).expect("container memory exceeds u32 MiB"),
+            state,
+            last_used: now,
+            expires: None,
+            prewarmed,
+            served,
+        });
+        self.memory_used += memory_mb;
+        self.cid(id)
     }
 
     /// Accepts a delivered invocation: queue it and try to start work.
@@ -450,9 +516,9 @@ impl InvokerState {
             if self.admission_pressure_now() >= cfg.admission_pressure && committed > 0.0 {
                 break;
             }
-            if let Some(cid) = self.containers.find_idle(front.function) {
+            if let Some(id) = self.containers.find_idle(front.function) {
                 self.queue.pop_front();
-                self.start_warm(now, cid, front, cal);
+                self.start_warm(now, id, front, cal);
             } else if self.make_room(now, front.memory_mb, cal) {
                 self.queue.pop_front();
                 self.start_cold(now, front, cal, cfg);
@@ -479,46 +545,49 @@ impl InvokerState {
         }
         while self.memory_mb - self.memory_used < needed_mb {
             match self.containers.lru_idle() {
-                Some(cid) => self.destroy_container(now, cid, cal),
+                Some(id) => self.destroy_container(now, id, cal),
                 None => return false,
             }
         }
         true
     }
 
-    fn destroy_container(&mut self, now: SimTime, cid: u64, cal: &mut impl EventCalendar<Event>) {
+    fn destroy_container(&mut self, now: SimTime, id: u32, cal: &mut impl EventCalendar<Event>) {
         let c = self
             .containers
-            .remove(cid)
+            .remove(id)
             .expect("destroying unknown container");
         debug_assert_eq!(
             c.state,
             ContainerState::Idle,
             "destroyed a non-idle container"
         );
-        self.idle_mib_secs += now.saturating_since(c.last_used).as_secs_f64() * c.memory_mb as f64;
+        self.idle_mib_secs +=
+            now.saturating_since(c.last_used).as_secs_f64() * f64::from(c.memory_mb);
         if c.prewarmed && c.served == 0 {
             self.wasted_prewarms += 1;
         }
-        self.memory_used -= c.memory_mb;
+        self.memory_used -= u64::from(c.memory_mb);
         self.deadline_cleared(c.expires, cal);
     }
 
     fn start_warm(
         &mut self,
         now: SimTime,
-        cid: u64,
+        id: u32,
         invocation: Invocation,
         cal: &mut impl EventCalendar<Event>,
     ) {
-        let c = self.containers.get_mut(cid).expect("warm container exists");
+        let c = self.containers.get_mut(id).expect("warm container exists");
         let expires = c.expires.take();
         c.state = ContainerState::Busy;
         if c.prewarmed && c.served == 0 {
             self.prewarm_hits += 1;
         }
-        self.idle_mib_secs += now.saturating_since(c.last_used).as_secs_f64() * c.memory_mb as f64;
+        self.idle_mib_secs +=
+            now.saturating_since(c.last_used).as_secs_f64() * f64::from(c.memory_mb);
         self.deadline_cleared(expires, cal);
+        let cid = self.cid(id);
         self.warm_starts += 1;
         if self.tel_enabled {
             self.tel
@@ -546,18 +615,14 @@ impl InvokerState {
         cal: &mut impl EventCalendar<Event>,
         cfg: &PlatformConfig,
     ) {
-        let cid = self.container_id();
-        self.containers.insert(Container {
-            id: cid,
-            function: invocation.function,
-            memory_mb: invocation.memory_mb,
-            state: ContainerState::Starting,
-            last_used: now,
-            expires: None,
-            prewarmed: false,
-            served: 0,
-        });
-        self.memory_used += invocation.memory_mb;
+        let cid = self.add_container(
+            now,
+            invocation.function,
+            invocation.memory_mb,
+            ContainerState::Starting,
+            false,
+            0,
+        );
         self.cold_starts += 1;
         if self.tel_enabled {
             self.tel
@@ -594,9 +659,10 @@ impl InvokerState {
             return;
         };
         self.starting_cap = (self.starting_cap - invocation.cpu_demand).max(0.0);
+        let id = self.local(cid);
         let c = self
             .containers
-            .get_mut(cid)
+            .get_mut(id)
             .expect("starting container exists");
         c.state = ContainerState::Busy;
         self.ps.advance(now);
@@ -641,7 +707,7 @@ impl InvokerState {
         self.ps.advance(now);
         let done = self.ps.take_completed(COMPLETION_SLACK);
         let mut finished = Vec::with_capacity(done.len());
-        let mut reap_now: Vec<u64> = Vec::new();
+        let mut reap_now: Vec<u32> = Vec::new();
         for JobId(cid) in done {
             let run = self
                 .running
@@ -663,22 +729,23 @@ impl InvokerState {
                 },
             };
             let decision = self.policy.on_idle(function, &ctx);
+            let id = self.local(cid);
             let c = self
                 .containers
-                .get_mut(cid)
+                .get_mut(id)
                 .expect("completed job has a container");
             c.state = ContainerState::Idle;
             c.last_used = now;
-            c.served += 1;
+            c.served = c.served.saturating_add(1);
             match decision.keep_alive {
                 Some(ttl) => {
-                    let deadline = now.saturating_add(ttl);
+                    let deadline = Deadline::new(now.saturating_add(ttl));
                     c.expires = Some(deadline);
-                    self.deadline_set(deadline, cal);
+                    self.deadline_set(deadline.at(), cal);
                 }
                 // Zero keep-alive: reap after the drain pass below, so
                 // same-tick queued work may still reuse the container.
-                None => reap_now.push(cid),
+                None => reap_now.push(id),
             }
             if let Some(pw) = decision.prewarm {
                 // The spawn must begin a cold start ahead of the warm
@@ -697,13 +764,13 @@ impl InvokerState {
             finished.push(run);
         }
         self.drain(now, cal, cfg);
-        for cid in reap_now {
+        for id in reap_now {
             if self
                 .containers
-                .get(cid)
+                .get(id)
                 .is_some_and(|c| c.state == ContainerState::Idle)
             {
-                self.destroy_container(now, cid, cal);
+                self.destroy_container(now, id, cal);
             }
         }
         finished
@@ -744,18 +811,7 @@ impl InvokerState {
         if !self.make_room(now, memory_mb, cal) {
             return false;
         }
-        let cid = self.container_id();
-        self.containers.insert(Container {
-            id: cid,
-            function,
-            memory_mb,
-            state: ContainerState::Starting,
-            last_used: now,
-            expires: None,
-            prewarmed: true,
-            served: 0,
-        });
-        self.memory_used += memory_mb;
+        let cid = self.add_container(now, function, memory_mb, ContainerState::Starting, true, 0);
         self.prewarm_spawns += 1;
         self.prewarming.insert(cid, ttl);
         cal.schedule(
@@ -787,16 +843,17 @@ impl InvokerState {
             self.dropped_completions += 1;
             return;
         };
+        let id = self.local(cid);
         let c = self
             .containers
-            .get_mut(cid)
+            .get_mut(id)
             .expect("prewarming container exists");
         debug_assert_eq!(c.state, ContainerState::Starting);
         c.state = ContainerState::Idle;
         c.last_used = now;
-        let deadline = now.saturating_add(ttl);
+        let deadline = Deadline::new(now.saturating_add(ttl));
         c.expires = Some(deadline);
-        self.deadline_set(deadline, cal);
+        self.deadline_set(deadline.at(), cal);
         self.drain(now, cal, cfg);
     }
 
@@ -811,7 +868,7 @@ impl InvokerState {
             return;
         };
         debug_assert_eq!(at, now, "the reaper fired off its deadline");
-        let (deadline, cid) = self
+        let (deadline, id) = self
             .containers
             .next_expiry()
             .expect("an armed reaper has an idle deadline");
@@ -819,7 +876,7 @@ impl InvokerState {
             deadline, now,
             "the reaper is armed at the earliest deadline"
         );
-        self.destroy_container(now, cid, cal);
+        self.destroy_container(now, id, cal);
         self.arm_reaper(cal);
     }
 
@@ -835,7 +892,8 @@ impl InvokerState {
     /// A container left idle (warm start or destruction) holding
     /// `expires`: only if that was the armed deadline can the earliest
     /// one have moved.
-    fn deadline_cleared(&mut self, expires: Option<SimTime>, cal: &mut impl EventCalendar<Event>) {
+    fn deadline_cleared(&mut self, expires: Option<Deadline>, cal: &mut impl EventCalendar<Event>) {
+        let expires = expires.map(Deadline::at);
         if expires.is_some() && expires == self.reaper.map(|(at, _)| at) {
             self.arm_reaper(cal);
         }
@@ -931,7 +989,7 @@ impl InvokerState {
             // eviction kills before they ever served.
             if c.state == ContainerState::Idle {
                 self.idle_mib_secs +=
-                    now.saturating_since(c.last_used).as_secs_f64() * c.memory_mb as f64;
+                    now.saturating_since(c.last_used).as_secs_f64() * f64::from(c.memory_mb);
             }
             if c.prewarmed && c.served == 0 {
                 self.wasted_prewarms += 1;
@@ -1010,10 +1068,10 @@ impl InvokerState {
         let run = self.running.remove(&cid)?;
         let c = self
             .containers
-            .remove(cid)
+            .remove(self.local(cid))
             .expect("running container exists");
         debug_assert_eq!(c.state, ContainerState::Busy);
-        self.memory_used -= c.memory_mb;
+        self.memory_used -= u64::from(c.memory_mb);
         self.rearm_completion(cal);
         Some((run, remaining))
     }
@@ -1036,18 +1094,14 @@ impl InvokerState {
         if !self.make_room(now, run.invocation.memory_mb, cal) {
             return false;
         }
-        let cid = self.container_id();
-        self.containers.insert(Container {
-            id: cid,
-            function: run.invocation.function,
-            memory_mb: run.invocation.memory_mb,
-            state: ContainerState::Busy,
-            last_used: now,
-            expires: None,
-            prewarmed: false,
-            served: 1,
-        });
-        self.memory_used += run.invocation.memory_mb;
+        let cid = self.add_container(
+            now,
+            run.invocation.function,
+            run.invocation.memory_mb,
+            ContainerState::Busy,
+            false,
+            1,
+        );
         self.ps
             .add(JobId(cid), remaining, run.invocation.cpu_demand);
         self.running.insert(cid, run);
@@ -2360,10 +2414,10 @@ mod tests {
     /// The `BTreeMap<u64, Container>` the slab replaced, with the scans
     /// written as the invoker used to write them.
     #[derive(Default)]
-    struct ModelStore(BTreeMap<u64, Container>);
+    struct ModelStore(BTreeMap<u32, Container>);
 
     impl ModelStore {
-        fn find_idle(&self, function: FunctionId) -> Option<u64> {
+        fn find_idle(&self, function: FunctionId) -> Option<u32> {
             self.0
                 .values()
                 .find(|c| c.state == ContainerState::Idle && c.function == function)
@@ -2377,7 +2431,7 @@ mod tests {
                 .count()
         }
 
-        fn lru_idle(&self) -> Option<u64> {
+        fn lru_idle(&self) -> Option<u32> {
             self.0
                 .values()
                 .filter(|c| c.state == ContainerState::Idle)
@@ -2386,7 +2440,7 @@ mod tests {
         }
     }
 
-    fn container(id: u64, app: u32, state: ContainerState, last_used: u64) -> Container {
+    fn container(id: u32, app: u32, state: ContainerState, last_used: u64) -> Container {
         Container {
             id,
             function: fid(app),
@@ -2413,7 +2467,7 @@ mod tests {
                 [ContainerState::Starting, ContainerState::Busy, ContainerState::Idle];
             let mut store = ContainerStore::default();
             let mut model = ModelStore::default();
-            let mut next_id = 7u64 << 32;
+            let mut next_id = 7u32;
             for (op, app, (state, last_used), pick) in ops {
                 let state = STATES[state];
                 let picked = model.0.keys().nth(pick % (model.0.len() + 1)).copied();
@@ -2442,8 +2496,8 @@ mod tests {
                 prop_assert_eq!(store.idle_peers(fid(app)), model.idle_peers(fid(app)));
                 prop_assert_eq!(store.lru_idle(), model.lru_idle());
                 prop_assert_eq!(store.len(), model.0.len());
-                let slab: Vec<(u64, ContainerState)> = store.iter().map(|c| (c.id, c.state)).collect();
-                let map: Vec<(u64, ContainerState)> = model.0.values().map(|c| (c.id, c.state)).collect();
+                let slab: Vec<(u32, ContainerState)> = store.iter().map(|c| (c.id, c.state)).collect();
+                let map: Vec<(u32, ContainerState)> = model.0.values().map(|c| (c.id, c.state)).collect();
                 prop_assert_eq!(slab, map);
             }
         }

@@ -16,6 +16,14 @@
 //! timers at `SimTime::MAX` — wait in an *overflow ladder* (a small binary
 //! heap) and migrate into the wheel as the cursor approaches them.
 //!
+//! A wheel bucket is a singly linked list threaded through the slab: its
+//! head is a slab index and each slot links to the next. Placing pushes
+//! at the head; opening a tick or cascading a bucket walks the list. No
+//! bucket owns an allocation, so the calendar's memory is the slab, the
+//! ladder and the staging buffer — it follows the pending-event count,
+//! not the largest bucket each of the 448 ever held. Order inside a
+//! bucket is not observable: an opened tick is staged and sorted by key.
+//!
 //! The previous `BinaryHeap` + tombstone-set implementation survives as
 //! [`crate::calendar_reference`], the executable specification: the
 //! differential proptests in `tests/props.rs` assert that both deliver
@@ -135,7 +143,8 @@ const WHEEL_RANGE: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
 enum Body<E> {
     /// On the free list.
     Vacant,
-    /// Cancelled; its index still sits in some bucket (tombstone).
+    /// Cancelled, but still linked into a bucket, the overflow ladder
+    /// or staging (tombstone).
     Dead,
     /// Pending delivery.
     Live(E),
@@ -146,6 +155,11 @@ struct Slot<E> {
     /// Bumped every time the slot leaves `Live`, so a stale [`EventId`]
     /// can never cancel an unrelated reuse of the same index.
     gen: u32,
+    /// The next entry of the wheel bucket this slot is linked into
+    /// ([`NIL`] at the tail); meaningless while the slot sits anywhere
+    /// else. It fills the padding beside `gen`, so the link costs no
+    /// slab memory.
+    next: u32,
     /// `Some` for an envelope-lane entry, whose `seq` is then the
     /// sender's own sequence number rather than the calendar's.
     sender: Option<u32>,
@@ -153,6 +167,22 @@ struct Slot<E> {
     seq: u64,
     body: Body<E>,
 }
+
+/// End of a bucket list. Slab indices stay below it (`insert` checks).
+const NIL: u32 = u32::MAX;
+
+// The slab is the calendar's memory: a slot is its payload plus 32 B,
+// so the platform's 64-B `Event` (an enum, whose tag leaves `Body` a
+// niche) costs 96 B per pending event.
+const _: () = {
+    #[allow(dead_code)]
+    enum Payload64 {
+        Wide([u64; 7]),
+        Bare,
+    }
+    assert!(std::mem::size_of::<Payload64>() == 64);
+    assert!(std::mem::size_of::<Slot<Payload64>>() <= 96);
+};
 
 /// Delivery-order key: time, then the lane rank, then `(sender, seq)`
 /// among the envelopes of one window (local ranks are unique already).
@@ -205,8 +235,10 @@ pub struct Calendar<E> {
     slots: Vec<Slot<E>>,
     /// Vacant slab indices available for reuse.
     free: Vec<u32>,
-    /// `LEVELS * SLOTS` buckets of slab indices, row-major by level.
-    buckets: Vec<Vec<u32>>,
+    /// Heads of `LEVELS * SLOTS` bucket lists, row-major by level; each
+    /// list is threaded through the slab by [`Slot::next`], so a bucket
+    /// owns no memory of its own.
+    buckets: Vec<u32>,
     /// Per-level bitmap of non-empty buckets.
     occupied: [u64; LEVELS],
     /// Far-future events, min-first by `(at, slab index)`. The index
@@ -217,8 +249,6 @@ pub struct Calendar<E> {
     /// by [`Slot::key`]; the prefix has already been delivered.
     staging: Vec<u32>,
     staging_head: usize,
-    /// Reusable buffer for cascades and purge rebuilds.
-    scratch: Vec<u32>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -251,14 +281,11 @@ impl<E> Calendar<E> {
             elapsed: 0,
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
-            buckets: std::iter::repeat_with(Vec::new)
-                .take(LEVELS * SLOTS)
-                .collect(),
+            buckets: vec![NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             staging: Vec::new(),
             staging_head: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -283,8 +310,8 @@ impl<E> Calendar<E> {
         self.live == 0
     }
 
-    /// Number of cancelled entries whose bucket indices have not been
-    /// swept yet. Bounded: after every operation,
+    /// Number of cancelled entries still linked into a bucket, the
+    /// overflow ladder or staging. Bounded: after every operation,
     /// `tombstones() <= max(len(), PURGE_MIN_DEAD)`.
     pub fn tombstones(&self) -> usize {
         self.dead
@@ -318,9 +345,10 @@ impl<E> Calendar<E> {
                 idx
             }
             None => {
-                debug_assert!(self.slots.len() < u32::MAX as usize);
+                assert!(self.slots.len() < NIL as usize, "calendar slab full");
                 self.slots.push(Slot {
                     gen: 0,
+                    next: NIL,
                     sender,
                     at,
                     seq,
@@ -346,10 +374,9 @@ impl<E> Calendar<E> {
     /// delivered event, returns `false` — the generation stamp makes a
     /// stale id harmless even after its slab slot has been reused.
     ///
-    /// Cancellation is lazy — the bucket index stays behind as a
-    /// tombstone — but when tombstones outnumber live events in bulk the
-    /// wheel is rebuilt from the live set, bounding memory on long
-    /// streaming runs.
+    /// Cancellation is lazy — the entry stays linked as a tombstone — but
+    /// when tombstones outnumber live events in bulk the wheel is rebuilt
+    /// from the live set, bounding memory on long streaming runs.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let idx = (id.0 & u64::from(u32::MAX)) as usize;
         let gen = (id.0 >> 32) as u32;
@@ -467,8 +494,8 @@ impl<E> Calendar<E> {
         self.elapsed = tick;
         self.occupied[0] &= !(1 << slot);
         debug_assert!(self.staging.is_empty());
-        // Swap so both the staging and bucket allocations are reused.
-        std::mem::swap(&mut self.staging, &mut self.buckets[slot]);
+        let head = std::mem::replace(&mut self.buckets[slot], NIL);
+        self.staging.extend(bucket_list(&self.slots, head));
         self.sort_staged();
     }
 
@@ -490,11 +517,9 @@ impl<E> Calendar<E> {
     fn cascade(&mut self, level: usize, slot: usize) {
         debug_assert!(self.staging.is_empty());
         self.occupied[level] &= !(1 << slot);
-        let mut moved = std::mem::take(&mut self.scratch);
-        std::mem::swap(&mut moved, &mut self.buckets[level * SLOTS + slot]);
-        let earliest = moved
-            .iter()
-            .map(|&idx| &self.slots[idx as usize])
+        let head = std::mem::replace(&mut self.buckets[level * SLOTS + slot], NIL);
+        let earliest = bucket_list(&self.slots, head)
+            .map(|idx| &self.slots[idx as usize])
             .filter(|s| matches!(s.body, Body::Live(_)))
             .map(|s| s.at.as_micros())
             .min();
@@ -502,8 +527,11 @@ impl<E> Calendar<E> {
             debug_assert!(t > self.elapsed);
             self.elapsed = t;
         }
-        for idx in moved.drain(..) {
+        let mut idx = head;
+        while idx != NIL {
             let s = &self.slots[idx as usize];
+            // Read the link first: `place` relinks the slot elsewhere.
+            let next = s.next;
             match s.body {
                 Body::Dead => self.free_dead(idx),
                 // The cursor's own tick: staged here, sorted once below.
@@ -511,8 +539,8 @@ impl<E> Calendar<E> {
                 Body::Live(_) => self.place(idx),
                 Body::Vacant => unreachable!("vacant slot in bucket"),
             }
+            idx = next;
         }
-        self.scratch = moved;
         self.sort_staged();
     }
 
@@ -532,7 +560,10 @@ impl<E> Calendar<E> {
             // bits equal the cursor's, the slot is >= the level cursor.
             let level = (63 - x.leading_zeros()) as usize / LEVEL_BITS as usize;
             let slot = ((t >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            self.buckets[level * SLOTS + slot].push(idx);
+            // Pushed at the head: order inside a bucket is not observable,
+            // because staging sorts every opened tick by key.
+            let head = &mut self.buckets[level * SLOTS + slot];
+            self.slots[idx as usize].next = std::mem::replace(head, idx);
             self.occupied[level] |= 1 << slot;
         }
     }
@@ -580,9 +611,9 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Returns a tombstoned slot to the free list once its last bucket
-    /// reference has been dropped. The generation was already bumped at
-    /// cancellation time.
+    /// Returns a tombstoned slot to the free list once it has been
+    /// unlinked from its bucket, the ladder or staging. The generation
+    /// was already bumped at cancellation time.
     fn free_dead(&mut self, idx: u32) {
         let s = &mut self.slots[idx as usize];
         debug_assert!(matches!(s.body, Body::Dead));
@@ -598,39 +629,39 @@ impl<E> Calendar<E> {
     }
 
     /// Rebuilds every container from the live slab entries, dropping all
-    /// tombstones at once. O(slab + live·log(live)), amortized against
-    /// the >= PURGE_MIN_DEAD cancellations that funded it.
+    /// tombstones at once. O(slab + due·log(due)), amortized against the
+    /// >= PURGE_MIN_DEAD cancellations that funded it.
     fn purge(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.buckets.fill(NIL);
         self.occupied = [0; LEVELS];
         self.overflow.clear();
         self.staging.clear();
         self.staging_head = 0;
         self.free.clear();
         self.dead = 0;
-        let mut order = std::mem::take(&mut self.scratch);
-        order.clear();
-        for (i, s) in self.slots.iter_mut().enumerate() {
+        for i in 0..self.slots.len() as u32 {
+            let s = &mut self.slots[i as usize];
             match s.body {
-                Body::Live(_) => order.push(i as u32),
+                // Due entries are staged unsorted and sorted once below.
+                Body::Live(_) if s.at.as_micros() <= self.elapsed => self.staging.push(i),
+                Body::Live(_) => self.place(i),
                 Body::Dead => {
                     s.body = Body::Vacant;
-                    self.free.push(i as u32);
+                    self.free.push(i);
                 }
-                Body::Vacant => self.free.push(i as u32),
+                Body::Vacant => self.free.push(i),
             }
         }
-        let (slots, window_seq) = (&self.slots, self.window_seq);
-        order.sort_unstable_by_key(|&i| slots[i as usize].key(window_seq));
-        // Due entries re-stage in ascending key order (O(1) appends).
-        for &idx in &order {
-            self.place(idx);
-        }
-        order.clear();
-        self.scratch = order;
+        self.sort_staged();
     }
+}
+
+/// The slab indices of the bucket list starting at `head`, head first.
+fn bucket_list<E>(slots: &[Slot<E>], head: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors((head != NIL).then_some(head), |&idx| {
+        let next = slots[idx as usize].next;
+        (next != NIL).then_some(next)
+    })
 }
 
 impl<E> EventCalendar<E> for Calendar<E> {
@@ -936,6 +967,51 @@ mod tests {
         assert_eq!(cal.peek_time(), Some(SimTime::from_micros(300_000)));
         assert_eq!(cal.tombstones(), 0);
         assert_eq!(drain(&mut cal), ["survivor"]);
+    }
+
+    #[test]
+    fn cancelling_head_middle_and_tail_of_a_bucket_list_keeps_key_order() {
+        let mut cal = Calendar::new();
+        let (t, u) = (SimTime::from_micros(100), SimTime::from_micros(110));
+        // All of these share level 1's bucket [64, 128), pushed at its head.
+        let tail = cal.schedule(t, "tail");
+        cal.schedule_envelope(t, 4, 0, "env-4");
+        cal.schedule(u, "later");
+        let middle = cal.schedule(t, "middle");
+        cal.schedule_envelope(t, 1, 9, "env-1");
+        cal.schedule(t, "local");
+        cal.schedule_envelope(u, 2, 0, "env-later");
+        let head = cal.schedule(t, "head");
+        let idx = |id: EventId| (id.raw() & u64::from(u32::MAX)) as u32;
+        let list: Vec<u32> = bucket_list(&cal.slots, cal.buckets[SLOTS + 1]).collect();
+        assert_eq!(list.len(), 8);
+        assert_eq!(list[0], idx(head));
+        assert_eq!(list[4], idx(middle));
+        assert_eq!(list[7], idx(tail));
+        for id in [head, middle, tail] {
+            assert!(cal.cancel(id));
+        }
+        assert_eq!(cal.tombstones(), 3);
+        cal.open_window(SimTime::from_micros(200));
+        cal.schedule(t, "after-window");
+        assert_eq!(
+            drain(&mut cal),
+            [
+                "local",
+                "env-1",
+                "env-4",
+                "after-window",
+                "later",
+                "env-later"
+            ]
+        );
+        assert!(
+            cal.buckets.iter().all(|&h| h == NIL),
+            "a list head survived"
+        );
+        assert_eq!(cal.occupied, [0; LEVELS]);
+        assert_eq!(cal.tombstones(), 0);
+        assert!(cal.is_empty());
     }
 
     #[test]
