@@ -1,8 +1,8 @@
 //! Microbenchmarks of the core data structures: event calendar,
 //! processor-sharing queue, consistent-hash ring, the controller's fleet
-//! view, an invoker's container table, the statistics histograms, and the
-//! sharded driver's cross-shard mailbox and barrier round-trip. These are
-//! the hot paths of every simulation.
+//! view, an invoker's container table, a block's ping trains, the
+//! statistics histograms, and the sharded driver's cross-shard mailbox and
+//! barrier round-trip. These are the hot paths of every simulation.
 
 use std::time::Duration;
 
@@ -52,9 +52,10 @@ fn bench_calendar(c: &mut Criterion) {
             black_box(n)
         })
     });
-    // The `harvest_replay` shape: 38 invokers' 1 s ping timers spread over
-    // the second, each re-armed when it fires. Every timer sits alone in
-    // a level-3 bucket, so this is the cascade path and little else.
+    // 38 one-second timers spread over the second, each re-armed when it
+    // fires (`harvest_replay`'s shape while every invoker kept its own
+    // ping timer). Every timer sits alone in a level-3 bucket, so this is
+    // the cascade path and little else.
     c.bench_function("calendar/sparse_timers_1s", |b| {
         b.iter(|| {
             let mut cal = Calendar::new();
@@ -307,6 +308,59 @@ fn bench_invoker(c: &mut Criterion) {
     assert_eq!((iv.container_count(), iv.cold_starts), (50, 50));
 }
 
+fn bench_ping(c: &mut Criterion) {
+    use harvest_faas::hrv_fault::FaultPlan;
+    use harvest_faas::hrv_lb::policy::PolicyKind;
+    use harvest_faas::hrv_platform::config::PlatformConfig;
+    use harvest_faas::hrv_platform::mailbox::ShardPlan;
+    use harvest_faas::hrv_platform::shard::run_rounds;
+    use harvest_faas::hrv_platform::world::{ClusterSpec, PlatformWorld};
+    use harvest_faas::hrv_trace::harvest::{VmEnd, VmTrace};
+    use harvest_faas::hrv_trace::stream::SortedTraceStream;
+
+    // One invoker block of 32 idle VMs, pinging once a second: every VM
+    // deploying at 0 s puts them on one train, deploys 31 ms apart give
+    // 32 single-member trains. An iteration is one simulated second, so
+    // 32 member pings; the first second's reports are past, so every
+    // ping compares its snapshot and stays home.
+    for (name, spacing_ms) in [
+        ("ping/block_32_members_1s", 0u64),
+        ("ping/singles_32_trains_1s", 31),
+    ] {
+        let vms = (0..32)
+            .map(|i| {
+                let deploy = SimTime::from_micros(i * spacing_ms * 1_000);
+                VmTrace::constant(
+                    deploy,
+                    SimTime::from_secs(1 << 20),
+                    VmEnd::Censored,
+                    8,
+                    1 << 14,
+                )
+            })
+            .collect();
+        let mut cal = Calendar::new();
+        let mut world = PlatformWorld::from_stream_sharded_in(
+            ClusterSpec::from_traces(vms),
+            Box::new(SortedTraceStream::new(Vec::new())),
+            PolicyKind::Mws.build(),
+            PlatformConfig::default(),
+            1,
+            FaultPlan::none(),
+            ShardPlan::solo(),
+            &mut cal,
+        );
+        let mut end = SimTime::from_secs(3);
+        run_rounds(&mut world, &mut cal, end);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                end += SimDuration::from_secs(1);
+                black_box(run_rounds(&mut world, &mut cal, end).events)
+            })
+        });
+    }
+}
+
 fn bench_mws(c: &mut Criterion) {
     // A 64-invoker cluster and one function whose learned usage spans a
     // few members, without load churn.
@@ -488,6 +542,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_calendar, bench_ps_queue, bench_hash_ring, bench_fleet_start, bench_view,
-        bench_invoker, bench_mws, bench_histograms, bench_mailbox, bench_barrier
+        bench_invoker, bench_ping, bench_mws, bench_histograms, bench_mailbox, bench_barrier
 }
 criterion_main!(benches);

@@ -32,8 +32,9 @@
 //! every load-dependent quantity (covering size, least-loaded choice) is
 //! recomputed from the live [`ClusterView`] on each hit. Cached
 //! placements are **byte-identical** to the retained reference path
-//! ([`Mws::place_uncached`]); a differential proptest and a
-//! platform-level same-seed record-identity test enforce it.
+//! (`Mws::place_uncached`, a `test-support` item); a differential
+//! proptest and a platform-level same-seed record-identity test enforce
+//! it.
 //!
 //! # Burst joins
 //!
@@ -248,7 +249,9 @@ impl Mws {
     /// consulting or refilling the cache. [`Mws::place`] is held
     /// byte-identical to this by a differential proptest
     /// (`crates/lb/tests/props.rs`) and a platform-level same-seed
-    /// record-identity test (`tests/determinism.rs`).
+    /// record-identity test (`tests/determinism.rs`). Built only for tests
+    /// (the `test-support` feature).
+    #[cfg(any(test, feature = "test-support"))]
     pub fn place_uncached(
         &mut self,
         now: SimTime,

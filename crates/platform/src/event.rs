@@ -10,7 +10,7 @@ use hrv_trace::time::{SimDuration, SimTime};
 
 use crate::config::VmTemplate;
 use crate::invoker::{HealthSnapshot, RunningInvocation};
-use crate::mailbox::{invoker_entity, replica_entity, EntityId, CONTROLLER};
+use crate::mailbox::{invoker_entity, replica_entity, BlockIndex, EntityId, BLOCK, CONTROLLER};
 use crate::telemetry::Hop;
 
 /// Index of a controller replica (`0 <= replica < replicas`). Replica 0
@@ -137,14 +137,18 @@ pub enum Event {
         /// The container that finished warming.
         container: u64,
     },
-    /// An invoker's periodic health-ping timer fires (invoker-local; the
-    /// snapshot travels to the controller as [`Event::PingReport`]).
+    /// One ping train of an invoker block fires: every live member pings
+    /// in index order (each snapshot travels to the controller replicas as
+    /// an [`Event::PingReport`]) and the train re-arms one ping interval
+    /// later (block-local; DESIGN.md, *Block timers*).
     Ping {
-        /// The pinging invoker.
-        invoker: InvokerIndex,
+        /// The block whose train fires.
+        block: BlockIndex,
+        /// The train, by its id within the block.
+        train: u32,
     },
     /// A health-ping snapshot reaches a controller replica, one bus hop
-    /// after the invoker's [`Event::Ping`] timer fired. Broadcast: every
+    /// after the [`Event::Ping`] train of the invoker's block fired. Broadcast: every
     /// replica receives its own copy so all cluster views track fleet
     /// health.
     PingReport {
@@ -352,13 +356,16 @@ pub enum Event {
     },
     /// The resource monitor checks the capacity floor (replica 0 only).
     MonitorTick,
-    /// Metrics sampling tick for one invoker's utilization contribution.
-    /// Per-invoker (not fleet-wide) so the event count is independent of
-    /// how invokers are partitioned over shards; partial samples are
-    /// coalesced into fleet-total rows when runs are merged.
+    /// One sampling train of an invoker block fires on the shared grid:
+    /// every live member contributes its utilization row. Per block (not
+    /// fleet-wide) so the event count is independent of how blocks are
+    /// partitioned over shards; partial samples are coalesced into
+    /// fleet-total rows when runs are merged.
     Sample {
-        /// The sampled invoker.
-        invoker: InvokerIndex,
+        /// The block whose train fires.
+        block: BlockIndex,
+        /// The train, by its id within the block.
+        train: u32,
     },
     /// A controller replica's periodic view-reconciliation timer: when
     /// its pending placement-charge deltas are non-empty, it broadcasts
@@ -390,7 +397,9 @@ impl Event {
     /// than the one that will handle it. Placement-path events go to the
     /// replica owning the function; broadcast copies and replica timers
     /// name their replica; the monitor and the view-freeze fault are
-    /// replica 0's; everything else names its invoker.
+    /// replica 0's; a block's timers name the block's first invoker, which
+    /// shares its shard (the router fans them out to the members);
+    /// everything else names its invoker.
     pub(crate) fn target(&self, replicas: u32) -> EntityId {
         match self {
             Event::Arrival(invocation)
@@ -416,7 +425,6 @@ impl Event {
             | Event::KeepAliveExpired { invoker, .. }
             | Event::Prewarm { invoker, .. }
             | Event::PrewarmReady { invoker, .. }
-            | Event::Ping { invoker }
             | Event::VmDeploy { invoker }
             | Event::SpawnVm { invoker, .. }
             | Event::VmCpu { invoker, .. }
@@ -424,8 +432,10 @@ impl Event {
             | Event::VmEvict { invoker }
             | Event::MigratePlan { invoker }
             | Event::FaultCrash { invoker }
-            | Event::FaultStraggler { invoker, .. }
-            | Event::Sample { invoker } => invoker_entity(*invoker),
+            | Event::FaultStraggler { invoker, .. } => invoker_entity(*invoker),
+            Event::Ping { block, .. } | Event::Sample { block, .. } => {
+                invoker_entity(block * BLOCK)
+            }
             Event::MigrateExtract { src, .. } | Event::MigrateBounce { src, .. } => {
                 invoker_entity(*src)
             }
@@ -465,11 +475,14 @@ mod tests {
     fn row(ev: &Event, replicas: u32) -> (Entity, Option<Event>) {
         let owner = Entity::Replica(owner_of(replicas, FUNCTION));
         // Broadcast copies and replica timers name the last replica;
-        // invoker events name invoker 5, migrations run 5 -> 9.
+        // invoker events name invoker 5, migrations run 5 -> 9, and block
+        // timers name block 2, whose first invoker is 64.
         let replica = replicas - 1;
         let named = Entity::Replica(replica);
         let (invoker, src, dst) = (5, 5, 9);
         let on_invoker = Entity::Invoker(invoker);
+        let block = 2;
+        let block_head = Entity::Invoker(block * BLOCK);
         let invocation = invocation();
         let run = Box::new(RunningInvocation {
             invocation,
@@ -499,9 +512,9 @@ mod tests {
                 },
             ),
             Event::Prewarm { .. } => (on_invoker, Event::PrewarmReady { invoker, container }),
-            Event::PrewarmReady { .. } => (on_invoker, Event::Ping { invoker }),
+            Event::PrewarmReady { .. } => (on_invoker, Event::Ping { block, train: 0 }),
             Event::Ping { .. } => (
-                on_invoker,
+                block_head,
                 Event::PingReport {
                     invoker,
                     snap: HealthSnapshot {
@@ -625,8 +638,8 @@ mod tests {
             Event::Redispatch { .. } => (owner, Event::HealthSweep { replica }),
             Event::HealthSweep { .. } => (named, Event::RetryQueue { replica }),
             Event::RetryQueue { .. } => (named, Event::MonitorTick),
-            Event::MonitorTick => (Entity::Replica(0), Event::Sample { invoker }),
-            Event::Sample { .. } => (on_invoker, Event::ReconcileTick { replica }),
+            Event::MonitorTick => (Entity::Replica(0), Event::Sample { block, train: 1 }),
+            Event::Sample { .. } => (block_head, Event::ReconcileTick { replica }),
             Event::ReconcileTick { .. } => (
                 named,
                 Event::ViewDelta {

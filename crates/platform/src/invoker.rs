@@ -245,14 +245,6 @@ pub(crate) enum SlotSource {
     Monitor(VmTemplate),
 }
 
-/// The first tick of the shared utilization-sampling grid at or after
-/// `t` (grid alignment keeps the merged per-invoker rows coalescible).
-pub(crate) fn first_sample_at(t: SimTime, interval: SimDuration) -> SimTime {
-    let step = interval.as_micros();
-    let us = t.since(SimTime::ZERO).as_micros();
-    SimTime::ZERO + SimDuration::from_micros(us.div_ceil(step) * step)
-}
-
 /// The invoker state machine.
 #[derive(Debug)]
 pub struct InvokerState {
@@ -1232,18 +1224,9 @@ impl InvokerState {
             Event::PrewarmReady { container, .. } => {
                 self.prewarm_ready(now, container, ctx.cal, cfg);
             }
-            Event::Ping { .. } => self.on_ping(ctx),
-            Event::VmDeploy { .. } => self.on_deploy(ctx),
-            Event::SpawnVm { .. } => {
-                // The router has just made this slot; join the shared
-                // sampling grid, then come up like any other VM.
-                if !cfg.sample_interval.is_zero() {
-                    let invoker = self.index;
-                    let at = first_sample_at(now, cfg.sample_interval);
-                    ctx.cal.schedule(at, Event::Sample { invoker });
-                }
-                self.on_deploy(ctx);
-            }
+            // A spawned slot, just made by the router, comes up like any
+            // other VM; the router puts each new life on its block's trains.
+            Event::VmDeploy { .. } | Event::SpawnVm { .. } => self.on_deploy(ctx),
             Event::VmCpu { cpus, .. } => {
                 if self.alive {
                     ctx.record(self.entity(), NO_INVOCATION, SpanKind::Resize { cpus });
@@ -1314,23 +1297,56 @@ impl InvokerState {
             Event::FaultStraggler { factor, .. } => {
                 self.set_derate(now, factor, ctx.cal, cfg);
             }
-            Event::Sample { invoker } => {
-                // One tick on the shared utilization-sampling grid. The
-                // partial rows are coalesced into fleet-wide samples after
-                // the run (after cross-shard merge), summed in invoker
-                // order so the totals are bit-identical for every shard
-                // count. The chain dies with the invoker.
-                if !self.alive {
-                    return;
-                }
-                let used = self.snapshot().cpus_in_use;
-                ctx.metrics
-                    .push_partial_sample(now, invoker, self.cpus(), used);
-                ctx.cal
-                    .schedule_after(cfg.sample_interval, Event::Sample { invoker });
-            }
-            other => unreachable!("{other:?} is not addressed to an invoker"),
+            other => unreachable!("{other:?} is not addressed to one invoker"),
         }
+    }
+
+    /// This member's turn in a firing of its block's ping train: reports
+    /// its snapshot to every replica, unless it would repeat the previous
+    /// report where the platform allows the skip. Returns whether the
+    /// member stays in its train: a dead VM's pings end with its life.
+    pub(crate) fn ping<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) -> bool {
+        if !self.alive {
+            return false;
+        }
+        let (invoker, snap) = (self.index, self.snapshot());
+        if self.report_on_change && self.last_report == Some(snap) {
+            // Every replica's row already holds this snapshot, and where
+            // the platform allows the skip a delivered copy would only
+            // rewrite it (DESIGN.md, *Report on change*).
+            ctx.metrics.counters.incr(CounterId::PingReportsSkipped);
+        } else {
+            self.last_report = Some(snap);
+            // Every replica tracks the full fleet, so pings fan out to all
+            // of them.
+            ctx.broadcast(
+                self.entity(),
+                &mut self.seq,
+                ctx.cfg.bus_latency,
+                |replica| Event::PingReport {
+                    invoker,
+                    snap,
+                    replica,
+                },
+            );
+        }
+        true
+    }
+
+    /// This member's turn in a firing of its block's sampling train: one
+    /// partial row on the shared utilization grid. The rows are coalesced
+    /// into fleet-wide samples after the run (after cross-shard merge),
+    /// summed in invoker order so the totals are bit-identical for every
+    /// shard count. Returns whether the member stays in its train: the
+    /// samples end with the VM's life.
+    pub(crate) fn sample<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) -> bool {
+        if !self.alive {
+            return false;
+        }
+        let used = self.snapshot().cpus_in_use;
+        ctx.metrics
+            .push_partial_sample(ctx.now, self.index, self.cpus(), used);
+        true
     }
 
     fn on_deliver<C: EventCalendar<Event>>(
@@ -1400,35 +1416,7 @@ impl InvokerState {
         }
     }
 
-    fn on_ping<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
-        if !self.alive {
-            return;
-        }
-        let (invoker, snap) = (self.index, self.snapshot());
-        if self.report_on_change && self.last_report == Some(snap) {
-            // Every replica's row already holds this snapshot, and where
-            // the platform allows the skip a delivered copy would only
-            // rewrite it (DESIGN.md, *Report on change*).
-            ctx.metrics.counters.incr(CounterId::PingReportsSkipped);
-        } else {
-            self.last_report = Some(snap);
-            // Every replica tracks the full fleet, so pings fan out to all
-            // of them.
-            ctx.broadcast(
-                self.entity(),
-                &mut self.seq,
-                ctx.cfg.bus_latency,
-                |replica| Event::PingReport {
-                    invoker,
-                    snap,
-                    replica,
-                },
-            );
-        }
-        ctx.cal
-            .schedule_after(ctx.cfg.ping_interval, Event::Ping { invoker });
-    }
-
+    /// Brings the slot's VM up and announces it.
     fn on_deploy<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) {
         let slot = self
             .slot
@@ -1440,8 +1428,6 @@ impl InvokerState {
         };
         self.deploy(ctx.now, cpus);
         let invoker = self.index;
-        ctx.cal
-            .schedule_after(ctx.cfg.ping_interval, Event::Ping { invoker });
         // Every controller replica hears about the new capacity one bus
         // hop later.
         ctx.broadcast(
@@ -2253,9 +2239,9 @@ mod tests {
     #[test]
     fn first_ping_after_a_redeploy_always_reports() {
         let mut vm = OneVm::new(PlatformConfig::default(), hrv_fault::FaultPlan::none());
-        // A crash at 2.5 s kills the ping chain (the 3 s ping finds the VM
-        // dead); the redeploy at 3.5 s restarts it at 4.5 s with the same
-        // idle snapshot the last life reported at 1 s.
+        // A crash at 2.5 s ends the VM's ping train (the 3 s firing finds
+        // it dead); the redeploy at 3.5 s starts a new one at 4.5 s with
+        // the same idle snapshot the last life reported at 1 s.
         vm.at(2.5, Event::FaultCrash { invoker: 0 });
         vm.at(3.5, Event::VmDeploy { invoker: 0 });
         assert_eq!(vm.reports_per_ping(6), [4, 0, 0, 4, 0]);

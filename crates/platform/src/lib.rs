@@ -13,6 +13,7 @@
 //! testbed substitute for the paper's modified OpenWhisk deployment
 //! (Section 6).
 
+mod block;
 pub mod config;
 pub mod controller;
 pub mod event;

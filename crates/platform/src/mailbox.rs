@@ -45,6 +45,19 @@ pub const CONTROLLER: EntityId = 0;
 /// `i` is entity `i + 1`).
 pub const REPLICA_BASE: EntityId = 0xFFFF_0000;
 
+/// Invokers per block: 32 consecutive invoker indices form one block,
+/// the smallest unit the sharded driver places and the unit the periodic
+/// `Ping` and `Sample` timers fire for (DESIGN.md, *Block timers*).
+pub const BLOCK: u32 = 32;
+
+/// Index of an invoker block: invoker `i` is in block `i / BLOCK`.
+pub type BlockIndex = u32;
+
+/// The block invoker `i` belongs to.
+pub fn block_of(i: InvokerIndex) -> BlockIndex {
+    i / BLOCK
+}
+
 /// Entity id of invoker `i`.
 pub fn invoker_entity(i: InvokerIndex) -> EntityId {
     i + 1
@@ -128,9 +141,11 @@ impl Ord for Envelope {
 
 /// Which slice of the platform one world instance owns.
 ///
-/// The controller lives on shard 0; invoker `i` lives on shard
-/// `i % shards`. The unsharded platform is the `1/1` plan, which owns
-/// everything.
+/// The controller lives on shard 0 and replica `r` on shard `r % shards`.
+/// Invokers are placed by block: invoker `i` lives on shard
+/// `(i / BLOCK) % shards`, so a block never straddles two shards and its
+/// periodic timers stay shard-local. The unsharded platform is the `1/1`
+/// plan, which owns everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     /// This shard's index, `0 <= shard < shards`.
@@ -164,9 +179,9 @@ impl ShardPlan {
         self.shard == 0
     }
 
-    /// Whether this shard hosts invoker `i`.
+    /// Whether this shard hosts invoker `i` (and the rest of its block).
     pub fn owns_invoker(&self, i: InvokerIndex) -> bool {
-        i % self.shards == self.shard
+        block_of(i) % self.shards == self.shard
     }
 
     /// Whether this shard hosts controller replica `r`. Replica `r` lives
@@ -180,7 +195,7 @@ impl ShardPlan {
     pub fn shard_of(shards: u32, entity: EntityId) -> u32 {
         match Entity::of(entity) {
             Entity::Replica(r) => r % shards,
-            Entity::Invoker(i) => i % shards,
+            Entity::Invoker(i) => block_of(i) % shards,
         }
     }
 }
@@ -218,7 +233,7 @@ mod tests {
     #[test]
     fn plan_partitions_entities_disjointly() {
         for shards in [1u32, 2, 4, 8] {
-            for invoker in 0..32u32 {
+            for invoker in 0..4 * BLOCK {
                 let owners: Vec<u32> = (0..shards)
                     .filter(|&s| ShardPlan::new(s, shards).owns_invoker(invoker))
                     .collect();
@@ -246,6 +261,24 @@ mod tests {
             // Replica 0 is the classic controller on shard 0.
             assert_eq!(replica_entity(0), CONTROLLER);
             assert_eq!(ShardPlan::shard_of(shards, replica_entity(0)), 0);
+        }
+    }
+
+    #[test]
+    fn blocks_stay_whole_and_balance_to_one_block() {
+        const INVOKERS: u32 = 1_600;
+        for shards in [1u32, 2, 3, 4, 8] {
+            let plans: Vec<ShardPlan> = (0..shards).map(|s| ShardPlan::new(s, shards)).collect();
+            let mut per_shard = vec![0u32; shards as usize];
+            for i in 0..INVOKERS {
+                let owner = ShardPlan::shard_of(shards, invoker_entity(i));
+                let first = ShardPlan::shard_of(shards, invoker_entity(block_of(i) * BLOCK));
+                assert_eq!(owner, first, "invoker {i} straddles its block @ {shards}");
+                assert!(plans[owner as usize].owns_invoker(i));
+                per_shard[owner as usize] += 1;
+            }
+            let spread = per_shard.iter().max().unwrap() - per_shard.iter().min().unwrap();
+            assert!(spread <= BLOCK, "{per_shard:?} @ {shards} shards");
         }
     }
 

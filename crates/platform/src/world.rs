@@ -22,11 +22,14 @@ use hrv_trace::time::{SimDuration, SimTime};
 
 use hrv_telemetry::{FlightRecorder, SpanKind};
 
+use crate::block::{first_sample_at, BlockTimers, Trains};
 use crate::config::{PlatformConfig, PROBE_INTERVAL, RECONCILE_INTERVAL};
 use crate::controller::Controller;
 use crate::event::{Event, InvokerIndex, ReplicaIndex};
-use crate::invoker::{first_sample_at, InvokerState, SlotSource};
-use crate::mailbox::{replica_entity, Entity, EntityId, Envelope, ShardPlan};
+use crate::invoker::{InvokerState, SlotSource};
+use crate::mailbox::{
+    block_of, invoker_entity, replica_entity, Entity, EntityId, Envelope, ShardPlan,
+};
 use crate::metrics::MetricsCollector;
 use crate::replica::ReplicaState;
 use crate::telemetry::TelemetrySink;
@@ -177,6 +180,9 @@ pub struct PlatformWorld {
     /// Every invoker slot, by global index; the ones other shards own
     /// stay dormant placeholders here.
     invokers: Vec<InvokerState>,
+    /// The ping and sampling trains of every block, by block index; the
+    /// blocks other shards own stay empty here.
+    blocks: Vec<BlockTimers>,
     arrivals: Box<dyn ArrivalStream>,
     /// Metrics sink.
     pub metrics: MetricsCollector,
@@ -219,7 +225,7 @@ impl PlatformWorld {
     ///
     /// Generic over the calendar implementation so differential tests can
     /// drive the whole platform through the reference spec
-    /// ([`hrv_sim::calendar_reference`]).
+    /// (`hrv_sim::calendar_reference`).
     #[allow(clippy::too_many_arguments)]
     pub fn from_stream_sharded_in(
         spec: ClusterSpec,
@@ -242,6 +248,8 @@ impl PlatformWorld {
                 .iter()
                 .any(|fe| fe.kind == FaultKind::ViewFreeze);
         let mut invokers = Vec::with_capacity(spec.vms.len());
+        let mut blocks = Vec::new();
+        blocks.resize_with(block_count(spec.vms.len()), BlockTimers::default);
         for (i, vm) in spec.vms.iter().enumerate() {
             let index = i as InvokerIndex;
             invokers.push(InvokerState::for_slot(
@@ -344,14 +352,17 @@ impl PlatformWorld {
             }
         }
         if !cfg.sample_interval.is_zero() {
-            // Per-invoker sampling chains on the shared grid: each owned
-            // slot ticks from its first grid point at/after deploy until
-            // death, so the merged series is shard-count-invariant.
+            // Sampling trains on the shared grid: each owned slot ticks
+            // from its first grid point at/after deploy until death, so
+            // the merged series is shard-count-invariant.
             for (i, vm) in spec.vms.iter().enumerate() {
                 let index = i as InvokerIndex;
                 if plan.owns_invoker(index) {
                     let at = first_sample_at(vm.deploy, cfg.sample_interval);
-                    cal.schedule(at, Event::Sample { invoker: index });
+                    let block = block_of(index);
+                    if let Some(train) = blocks[block as usize].sample.join(at, index) {
+                        cal.schedule(at, Event::Sample { block, train });
+                    }
                 }
             }
         }
@@ -393,6 +404,7 @@ impl PlatformWorld {
             cfg,
             report_on_change,
             invokers,
+            blocks,
             arrivals,
             metrics,
             plan,
@@ -494,10 +506,11 @@ impl PlatformWorld {
 impl World for PlatformWorld {
     type Event = Event;
 
-    /// The router: does the two things that are the shard's rather than
-    /// an entity's — pulling the next arrival off the stream and growing
-    /// the invoker table for a monitor-ordered VM — then hands the event
-    /// to the one entity `Event::target` names.
+    /// The router: does the things that are the shard's rather than an
+    /// entity's — pulling the next arrival off the stream, growing the
+    /// invoker table for a monitor-ordered VM, and firing a block's
+    /// trains — and hands every other event to the one entity
+    /// `Event::target` names.
     fn handle<C: EventCalendar<Event>>(&mut self, ev: Scheduled<Event>, cal: &mut C) {
         match &ev.event {
             Event::Arrival(_) => {
@@ -517,6 +530,8 @@ impl World for PlatformWorld {
                     self.invokers
                         .push(InvokerState::for_slot(index, slot, &self.cfg, on_change));
                 }
+                let blocks = block_count(self.invokers.len());
+                self.blocks.resize_with(blocks, BlockTimers::default);
             }
             _ => {}
         }
@@ -530,22 +545,80 @@ impl World for PlatformWorld {
             outbox: &mut self.outbox,
             tel: &mut self.tel,
         };
-        match Entity::of(target) {
-            Entity::Replica(r) => {
+        let invokers = &mut self.invokers;
+        match (ev.event, Entity::of(target)) {
+            (Event::Ping { block, train }, _) => {
+                let trains = &mut self.blocks[block as usize].ping;
+                let interval = ctx.cfg.ping_interval;
+                let turn = InvokerState::ping;
+                if let Some(at) = fire_train(trains, train, interval, invokers, &mut ctx, turn) {
+                    ctx.cal.schedule(at, Event::Ping { block, train });
+                }
+            }
+            (Event::Sample { block, train }, _) => {
+                let trains = &mut self.blocks[block as usize].sample;
+                let interval = ctx.cfg.sample_interval;
+                let turn = InvokerState::sample;
+                if let Some(at) = fire_train(trains, train, interval, invokers, &mut ctx, turn) {
+                    ctx.cal.schedule(at, Event::Sample { block, train });
+                }
+            }
+            (event, Entity::Replica(r)) => {
                 // Replica-targeted events only land on the hosting shard.
                 let replica = &mut self.replicas[(r / self.plan.shards) as usize];
                 debug_assert_eq!(replica.index, r, "replica routed to wrong shard");
-                replica.handle(ev.event, &mut ctx);
+                replica.handle(event, &mut ctx);
             }
-            Entity::Invoker(i) => {
-                let invoker = &mut self.invokers[i as usize];
-                invoker.handle(ev.event, &mut ctx);
+            (event, Entity::Invoker(i)) => {
+                // A deploy always brings a new life up (`deploy` asserts).
+                let spawned = matches!(event, Event::SpawnVm { .. });
+                let deployed = spawned || matches!(event, Event::VmDeploy { .. });
+                let invoker = &mut invokers[i as usize];
+                invoker.handle(event, &mut ctx);
                 // Flush the spans the state machine buffered (a no-op for
                 // disabled runs: the buffer never fills).
                 ctx.tel.drain(target, &mut invoker.tel);
+                // The new life boards its block's trains: a spawned slot
+                // first joins the shared sampling grid (trace slots joined
+                // it when the platform was built), then every life pings.
+                if deployed {
+                    let (now, cfg) = (ctx.now, ctx.cfg);
+                    let block = block_of(i);
+                    let timers = &mut self.blocks[block as usize];
+                    if spawned && !cfg.sample_interval.is_zero() {
+                        let at = first_sample_at(now, cfg.sample_interval);
+                        if let Some(train) = timers.sample.join(at, i) {
+                            ctx.cal.schedule(at, Event::Sample { block, train });
+                        }
+                    }
+                    let at = now.saturating_add(cfg.ping_interval);
+                    if let Some(train) = timers.ping.join(at, i) {
+                        ctx.cal.schedule(at, Event::Ping { block, train });
+                    }
+                }
             }
         }
     }
+}
+
+/// Fires `train`: each live member, in index order, takes its `turn`
+/// under its own entity (its buffered spans drain under its id). Returns
+/// when the train fires next.
+fn fire_train<C: EventCalendar<Event>>(
+    trains: &mut Trains,
+    train: u32,
+    interval: SimDuration,
+    invokers: &mut [InvokerState],
+    ctx: &mut Ctx<'_, C>,
+    turn: fn(&mut InvokerState, &mut Ctx<'_, C>) -> bool,
+) -> Option<SimTime> {
+    let now = ctx.now;
+    trains.fire(train, now, interval, |i| {
+        let invoker = &mut invokers[i as usize];
+        let stays = turn(invoker, ctx);
+        ctx.tel.drain(invoker_entity(i), &mut invoker.tel);
+        stays
+    })
 }
 
 /// One packaged simulation run: the platform as one world per shard,
@@ -613,11 +686,11 @@ impl Simulation {
 
     /// [`Simulation::with_faults`] partitioned into `shards` shards (0
     /// reads as 1); above one, each runs on its own thread. Shard `s`
-    /// owns the invokers `i ≡ s (mod S)` and hosts the controller
-    /// replicas `r ≡ s (mod S)`; it consumes the arrivals its replicas
-    /// own, seeds only the faults aimed at its entities, and talks to its
-    /// peers through envelopes. Shard 0 gets `policy` itself, the others
-    /// `policy.fresh()`.
+    /// owns the invoker blocks `b ≡ s (mod S)` (invoker `i` is in block
+    /// `i / 32`) and hosts the controller replicas `r ≡ s (mod S)`; it
+    /// consumes the arrivals its replicas own, seeds only the faults aimed
+    /// at its entities, and talks to its peers through envelopes. Shard 0
+    /// gets `policy` itself, the others `policy.fresh()`.
     pub fn sharded(
         spec: ClusterSpec,
         workload: Vec<Invocation>,
@@ -698,6 +771,11 @@ impl Simulation {
         };
         crate::shard::merge_outputs(results)
     }
+}
+
+/// Blocks needed to cover `invokers` slots.
+fn block_count(invokers: usize) -> usize {
+    invokers.div_ceil(crate::mailbox::BLOCK as usize)
 }
 
 /// Splits a trace across `shards` shards in one pass, moving each
@@ -1619,5 +1697,215 @@ mod fault_tests {
             m.arrivals
         );
         out.collector.assert_conservation();
+    }
+}
+
+#[cfg(test)]
+mod block_timer_tests {
+    use super::*;
+    use crate::config::{ResourceMonitorConfig, VmTemplate};
+    use crate::mailbox::BLOCK;
+    use hrv_lb::policy::PolicyKind;
+    use hrv_trace::faas::{Workload, WorkloadSpec};
+    use hrv_trace::rng::SeedFactory;
+
+    const HORIZON_S: u64 = 120;
+
+    fn at(secs: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs_f64(secs)
+    }
+
+    /// Two blocks of 4-CPU VMs. Block 0 pings in three phases: slots 4
+    /// and 5 deploy at 0.3 s and 2.7 s, slot 2 is evicted at 10.5 s, the
+    /// rest deploy at 0 s. Block 1 (slots 32–35) deploys at 0 s, 0.3 s
+    /// and, for slot 35, at 2 s, an instant its block fires. The eviction
+    /// sends the monitor below its floor at its 20 s tick, so slot 36
+    /// spawns into block 1 at 50 s, another firing instant.
+    fn inputs() -> (ClusterSpec, Vec<Invocation>, PlatformConfig) {
+        let horizon = at(HORIZON_S as f64);
+        let vms = (0..36)
+            .map(|slot| {
+                let deploy = match slot {
+                    4 | 34 => 0.3,
+                    5 => 2.7,
+                    35 => 2.0,
+                    _ => 0.0,
+                };
+                let (end, ended) = if slot == 2 {
+                    (at(10.5), VmEnd::Evicted)
+                } else {
+                    (horizon, VmEnd::Censored)
+                };
+                VmTrace::constant(at(deploy), end, ended, 4, 16 * 1024)
+            })
+            .collect();
+        let spec = WorkloadSpec::paper_fsmall().scaled(30, 4.0);
+        let seeds = SeedFactory::new(23);
+        let trace =
+            Workload::generate(&spec, &seeds).invocations(SimDuration::from_secs(100), &seeds);
+        let cfg = PlatformConfig {
+            sample_interval: SimDuration::from_secs(5),
+            monitor: ResourceMonitorConfig {
+                enabled: true,
+                min_cpus: 36 * 4,
+                interval: SimDuration::from_secs(20),
+                template: VmTemplate {
+                    cpus: 4,
+                    memory_mb: 16 * 1024,
+                    deploy_delay: SimDuration::from_secs(30),
+                },
+            },
+            ..PlatformConfig::default()
+        };
+        (ClusterSpec::from_traces(vms), trace, cfg)
+    }
+
+    fn run(shards: u32) -> SimOutput {
+        let (spec, trace, cfg) = inputs();
+        let policy = PolicyKind::Mws.build();
+        Simulation::sharded(spec, trace, policy, cfg, 5, FaultPlan::none(), shards)
+            .run(SimDuration::from_secs(HORIZON_S))
+    }
+
+    /// FNV-1a over records, arrivals and start counts, as
+    /// `tests/determinism.rs` hashes them.
+    fn records_fingerprint(o: &SimOutput) -> u64 {
+        let text = format!(
+            "{:?}|{}|{}|{}",
+            o.collector.records, o.collector.arrivals, o.cold_starts, o.warm_starts
+        );
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The records fingerprint and the skipped ping reports of this
+    /// scenario while every invoker kept its own `Ping` and `Sample`
+    /// timers (computed before block timers existed).
+    const PER_INVOKER_TIMERS_FINGERPRINT: u64 = 0x94dc_7ffe_0c79_2282;
+    const PER_INVOKER_TIMERS_SKIPPED: u64 = 3_782;
+
+    #[test]
+    fn block_timers_keep_every_record_at_every_shard_count() {
+        let one = run(1);
+        assert_eq!(records_fingerprint(&one), PER_INVOKER_TIMERS_FINGERPRINT);
+        let skipped = (one.collector.counters).get(hrv_telemetry::CounterId::PingReportsSkipped);
+        assert_eq!(skipped, PER_INVOKER_TIMERS_SKIPPED);
+        assert_eq!(one.collector.vm_evictions, 1);
+        assert_eq!(one.collector.records.len(), 405);
+        for shards in [2, 4] {
+            let other = run(shards);
+            assert_eq!(one.collector.records, other.collector.records, "S={shards}");
+            assert_eq!(one.run.events, other.run.events, "S={shards}");
+            assert_eq!(
+                one.collector.counters, other.collector.counters,
+                "S={shards}"
+            );
+        }
+    }
+
+    /// A solo run with what its pings did.
+    struct Traced {
+        world: PlatformWorld,
+        /// Each `Ping` firing: `(at, block, train)`.
+        firings: Vec<(SimTime, u32, u32)>,
+        /// Each invoker's ping report instants (replica 0's copy).
+        reports: Vec<Vec<SimTime>>,
+    }
+
+    /// The solo world driven as `shard::run_rounds` drives it.
+    fn traced() -> Traced {
+        let (spec, trace, cfg) = inputs();
+        let mut cal = Calendar::new();
+        let mut world = PlatformWorld::from_stream_sharded_in(
+            spec,
+            Box::new(SortedTraceStream::new(trace)),
+            PolicyKind::Mws.build(),
+            cfg,
+            5,
+            FaultPlan::none(),
+            ShardPlan::solo(),
+            &mut cal,
+        );
+        let end = at(HORIZON_S as f64);
+        let delta = world.cfg().bus_latency;
+        let (mut firings, mut reports) = (Vec::new(), vec![Vec::new(); 37]);
+        let mut stop = SimTime::ZERO;
+        loop {
+            world.flush_outbox(&mut cal);
+            let Some(t) = cal.peek_time() else { break };
+            if t >= stop {
+                if t >= end {
+                    break;
+                }
+                stop = t.saturating_add(delta).min(end);
+                cal.open_window(stop);
+            }
+            let ev = cal.pop().expect("peeked event exists");
+            let now = ev.at;
+            if let Event::Ping { block, train } = ev.event {
+                firings.push((now, block, train));
+            }
+            world.handle(ev, &mut cal);
+            for env in &world.outbox {
+                if let Event::PingReport {
+                    invoker,
+                    replica: 0,
+                    ..
+                } = env.event
+                {
+                    reports[invoker as usize].push(now);
+                }
+            }
+        }
+        Traced {
+            world,
+            firings,
+            reports,
+        }
+    }
+
+    #[test]
+    fn a_train_fires_once_per_instant_and_members_ping_one_interval_after_deploy() {
+        let Traced {
+            world,
+            firings,
+            reports,
+        } = traced();
+        // Deployed at the instant their block fires (slot 35 by trace at
+        // 2 s, slot 36 by the monitor at 50 s), a member first pings one
+        // interval later, like every other member.
+        for (slot, deploy) in [
+            (0, 0.0),
+            (4, 0.3),
+            (5, 2.7),
+            (34, 0.3),
+            (35, 2.0),
+            (36, 50.0),
+        ] {
+            assert_eq!(
+                reports[slot].first(),
+                Some(&at(deploy + 1.0)),
+                "slot {slot}"
+            );
+        }
+        // Three phases, three firings a second in each block, before and
+        // after the eviction and the spawn.
+        for second in 4..HORIZON_S {
+            for block in [0, 1] {
+                let n = (firings.iter())
+                    .filter(|&&(t, b, _)| b == block && t >= at(second as f64))
+                    .filter(|&&(t, ..)| t < at(second as f64 + 1.0))
+                    .count();
+                assert_eq!(n, 3, "block {block} in second {second}");
+            }
+        }
+        // The evicted member left its train at the first firing after its
+        // death, without an event of its own, and never pinged again.
+        assert!(reports[2].iter().all(|&t| t < at(10.5)));
+        let train = world.blocks[0].ping.members(0);
+        let expected: Vec<u32> = (0..BLOCK).filter(|&i| ![2, 4, 5].contains(&i)).collect();
+        assert_eq!(train, expected);
+        assert_eq!(world.blocks[1].ping.members(0), [32, 33, 36]);
     }
 }

@@ -25,9 +25,10 @@
 //! bucket is not observable: an opened tick is staged and sorted by key.
 //!
 //! The previous `BinaryHeap` + tombstone-set implementation survives as
-//! [`crate::calendar_reference`], the executable specification: the
-//! differential proptests in `tests/props.rs` assert that both deliver
-//! byte-identical `Scheduled` sequences under arbitrary interleavings.
+//! `calendar_reference` (built with the `test-support` feature), the
+//! executable specification: the differential proptests in
+//! `tests/props.rs` assert that both deliver byte-identical `Scheduled`
+//! sequences under arbitrary interleavings.
 //!
 //! # Envelope lane
 //!
@@ -51,11 +52,13 @@ use hrv_trace::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
+// The raw token of an id: the wheel packs `(generation, slab index)`
+// itself, the reference calendar packs its sequence counter through these.
+// Ids are opaque outside this crate and only meaningful to the calendar
+// that issued them.
+#[cfg(any(test, feature = "test-support"))]
 impl EventId {
-    /// Builds an id from an implementation-defined raw token. The wheel
-    /// packs `(generation, slab index)`; the reference calendar packs its
-    /// sequence counter. Ids are opaque outside this crate and only
-    /// meaningful to the calendar that issued them.
+    /// Builds an id from an implementation-defined raw token.
     pub(crate) fn from_raw(raw: u64) -> Self {
         EventId(raw)
     }
@@ -79,8 +82,9 @@ pub struct Scheduled<E> {
 /// The calendar operations the engine and platform are written against.
 ///
 /// Implemented by the timer-wheel [`Calendar`] and by the reference heap
-/// ([`crate::calendar_reference::Calendar`]), so an entire simulation can
-/// be driven through the executable spec for differential testing.
+/// (`calendar_reference::Calendar`, a `test-support` item), so an entire
+/// simulation can be driven through the executable spec for differential
+/// testing.
 pub trait EventCalendar<E> {
     /// The current simulation time.
     fn now(&self) -> SimTime;

@@ -29,7 +29,7 @@
 //! `(vfinish, id)`. `next_completion` reads its front, and `advance` steps
 //! from completion to completion by popping it — O(1) per *completion*
 //! instead of O(jobs) per *event* as in the reference formulation
-//! ([`crate::ps_reference`], kept as an executable specification). An
+//! (`ps_reference`, kept as an executable specification for tests). An
 //! invoker's queue is short (in the claim benchmark's workloads at most 5
 //! jobs are active when another is added), so the sorted insert and the
 //! scans in `remove` and `remaining` touch a cache line or two.

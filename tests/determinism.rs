@@ -7,14 +7,17 @@ use harvest_faas::hrv_lb::mws::Mws;
 use harvest_faas::hrv_lb::policy::{LoadBalancer, PolicyKind};
 use harvest_faas::hrv_lb::view::LoadWeights;
 use harvest_faas::hrv_platform::config::PlatformConfig;
-use harvest_faas::hrv_platform::tel::CounterId;
+use harvest_faas::hrv_platform::mailbox::{ShardPlan, BLOCK};
+use harvest_faas::hrv_platform::tel::{CounterId, SpanKind};
 use harvest_faas::hrv_platform::world::{ClusterSpec, SimOutput, Simulation};
+use harvest_faas::hrv_platform::TelemetryConfig;
 use harvest_faas::hrv_policy::{ColdStartConfig, HybridHistogramConfig};
 use harvest_faas::hrv_trace::faas::{Invocation, Workload, WorkloadSpec};
 use harvest_faas::hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
 use harvest_faas::hrv_trace::rng::SeedFactory;
 use harvest_faas::hrv_trace::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 fn full_run_with(seed: u64, policy: Box<dyn LoadBalancer>) -> SimOutput {
     let horizon = SimDuration::from_mins(20);
@@ -353,8 +356,12 @@ const PREPOLICY_SHARDED_17: u64 = 0x45d13bbf09bb71ea;
 /// Event counts of the same two runs. They were 44 103 and 17 169 until
 /// invokers stopped sending the health report whose snapshot equals their
 /// previous one: every record stayed put, the skipped `PingReport`s left.
-const FULL_RUN_99_EVENTS: u64 = 37_620;
-const SHARDED_17_EVENTS: u64 = 14_613;
+/// They were 37 620 and 14 613 until the invokers of a block whose pings
+/// fall at the same instant started pinging from one `Ping` event (a
+/// train) instead of one each: every record stayed put again, the
+/// members' own `Ping` events left.
+const FULL_RUN_99_EVENTS: u64 = 29_227;
+const SHARDED_17_EVENTS: u64 = 11_260;
 
 #[test]
 fn default_policy_is_byte_identical_to_prepolicy_main() {
@@ -445,11 +452,24 @@ fn every_coldstart_policy_is_shard_invariant() {
 /// that used to silently degrade to one shard. The fleet takes two
 /// forced eviction storms so the migration path actually fires.
 fn sharded_controller_run(seed: u64, shards: u32) -> SimOutput {
+    sharded_controller_run_on(seed, shards, (10, 12), (40, 5.0), TelemetryConfig::Off)
+}
+
+/// [`sharded_controller_run`] on a fleet growing from `population.0` to
+/// `population.1` VMs, under `apps` applications at `rps` in total, with
+/// `telemetry`.
+fn sharded_controller_run_on(
+    seed: u64,
+    shards: u32,
+    population: (u32, u32),
+    (apps, rps): (usize, f64),
+    telemetry: TelemetryConfig,
+) -> SimOutput {
     let horizon = SimDuration::from_mins(8);
     let config = FleetConfig {
         horizon,
-        initial_population: 10,
-        final_population: 12,
+        initial_population: population.0,
+        final_population: population.1,
         forced_storms: vec![
             Storm {
                 at: SimTime::ZERO + SimDuration::from_mins(3),
@@ -467,9 +487,12 @@ fn sharded_controller_run(seed: u64, shards: u32) -> SimOutput {
     };
     let fleet = FleetTrace::generate(&config, &SeedFactory::new(seed));
     let seeds = SeedFactory::new(seed).child("wl");
-    let spec = WorkloadSpec::paper_fsmall().scaled(40, 5.0);
+    let spec = WorkloadSpec::paper_fsmall().scaled(apps, rps);
     let trace = Workload::generate(&spec, &seeds).invocations(horizon, &seeds);
-    let mut cfg = PlatformConfig::default();
+    let mut cfg = PlatformConfig {
+        telemetry,
+        ..PlatformConfig::default()
+    };
     cfg.sharding.replicas = 4;
     cfg.migration.enabled = true;
     cfg.sample_interval = SimDuration::from_secs(5);
@@ -529,6 +552,75 @@ fn sharded_controller_is_byte_identical_across_shard_counts() {
             baseline.collector.migrations, sharded.collector.migrations,
             "migration counts diverged at S={shards}"
         );
+    }
+}
+
+/// Invokers shard by block of [`BLOCK`] slots, so the small fleets above
+/// put every invoker on shard 0 and only the replicas spread. This run's
+/// fleet spans nine blocks, and twice the apps at twice the rate spread
+/// the work over them: at every S > 1 completions land on more than one
+/// shard, and the storms' migrations move work between invokers on
+/// different shards (`MigrateExtract` on one, `MigrateImplant` on
+/// another).
+#[test]
+fn wide_fleet_is_byte_identical_with_invokers_on_every_shard() {
+    let population = (8 * BLOCK + 4, 9 * BLOCK - 4);
+    let run = |shards| {
+        let telemetry = TelemetryConfig::on();
+        sharded_controller_run_on(17, shards, population, (80, 10.0), telemetry)
+    };
+    let baseline = run(1);
+    assert!(
+        baseline.collector.records.len() > 500 && baseline.collector.migrations > 0,
+        "{} records, {} migrations — the invariance check degenerated",
+        baseline.collector.records.len(),
+        baseline.collector.migrations
+    );
+    // Where each invocation was first delivered and where it finished, by
+    // invoker entity; the recorder is shard-invariant, so one run tells
+    // where the work sat at every S.
+    let events = baseline.recorder.canonical_events();
+    let mut delivered = HashMap::new();
+    let mut hops = Vec::new();
+    for e in &events {
+        match e.kind {
+            SpanKind::Delivered => {
+                delivered.entry(e.invocation).or_insert(e.entity);
+            }
+            SpanKind::Completed { .. } => {
+                if let Some(&from) = delivered.get(&e.invocation) {
+                    hops.push((from, e.entity));
+                }
+            }
+            _ => {}
+        }
+    }
+    for shards in [2u32, 4, 8] {
+        let shard = |entity| ShardPlan::shard_of(shards, entity);
+        let working: BTreeSet<u32> = hops.iter().map(|&(_, to)| shard(to)).collect();
+        assert!(
+            working.len() > 1,
+            "all completions on shard(s) {working:?} at S={shards} — the \
+             invokers did not spread over shards"
+        );
+        assert!(
+            hops.iter().any(|&(from, to)| shard(from) != shard(to)),
+            "no invocation finished on another shard than it was delivered \
+             to at S={shards} — the cross-shard migration path was not \
+             exercised"
+        );
+        let sharded = run(shards);
+        let label = format!("wide fleet, R=4 S=1 vs S={shards}");
+        assert_shard_invariant(&baseline, &sharded, &label);
+        assert_eq!(
+            baseline.collector.samples, sharded.collector.samples,
+            "{label}"
+        );
+        assert_eq!(
+            baseline.collector.migrations, sharded.collector.migrations,
+            "{label}"
+        );
+        assert_eq!(events, sharded.recorder.canonical_events(), "{label}");
     }
 }
 

@@ -54,8 +54,10 @@ fn churn_run(seed: u64, telemetry: TelemetryConfig) -> SimOutput {
 /// `storms`, the determinism suite's full-feature configuration instead:
 /// two forced eviction storms over a slightly larger fleet, four
 /// controller replicas, live migration, sampling and recovery — so
-/// invocations finish on a different invoker, and for S > 1 often a
-/// different shard, than the one they were delivered to.
+/// invocations finish on a different invoker than the one they were
+/// delivered to. The fleet fits one invoker block, so at every S its
+/// invokers share shard 0 and only the replicas spread; invocations that
+/// move between shards are `tests/determinism.rs`'s wide-fleet run.
 fn sharded_telemetry_run(seed: u64, shards: u32, storms: bool) -> SimOutput {
     let horizon = SimDuration::from_mins(8);
     let mut config = FleetConfig {
