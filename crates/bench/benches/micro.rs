@@ -309,7 +309,7 @@ fn bench_invoker(c: &mut Criterion) {
 }
 
 fn bench_ping(c: &mut Criterion) {
-    use harvest_faas::hrv_fault::FaultPlan;
+    use harvest_faas::hrv_fault::{FaultKind, FaultPlan};
     use harvest_faas::hrv_lb::policy::PolicyKind;
     use harvest_faas::hrv_platform::config::PlatformConfig;
     use harvest_faas::hrv_platform::mailbox::ShardPlan;
@@ -322,10 +322,15 @@ fn bench_ping(c: &mut Criterion) {
     // deploying at 0 s puts them on one train, deploys 31 ms apart give
     // 32 single-member trains. An iteration is one simulated second, so
     // 32 member pings; the first second's reports are past, so every
-    // ping compares its snapshot and stays home.
-    for (name, spacing_ms) in [
-        ("ping/block_32_members_1s", 0u64),
-        ("ping/singles_32_trains_1s", 31),
+    // ping compares its snapshot and stays home. The `reports_` cases
+    // plan a view freeze past any horizon, so every ping reports: the
+    // one train sends one 32-row message, the 32 trains send 32 one-row
+    // messages through the calendar, and the replica applies 32 rows.
+    for (name, spacing_ms, every_ping_reports) in [
+        ("ping/block_32_members_1s", 0u64, false),
+        ("ping/singles_32_trains_1s", 31, false),
+        ("ping/reports_block_32_rows_1s", 0, true),
+        ("ping/reports_singles_32_messages_1s", 31, true),
     ] {
         let vms = (0..32)
             .map(|i| {
@@ -339,6 +344,11 @@ fn bench_ping(c: &mut Criterion) {
                 )
             })
             .collect();
+        let mut faults = FaultPlan::none();
+        if every_ping_reports {
+            faults.push(SimTime::from_secs(1 << 40), FaultKind::ViewFreeze);
+            faults.finish();
+        }
         let mut cal = Calendar::new();
         let mut world = PlatformWorld::from_stream_sharded_in(
             ClusterSpec::from_traces(vms),
@@ -346,7 +356,7 @@ fn bench_ping(c: &mut Criterion) {
             PolicyKind::Mws.build(),
             PlatformConfig::default(),
             1,
-            FaultPlan::none(),
+            faults,
             ShardPlan::solo(),
             &mut cal,
         );

@@ -96,10 +96,12 @@ impl LoadBalancer for Jsq {
         view: &ClusterView,
         rng: &mut dyn rand::Rng,
     ) -> Option<InvokerId> {
+        // Each candidate is scored once; ties go to the lowest id.
         let full_scan = |jsq: &Jsq| {
             view.placeable()
-                .min_by(|a, b| jsq.score(a).total_cmp(&jsq.score(b)).then(a.id.cmp(&b.id)))
-                .map(|v| v.id)
+                .map(|v| (jsq.score(v), v.id))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(_, id)| id)
         };
         match self.sample_d {
             Some(d) => {
@@ -241,6 +243,42 @@ mod tests {
             .place(SimTime::ZERO, f(), 256, &view, &mut rng())
             .unwrap();
         assert_eq!(placed, InvokerId(1));
+    }
+
+    #[test]
+    fn full_scan_picks_what_the_pairwise_comparator_picks_under_ties() {
+        // Ids out of order, several sharing the lowest score on each
+        // metric, and an unplaceable one among them.
+        let mut view = view_of(&[
+            (7, 8, 2.0),
+            (3, 8, 2.0),
+            (9, 4, 1.0),
+            (1, 8, 2.0),
+            (4, 8, 6.0),
+        ]);
+        view.get_mut(InvokerId(1)).unwrap().eviction_pending = true;
+        for (id, inflight) in [(7, 2), (3, 2), (9, 3), (4, 2), (1, 0)] {
+            let v = view.get_mut(InvokerId(id)).unwrap();
+            v.inflight = inflight;
+            v.inflight_demand_secs = f64::from(inflight * v.total_cpus);
+        }
+        for metric in [
+            JsqMetric::WeightedUtilization,
+            JsqMetric::QueueLength,
+            JsqMetric::WeightedQueueLength,
+        ] {
+            let mut jsq = Jsq::new(metric, None);
+            let scores: Vec<f64> = view.placeable().map(|v| jsq.score(v)).collect();
+            let low = scores.iter().copied().fold(f64::INFINITY, f64::min);
+            let tied = scores.iter().filter(|&&s| s == low).count();
+            assert!(tied >= 2, "{metric:?}: no tie at the minimum in {scores:?}");
+            let pairwise = view
+                .placeable()
+                .min_by(|a, b| jsq.score(a).total_cmp(&jsq.score(b)).then(a.id.cmp(&b.id)))
+                .map(|v| v.id);
+            let placed = jsq.place(SimTime::ZERO, f(), 256, &view, &mut rng());
+            assert_eq!(placed, pairwise, "{metric:?}");
+        }
     }
 
     #[test]

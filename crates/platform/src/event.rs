@@ -4,6 +4,8 @@
 //! messages, container lifecycle timers, VM resizes and evictions, and
 //! periodic monitors — is one of these events on the shared calendar.
 
+use std::sync::Arc;
+
 use hrv_lb::owner_of;
 use hrv_trace::faas::{FunctionId, Invocation};
 use hrv_trace::time::{SimDuration, SimTime};
@@ -138,26 +140,27 @@ pub enum Event {
         container: u64,
     },
     /// One ping train of an invoker block fires: every live member pings
-    /// in index order (each snapshot travels to the controller replicas as
-    /// an [`Event::PingReport`]) and the train re-arms one ping interval
-    /// later (block-local; DESIGN.md, *Block timers*).
+    /// in index order, the snapshots of the members that report travel to
+    /// the controller replicas together as one [`Event::PingReport`] per
+    /// replica, and the train re-arms one ping interval later
+    /// (block-local; DESIGN.md, *Block timers*).
     Ping {
         /// The block whose train fires.
         block: BlockIndex,
         /// The train, by its id within the block.
         train: u32,
     },
-    /// A health-ping snapshot reaches a controller replica, one bus hop
-    /// after the [`Event::Ping`] train of the invoker's block fired. Broadcast: every
-    /// replica receives its own copy so all cluster views track fleet
-    /// health.
+    /// One ping-train firing's health snapshots reach a controller
+    /// replica, one bus hop after the [`Event::Ping`] train fired.
+    /// Broadcast: every replica receives its own copy, so all cluster
+    /// views track fleet health; the copies of one firing share one
+    /// payload (DESIGN.md, *Block timers*).
     PingReport {
-        /// The pinging invoker.
-        invoker: InvokerIndex,
-        /// Health reading taken at ping time.
-        snap: HealthSnapshot,
         /// The receiving replica.
         replica: ReplicaIndex,
+        /// `(invoker, health reading taken at ping time)` of every member
+        /// that reported, in index order.
+        reports: Arc<[(InvokerIndex, HealthSnapshot)]>,
     },
     /// An invoker's completion report reaches the replica that owns the
     /// invocation, which writes its `Completed` record.
@@ -516,15 +519,17 @@ mod tests {
             Event::Ping { .. } => (
                 block_head,
                 Event::PingReport {
-                    invoker,
-                    snap: HealthSnapshot {
-                        cpus: 4,
-                        cpus_in_use: 0.0,
-                        memory_used_mb: 0,
-                        eviction_pending: false,
-                        pressure: 0.0,
-                    },
                     replica,
+                    reports: Arc::new([(
+                        invoker,
+                        HealthSnapshot {
+                            cpus: 4,
+                            cpus_in_use: 0.0,
+                            memory_used_mb: 0,
+                            eviction_pending: false,
+                            pressure: 0.0,
+                        },
+                    )]),
                 },
             ),
             Event::PingReport { .. } => (

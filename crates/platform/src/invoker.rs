@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::num::NonZeroU64;
+use std::sync::Arc;
 
 use hrv_policy::{ColdStartPolicy, FixedKeepAlive, IdleCtx};
 use hrv_sim::calendar::{EventCalendar, EventId};
@@ -236,6 +237,18 @@ pub struct HealthSnapshot {
     pub eviction_pending: bool,
     /// Queue + running pressure (for diagnostics).
     pub pressure: f64,
+}
+
+/// A member's turn in a firing of its block's ping train.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PingTurn {
+    /// The VM has died: the member leaves its train.
+    Dead,
+    /// The snapshot repeats the member's previous report, which the
+    /// platform allows it to skip.
+    Skipped,
+    /// The snapshot goes into the firing's report to every replica.
+    Report(HealthSnapshot),
 }
 
 /// Where an invoker slot's VM definition came from.
@@ -1301,36 +1314,41 @@ impl InvokerState {
         }
     }
 
-    /// This member's turn in a firing of its block's ping train: reports
-    /// its snapshot to every replica, unless it would repeat the previous
-    /// report where the platform allows the skip. Returns whether the
-    /// member stays in its train: a dead VM's pings end with its life.
-    pub(crate) fn ping<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) -> bool {
+    /// This member's turn in a firing of its block's ping train: its
+    /// snapshot for the firing's report, unless it would repeat the
+    /// previous report where the platform allows the skip. A dead VM's
+    /// pings end with its life, and it leaves the train.
+    pub(crate) fn ping<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) -> PingTurn {
         if !self.alive {
-            return false;
+            return PingTurn::Dead;
         }
-        let (invoker, snap) = (self.index, self.snapshot());
+        let snap = self.snapshot();
         if self.report_on_change && self.last_report == Some(snap) {
             // Every replica's row already holds this snapshot, and where
             // the platform allows the skip a delivered copy would only
             // rewrite it (DESIGN.md, *Report on change*).
             ctx.metrics.counters.incr(CounterId::PingReportsSkipped);
-        } else {
-            self.last_report = Some(snap);
-            // Every replica tracks the full fleet, so pings fan out to all
-            // of them.
-            ctx.broadcast(
-                self.entity(),
-                &mut self.seq,
-                ctx.cfg.bus_latency,
-                |replica| Event::PingReport {
-                    invoker,
-                    snap,
-                    replica,
-                },
-            );
+            return PingTurn::Skipped;
         }
-        true
+        self.last_report = Some(snap);
+        PingTurn::Report(snap)
+    }
+
+    /// Sends a ping-train firing's report rows to every replica as this
+    /// member, the firing's first reporter: one envelope per replica, all
+    /// sharing `reports`, under this member's own message counter (every
+    /// replica tracks the full fleet, so pings fan out to all of them).
+    pub(crate) fn send_reports<C: EventCalendar<Event>>(
+        &mut self,
+        reports: Arc<[(InvokerIndex, HealthSnapshot)]>,
+        ctx: &mut Ctx<'_, C>,
+    ) {
+        debug_assert_eq!(reports.first().map(|r| r.0), Some(self.index));
+        let delay = ctx.cfg.bus_latency;
+        ctx.broadcast(self.entity(), &mut self.seq, delay, |replica| {
+            let reports = Arc::clone(&reports);
+            Event::PingReport { replica, reports }
+        });
     }
 
     /// This member's turn in a firing of its block's sampling train: one
@@ -2173,8 +2191,9 @@ mod tests {
             self.cal.schedule(at, event);
         }
 
-        /// Handles everything due before `secs`; returns how many
-        /// `PingReport`s each ping handled sent, in ping order.
+        /// Handles everything due before `secs`; returns how many report
+        /// rows each ping handled sent, over all replicas' copies, in ping
+        /// order.
         fn reports_per_ping(&mut self, secs: u64) -> Vec<usize> {
             use hrv_sim::engine::World;
             let mut per_ping = Vec::new();
@@ -2184,8 +2203,11 @@ mod tests {
                 self.world.handle(ev, &mut self.cal);
                 let sent = self.world.take_outbox();
                 let reports = (sent.iter())
-                    .filter(|env| matches!(env.event, Event::PingReport { .. }))
-                    .count();
+                    .map(|env| match &env.event {
+                        Event::PingReport { reports, .. } => reports.len(),
+                        _ => 0,
+                    })
+                    .sum();
                 if ping {
                     per_ping.push(reports);
                 }

@@ -172,15 +172,19 @@ impl ReplicaState {
 
     fn on_message<C: EventCalendar<Event>>(&mut self, message: Event, ctx: &mut Ctx<'_, C>) {
         match message {
-            Event::PingReport { invoker, snap, .. } => {
+            Event::PingReport { reports, .. } => {
                 // Inside a staleness window replica 0's pings are dropped
-                // on the floor; the invoker keeps pinging regardless.
+                // on the floor; the invokers keep pinging regardless.
                 if self.monitor.as_ref().is_some_and(|m| m.view_frozen) {
                     return;
                 }
-                self.controller.on_ping(ctx.now, InvokerId(invoker), snap);
-                if ctx.cfg.recovery.enabled {
-                    self.track_straggler(invoker, snap.pressure, ctx);
+                // One firing's rows, in index order: each does what its own
+                // message would have (DESIGN.md, *Block timers*).
+                for &(invoker, snap) in reports.iter() {
+                    self.controller.on_ping(ctx.now, InvokerId(invoker), snap);
+                    if ctx.cfg.recovery.enabled {
+                        self.track_straggler(invoker, snap.pressure, ctx);
+                    }
                 }
             }
             Event::Report { report, .. } => {

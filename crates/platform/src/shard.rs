@@ -343,6 +343,7 @@ pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutpu
 mod tests {
     use super::*;
     use hrv_fault::FaultSpec;
+    use hrv_sim::calendar::{EventCalendar, EventId, Scheduled};
     use hrv_trace::faas::{Workload, WorkloadSpec};
     use hrv_trace::harvest::{FleetConfig, FleetTrace, Storm};
     use hrv_trace::rng::SeedFactory;
@@ -534,6 +535,52 @@ mod tests {
         );
     }
 
+    /// A timer wheel that counts the ping-report rows entering its
+    /// envelope lane.
+    struct RowCounting {
+        cal: Calendar<Event>,
+        rows: u64,
+    }
+
+    impl EventCalendar<Event> for RowCounting {
+        fn now(&self) -> SimTime {
+            self.cal.now()
+        }
+        fn processed(&self) -> u64 {
+            self.cal.processed()
+        }
+        fn len(&self) -> usize {
+            self.cal.len()
+        }
+        fn schedule(&mut self, at: SimTime, event: Event) -> EventId {
+            self.cal.schedule(at, event)
+        }
+        fn schedule_after(&mut self, delay: SimDuration, event: Event) -> EventId {
+            self.cal.schedule_after(delay, event)
+        }
+        fn cancel(&mut self, id: EventId) -> bool {
+            self.cal.cancel(id)
+        }
+        fn peek_time(&mut self) -> Option<SimTime> {
+            self.cal.peek_time()
+        }
+        fn pop(&mut self) -> Option<Scheduled<Event>> {
+            self.cal.pop()
+        }
+    }
+
+    impl EnvelopeLane<Event> for RowCounting {
+        fn schedule_envelope(&mut self, at: SimTime, sender: u32, seq: u64, event: Event) {
+            if let Event::PingReport { reports, .. } = &event {
+                self.rows += reports.len() as u64;
+            }
+            self.cal.schedule_envelope(at, sender, seq, event);
+        }
+        fn open_window(&mut self, stop: SimTime) {
+            self.cal.open_window(stop);
+        }
+    }
+
     /// Where the platform lets invokers skip a ping that repeats their
     /// previous report (recovery off, no view freeze), skipping changes
     /// the message count and nothing else: the R = 4 + migration +
@@ -567,7 +614,10 @@ mod tests {
             ..v
         };
         let run = |on_change: bool| {
-            let mut cal = Calendar::new();
+            let mut cal = RowCounting {
+                cal: Calendar::new(),
+                rows: 0,
+            };
             let mut world = PlatformWorld::from_stream_sharded_in(
                 spec.clone(),
                 Box::new(SortedTraceStream::new(workload(horizon))),
@@ -583,7 +633,7 @@ mod tests {
             let views: Vec<Vec<InvokerView>> = (world.replica_views().into_iter())
                 .map(|rows| rows.into_iter().map(unstamped).collect())
                 .collect();
-            (merge_outputs(vec![(world, run)]), views)
+            (merge_outputs(vec![(world, run)]), views, cal.rows)
         };
         let skipped = |out: &SimOutput| out.collector.counters.get(CounterId::PingReportsSkipped);
         let envelopes = |out: &SimOutput| -> u64 {
@@ -615,15 +665,22 @@ mod tests {
                 placements,
             )
         };
-        let (every, every_views) = run(false);
-        let (on_change, on_change_views) = run(true);
+        let (every, every_views, every_rows) = run(false);
+        let (on_change, on_change_views, on_change_rows) = run(true);
         assert_eq!(outcome(&every), outcome(&on_change));
         assert_eq!(every_views, on_change_views, "replica view rows");
-        // What did move: one `PingReport` per replica per skip.
+        // What did move: one report row per replica per skip, and with
+        // it every `PingReport` whose rows were all skipped.
         let n = skipped(&on_change);
         assert!(skipped(&every) == 0 && n > 0, "no ping was skipped");
-        assert_eq!(envelopes(&every) - envelopes(&on_change), 4 * n);
-        assert_eq!(every.run.events - on_change.run.events, 4 * n);
+        assert_eq!(every_rows - on_change_rows, 4 * n);
+        let fewer = envelopes(&every) - envelopes(&on_change);
+        assert!(
+            fewer > 0 && fewer < 4 * n,
+            "{fewer} envelopes for {n} skips"
+        );
+        assert_eq!(fewer % 4, 0, "a firing's copies come and go together");
+        assert_eq!(every.run.events - on_change.run.events, fewer);
         let c = &every.collector;
         assert!(
             c.vm_crashes > 0 && c.migrations > 0 && c.records.len() > 300,

@@ -9,6 +9,8 @@
 //! wants from one has to travel as an [`Envelope`] with at least one bus
 //! hop of delay — the property the sharded driver's lookahead rests on.
 
+use std::sync::Arc;
+
 use hrv_fault::{FaultKind, FaultPlan, WarningFault};
 use hrv_lb::owner_of;
 use hrv_lb::policy::LoadBalancer;
@@ -26,7 +28,7 @@ use crate::block::{first_sample_at, BlockTimers, Trains};
 use crate::config::{PlatformConfig, PROBE_INTERVAL, RECONCILE_INTERVAL};
 use crate::controller::Controller;
 use crate::event::{Event, InvokerIndex, ReplicaIndex};
-use crate::invoker::{InvokerState, SlotSource};
+use crate::invoker::{HealthSnapshot, InvokerState, PingTurn, SlotSource};
 use crate::mailbox::{
     block_of, invoker_entity, replica_entity, Entity, EntityId, Envelope, ShardPlan,
 };
@@ -183,6 +185,9 @@ pub struct PlatformWorld {
     /// The ping and sampling trains of every block, by block index; the
     /// blocks other shards own stay empty here.
     blocks: Vec<BlockTimers>,
+    /// The report rows of the ping firing being handled (kept between
+    /// firings for its capacity).
+    ping_rows: Vec<(InvokerIndex, HealthSnapshot)>,
     arrivals: Box<dyn ArrivalStream>,
     /// Metrics sink.
     pub metrics: MetricsCollector,
@@ -405,6 +410,7 @@ impl PlatformWorld {
             report_on_change,
             invokers,
             blocks,
+            ping_rows: Vec::new(),
             arrivals,
             metrics,
             plan,
@@ -550,8 +556,25 @@ impl World for PlatformWorld {
             (Event::Ping { block, train }, _) => {
                 let trains = &mut self.blocks[block as usize].ping;
                 let interval = ctx.cfg.ping_interval;
-                let turn = InvokerState::ping;
-                if let Some(at) = fire_train(trains, train, interval, invokers, &mut ctx, turn) {
+                let rows = &mut self.ping_rows;
+                let turn = |invoker: &mut InvokerState, ctx: &mut Ctx<'_, C>| {
+                    match invoker.ping(ctx) {
+                        PingTurn::Dead => return false,
+                        PingTurn::Skipped => {}
+                        PingTurn::Report(snap) => rows.push((invoker.index, snap)),
+                    }
+                    true
+                };
+                let next = fire_train(trains, train, interval, invokers, &mut ctx, turn);
+                // The reporters' rows travel as one message per replica,
+                // under the first reporter's key (DESIGN.md, *Block
+                // timers*).
+                if let Some(&(first, _)) = self.ping_rows.first() {
+                    let reports = Arc::from(&self.ping_rows[..]);
+                    self.ping_rows.clear();
+                    invokers[first as usize].send_reports(reports, &mut ctx);
+                }
+                if let Some(at) = next {
                     ctx.cal.schedule(at, Event::Ping { block, train });
                 }
             }
@@ -610,7 +633,7 @@ fn fire_train<C: EventCalendar<Event>>(
     interval: SimDuration,
     invokers: &mut [InvokerState],
     ctx: &mut Ctx<'_, C>,
-    turn: fn(&mut InvokerState, &mut Ctx<'_, C>) -> bool,
+    mut turn: impl FnMut(&mut InvokerState, &mut Ctx<'_, C>) -> bool,
 ) -> Option<SimTime> {
     let now = ctx.now;
     trains.fire(train, now, interval, |i| {
@@ -1804,20 +1827,12 @@ mod block_timer_tests {
         }
     }
 
-    /// A solo run with what its pings did.
-    struct Traced {
-        world: PlatformWorld,
-        /// Each `Ping` firing: `(at, block, train)`.
-        firings: Vec<(SimTime, u32, u32)>,
-        /// Each invoker's ping report instants (replica 0's copy).
-        reports: Vec<Vec<SimTime>>,
-    }
-
-    /// The solo world driven as `shard::run_rounds` drives it.
-    fn traced() -> Traced {
-        let (spec, trace, cfg) = inputs();
+    /// The solo world `inputs` builds, with `tweak` applied to its config.
+    fn solo(tweak: impl FnOnce(&mut PlatformConfig)) -> (PlatformWorld, Calendar<Event>) {
+        let (spec, trace, mut cfg) = inputs();
+        tweak(&mut cfg);
         let mut cal = Calendar::new();
-        let mut world = PlatformWorld::from_stream_sharded_in(
+        let world = PlatformWorld::from_stream_sharded_in(
             spec,
             Box::new(SortedTraceStream::new(trace)),
             PolicyKind::Mws.build(),
@@ -1827,12 +1842,22 @@ mod block_timer_tests {
             ShardPlan::solo(),
             &mut cal,
         );
-        let end = at(HORIZON_S as f64);
+        (world, cal)
+    }
+
+    /// Drives a solo world to `end` as `shard::run_rounds` does. `visit`
+    /// sees each event twice: ahead of its handler with `None`, then with
+    /// the envelopes the handler sent.
+    fn drive(
+        world: &mut PlatformWorld,
+        cal: &mut Calendar<Event>,
+        end: SimTime,
+        mut visit: impl FnMut(&PlatformWorld, &Scheduled<Event>, Option<&[Envelope]>),
+    ) {
         let delta = world.cfg().bus_latency;
-        let (mut firings, mut reports) = (Vec::new(), vec![Vec::new(); 37]);
         let mut stop = SimTime::ZERO;
         loop {
-            world.flush_outbox(&mut cal);
+            world.flush_outbox(cal);
             let Some(t) = cal.peek_time() else { break };
             if t >= stop {
                 if t >= end {
@@ -1842,27 +1867,213 @@ mod block_timer_tests {
                 cal.open_window(stop);
             }
             let ev = cal.pop().expect("peeked event exists");
-            let now = ev.at;
+            let seen = ev.clone();
+            visit(world, &seen, None);
+            world.handle(ev, cal);
+            visit(world, &seen, Some(&world.outbox));
+        }
+    }
+
+    /// The report rows of a `PingReport`.
+    fn rows(event: &Event) -> Option<&Arc<[(InvokerIndex, HealthSnapshot)]>> {
+        match event {
+            Event::PingReport { reports, .. } => Some(reports),
+            _ => None,
+        }
+    }
+
+    /// A solo run with what its pings did.
+    struct Traced {
+        world: PlatformWorld,
+        /// Each `Ping` firing: `(at, block, train)`.
+        firings: Vec<(SimTime, u32, u32)>,
+        /// Each invoker's ping report instants (replica 0's copy).
+        reports: Vec<Vec<SimTime>>,
+    }
+
+    fn traced() -> Traced {
+        let (mut world, mut cal) = solo(|_| {});
+        let (mut firings, mut reports) = (Vec::new(), vec![Vec::new(); 37]);
+        let end = at(HORIZON_S as f64);
+        drive(&mut world, &mut cal, end, |_, ev, sent| {
+            let Some(sent) = sent else { return };
             if let Event::Ping { block, train } = ev.event {
-                firings.push((now, block, train));
+                firings.push((ev.at, block, train));
             }
-            world.handle(ev, &mut cal);
-            for env in &world.outbox {
-                if let Event::PingReport {
-                    invoker,
-                    replica: 0,
-                    ..
-                } = env.event
-                {
-                    reports[invoker as usize].push(now);
+            let copies = sent.iter().filter(|env| env.target == replica_entity(0));
+            for firing in copies.filter_map(|env| rows(&env.event)) {
+                for &(invoker, _) in firing.iter() {
+                    reports[invoker as usize].push(ev.at);
                 }
             }
-        }
+        });
         Traced {
             world,
             firings,
             reports,
         }
+    }
+
+    #[test]
+    fn a_firing_sends_one_shared_report_per_replica_under_its_first_reporter() {
+        use hrv_telemetry::CounterId::PingReportsSkipped;
+        let replicas = 4;
+        let (mut world, mut cal) = solo(|cfg| cfg.sharding.replicas = replicas);
+        // Each sender's next message number, once seen.
+        let mut next_seq = std::collections::HashMap::new();
+        let (mut members, mut skipped) = (Vec::new(), 0);
+        let (mut silent, mut batched, mut not_head) = (0, 0, 0);
+        let end = at(HORIZON_S as f64);
+        drive(&mut world, &mut cal, end, |world, ev, sent| {
+            let Some(sent) = sent else {
+                if let Event::Ping { block, train } = ev.event {
+                    members = world.blocks[block as usize].ping.members(train).to_vec();
+                    skipped = world.metrics.counters.get(PingReportsSkipped);
+                }
+                return;
+            };
+            for env in sent {
+                let seq = next_seq.entry(env.sender).or_insert(env.seq);
+                assert_eq!(env.seq, *seq, "sender {} skipped a number", env.sender);
+                *seq += 1;
+            }
+            let Event::Ping { block, train } = ev.event else {
+                return;
+            };
+            let copies: Vec<&Envelope> = (sent.iter())
+                .filter(|env| rows(&env.event).is_some())
+                .collect();
+            let stayed = world.blocks[block as usize].ping.members(train).len();
+            let skips = world.metrics.counters.get(PingReportsSkipped) - skipped;
+            let Some(first) = copies.first() else {
+                // Every member skipped (or left with its VM).
+                assert_eq!(skips as usize, stayed, "{ev:?}");
+                silent += 1;
+                return;
+            };
+            let reports = rows(&first.event).expect("a report");
+            assert_eq!(copies.len(), replicas as usize, "one copy per replica");
+            for (r, env) in copies.iter().enumerate() {
+                assert_eq!(env.target, replica_entity(r as u32), "ascending replicas");
+                assert_eq!((env.sender, env.seq), (first.sender, first.seq + r as u64));
+                let shared = rows(&env.event).expect("a report");
+                assert!(Arc::ptr_eq(shared, reports), "the copies share one payload");
+            }
+            // The first reporter's key; its members' rows in index order.
+            let head = reports[0].0;
+            assert_eq!(first.sender, invoker_entity(head));
+            assert!(reports.windows(2).all(|w| w[0].0 < w[1].0));
+            assert!(reports.iter().all(|(i, _)| members.contains(i)));
+            assert_eq!(reports.len() + skips as usize, stayed, "{ev:?}");
+            batched += usize::from(reports.len() > 1);
+            not_head += usize::from(head != members[0]);
+        });
+        assert!(
+            silent > 0 && batched > 0 && not_head > 0,
+            "{silent} silent, {batched} batched and {not_head} late-headed firings"
+        );
+    }
+
+    /// The order rule's one visible case: a report row now applies at the
+    /// firing's first reporter's key, ahead of a same-instant `MigrateAsk`
+    /// from a member between the two. Block 0 is four 4-CPU VMs deployed
+    /// at 0 s, each running a one-core invocation but slot 3. Slot 1 is
+    /// warned at 30 s, so its migration plan runs, and its ask is sent, at
+    /// 31 s, an instant its block pings. Slot 0 runs a second core and
+    /// slot 3 four until 30.7 s, so the 31 s firing's rows are slots 0
+    /// and 3, and slot 3's turns it from the busiest member into the least
+    /// loaded.
+    #[test]
+    fn a_migrate_ask_sees_every_row_its_blocks_same_instant_firing_sent() {
+        let horizon = at(100.0);
+        let vms = (0..4)
+            .map(|slot| {
+                let (end, ended) = if slot == 1 {
+                    (at(60.0), VmEnd::Evicted)
+                } else {
+                    (horizon, VmEnd::Censored)
+                };
+                VmTrace::constant(SimTime::ZERO, end, ended, 4, 16 * 1024)
+            })
+            .collect();
+        let mut cfg = PlatformConfig::default();
+        cfg.migration.enabled = true;
+        cfg.cold_start_delay = SimDuration::from_millis(500);
+        cfg.cold_start_cpu_secs = 0.0;
+        let mut cal = Calendar::new();
+        let mut world = PlatformWorld::from_stream_sharded_in(
+            ClusterSpec::from_traces(vms),
+            Box::new(SortedTraceStream::new(Vec::new())),
+            PolicyKind::Mws.build(),
+            cfg,
+            5,
+            FaultPlan::none(),
+            ShardPlan::solo(),
+            &mut cal,
+        );
+        let mut id = 0;
+        let mut deliver = |invoker, secs: f64, duration| {
+            id += 1;
+            let invocation = Invocation {
+                id,
+                function: hrv_trace::faas::FunctionId {
+                    app: hrv_trace::faas::AppId(id as u32),
+                    func: 0,
+                },
+                arrival: at(secs),
+                duration: SimDuration::from_secs(duration),
+                memory_mb: 128,
+                cpu_demand: 1.0,
+            };
+            let sent_at = at(secs);
+            let event = Event::Deliver {
+                invoker,
+                invocation,
+                sent_at,
+            };
+            cal.schedule(at(secs), event);
+        };
+        for invoker in [0, 1, 2] {
+            deliver(invoker, 5.2, 200);
+        }
+        for invoker in [0, 3, 3, 3, 3] {
+            deliver(invoker, 20.2, 10);
+        }
+        let mut last_report: Option<(SimTime, Vec<(InvokerIndex, HealthSnapshot)>)> = None;
+        let mut asked = None;
+        drive(&mut world, &mut cal, horizon, |world, ev, sent| {
+            if let Some(reports) = rows(&ev.event).filter(|_| sent.is_some()) {
+                last_report = Some((ev.at, reports.to_vec()));
+            }
+            let Event::MigrateAsk { src, .. } = ev.event else {
+                return;
+            };
+            assert_eq!(src, 1);
+            let (report_at, reported) = last_report.as_ref().expect("a report landed");
+            let Some(sent) = sent else {
+                // Every row of the firing that sent the ask has landed.
+                assert_eq!(*report_at, ev.at, "the ask lands on its report instant");
+                let view = world.replicas[0].view();
+                for &(invoker, snap) in reported {
+                    let row = view.get(hrv_lb::view::InvokerId(invoker)).expect("a row");
+                    assert_eq!((row.last_ping, row.cpu_in_use), (ev.at, snap.cpus_in_use));
+                }
+                return;
+            };
+            let dst = sent.iter().find_map(|env| match env.event {
+                Event::MigrateExtract { dst, .. } => Some(dst),
+                _ => None,
+            });
+            let members: Vec<InvokerIndex> = reported.iter().map(|r| r.0).collect();
+            asked = Some((ev.at, members, dst));
+        });
+        let bus = SimDuration::from_millis(2);
+        let (ask_at, reported, dst) = asked.expect("slot 1 asked to migrate");
+        assert_eq!(ask_at, at(31.0) + bus);
+        // One reporter before the asking member, one after it; the choice
+        // is the one the later row made the least loaded.
+        assert_eq!(reported, [0, 3]);
+        assert_eq!(dst, Some(3));
     }
 
     #[test]
