@@ -417,6 +417,14 @@ impl MetricsCollector {
         }
     }
 
+    /// Makes room for exactly `additional` more records when the record
+    /// sink is on, so pushing that many never regrows it.
+    pub fn reserve_records(&mut self, additional: usize) {
+        if self.record_sink {
+            self.records.reserve_exact(additional);
+        }
+    }
+
     /// Counts one re-dispatch attempt (a `Redispatch` event firing).
     pub fn note_retry(&mut self) {
         self.streaming.retries += 1;

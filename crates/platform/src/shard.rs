@@ -282,8 +282,9 @@ impl ShardedSimulation {
 /// whatever its hosted replicas still have in flight at the latest shard
 /// clock (flushing its replica-occupancy rows on the way out), then
 /// shard 0 absorbs every peer's metrics; counters are sums, records
-/// re-sort into canonical order, and buffered per-invoker utilization
-/// rows coalesce inside `canonicalize_records`. Every run is held to
+/// append into room reserved once for every peer's and re-sort into
+/// canonical order, and buffered per-invoker utilization rows coalesce
+/// inside `canonicalize_records`. Every run is held to
 /// invocation conservation ([`SimOutput::assert_conservation`]).
 pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
     let events: u64 = results.iter().map(|(_, r)| r.events).sum();
@@ -298,6 +299,8 @@ pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutpu
         w.censor_remaining(end_time);
     }
     let mut w0 = worlds.remove(0);
+    let peer_records = worlds.iter().map(|w| w.metrics.records.len()).sum();
+    w0.metrics.reserve_records(peer_records);
     let mut cold_starts = w0.total_cold_starts();
     let mut warm_starts = w0.total_warm_starts();
     let mut dropped = w0.total_dropped_completions();

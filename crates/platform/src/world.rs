@@ -713,7 +713,10 @@ impl Simulation {
     /// `i / 32`) and hosts the controller replicas `r ≡ s (mod S)`; it
     /// consumes the arrivals its replicas own, seeds only the faults aimed
     /// at its entities, and talks to its peers through envelopes. Shard 0
-    /// gets `policy` itself, the others `policy.fresh()`.
+    /// gets `policy` itself, the others `policy.fresh()`. With the record
+    /// sink on, each shard's sink is sized to its trace up front: every
+    /// arrival ends in exactly one record, written on the shard that
+    /// pulled it, so the sink never regrows.
     pub fn sharded(
         spec: ClusterSpec,
         workload: Vec<Invocation>,
@@ -729,15 +732,21 @@ impl Simulation {
         let peers: Vec<_> = (1..shards)
             .zip(traces)
             .map(|(s, trace)| {
+                let records = trace.len();
                 let arrivals = Box::new(SortedTraceStream::new(trace));
                 let (spec, cfg, faults) = (spec.clone(), cfg.clone(), faults.clone());
                 let plan = ShardPlan::new(s, shards);
-                Simulation::build(spec, arrivals, policy.fresh(), cfg, seed, faults, plan)
+                let mut shard =
+                    Simulation::build(spec, arrivals, policy.fresh(), cfg, seed, faults, plan);
+                shard.0.metrics.reserve_records(records);
+                shard
             })
             .collect();
+        let records = own.len();
         let arrivals = Box::new(SortedTraceStream::new(own));
         let plan = ShardPlan::new(0, shards);
-        let first = Simulation::build(spec, arrivals, policy, cfg, seed, faults, plan);
+        let mut first = Simulation::build(spec, arrivals, policy, cfg, seed, faults, plan);
+        first.0.metrics.reserve_records(records);
         Simulation {
             shards: std::iter::once(first).chain(peers).collect(),
         }
@@ -801,17 +810,24 @@ fn block_count(invokers: usize) -> usize {
     invokers.div_ceil(crate::mailbox::BLOCK as usize)
 }
 
-/// Splits a trace across `shards` shards in one pass, moving each
-/// invocation to the shard that hosts the replica owning its function;
-/// one shard takes the trace as it is.
+/// Splits a trace across `shards` shards, moving each invocation to the
+/// shard that hosts the replica owning its function; a counting pass
+/// sizes each part exactly. One shard takes the trace as it is.
 fn split_by_owner(workload: Vec<Invocation>, replicas: u32, shards: u32) -> Vec<Vec<Invocation>> {
     if shards == 1 {
         return vec![workload];
     }
-    let mut parts = vec![Vec::new(); shards as usize];
-    for inv in workload {
+    let shard_of = |inv: &Invocation| {
         let owner = replica_entity(owner_of(replicas, inv.function));
-        parts[ShardPlan::shard_of(shards, owner) as usize].push(inv);
+        ShardPlan::shard_of(shards, owner) as usize
+    };
+    let mut sizes = vec![0; shards as usize];
+    for inv in &workload {
+        sizes[shard_of(inv)] += 1;
+    }
+    let mut parts: Vec<Vec<Invocation>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for inv in workload {
+        parts[shard_of(&inv)].push(inv);
     }
     parts
 }
@@ -1824,6 +1840,38 @@ mod block_timer_tests {
                 one.collector.counters, other.collector.counters,
                 "S={shards}"
             );
+        }
+    }
+
+    /// Each shard's record sink is sized to its trace and the merge
+    /// reserves the peers' rows once, so with a horizon past the last
+    /// arrival the records fill one exact allocation at every shard
+    /// count. Four replicas put records on every shard; one replica's
+    /// records hash is the pinned one.
+    #[test]
+    fn the_record_sink_is_allocated_once_at_its_exact_size() {
+        let arrivals = inputs().1.len();
+        let run_with = |replicas: u32, record: bool, shards: u32| {
+            let (spec, trace, mut cfg) = inputs();
+            cfg.sharding.replicas = replicas;
+            cfg.record_invocations = record;
+            let policy = PolicyKind::Mws.build();
+            Simulation::sharded(spec, trace, policy, cfg, 5, FaultPlan::none(), shards)
+                .run(SimDuration::from_secs(HORIZON_S))
+        };
+        for (replicas, pinned) in [(1, Some(PER_INVOKER_TIMERS_FINGERPRINT)), (4, None)] {
+            let mut want = pinned;
+            for shards in [1, 2, 4] {
+                let out = run_with(replicas, true, shards);
+                let records = &out.collector.records;
+                let at = format!("R={replicas} S={shards}");
+                assert_eq!(records.len(), arrivals, "{at}");
+                assert_eq!(records.capacity(), arrivals, "{at}");
+                let hash = records_fingerprint(&out);
+                assert_eq!(hash, *want.get_or_insert(hash), "{at}");
+                let off = run_with(replicas, false, shards);
+                assert_eq!(off.collector.records.capacity(), 0, "{at}, sink off");
+            }
         }
     }
 

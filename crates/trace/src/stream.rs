@@ -38,6 +38,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 
@@ -66,20 +67,30 @@ impl<S: ArrivalStream + ?Sized> ArrivalStream for Box<S> {
 }
 
 /// Arrivals handed over between two releases of the trace's spent
-/// capacity: 16 384 × 48 B ≈ 768 KiB.
+/// capacity: 16 384 × 48 B = 768 KiB, twelve release granules.
 const RELEASE_STEP: usize = 16_384;
+
+/// Alignment and size unit of a release: 64 KiB, a whole number of pages
+/// on 4, 16 and 64 KiB page systems alike.
+const RELEASE_GRANULE: usize = 64 * 1024;
 
 /// Adapts a materialized, arrival-sorted trace to [`ArrivalStream`].
 ///
-/// The stream owns the trace and gives back the memory of what it has
-/// handed over as it goes, so a run's records can grow into it: the trace
-/// is held latest-first, each arrival is popped off the back, and each
-/// time the arrivals left reach a multiple of 16 384 the vector shrinks
-/// to them.
+/// The stream owns the trace and returns the memory of what it has
+/// handed over to the OS as it goes, whichever allocator path the trace
+/// came from: the trace is held latest-first and each arrival is popped
+/// off the back. Each time the arrivals left reach a multiple of 16 384,
+/// the whole 64 KiB granules of spare capacity behind them are discarded
+/// in place (`madvise(MADV_DONTNEED)` on Linux; other targets shrink the
+/// vector). The last pop drops the allocation.
 #[derive(Debug)]
 pub struct SortedTraceStream {
     /// The arrivals not yet handed over, latest first.
     remaining: Vec<Invocation>,
+    /// Address where the lowest range already discarded begins (the end
+    /// of the allocation before the first release).
+    #[cfg(target_os = "linux")]
+    released: usize,
 }
 
 impl SortedTraceStream {
@@ -94,15 +105,102 @@ impl SortedTraceStream {
             "trace must be sorted by arrival"
         );
         trace.reverse();
-        SortedTraceStream { remaining: trace }
+        SortedTraceStream {
+            #[cfg(target_os = "linux")]
+            released: trace.as_ptr() as usize + trace.capacity() * size_of::<Invocation>(),
+            remaining: trace,
+        }
     }
+
+    /// Gives the whole granules of spare capacity behind the arrivals
+    /// left back to the OS: their pages are discarded in place with
+    /// `madvise(MADV_DONTNEED)`, and the next touch maps zero pages.
+    #[cfg(target_os = "linux")]
+    fn release_spent(&mut self) {
+        extern "C" {
+            fn madvise(
+                addr: *mut std::ffi::c_void,
+                len: usize,
+                advice: std::ffi::c_int,
+            ) -> std::ffi::c_int;
+        }
+        const MADV_DONTNEED: std::ffi::c_int = 4;
+        let base = self.remaining.as_ptr() as usize;
+        let (len, cap) = (self.remaining.len(), self.remaining.capacity());
+        let size = size_of::<Invocation>();
+        let Some(range) = spent_granules(base, len, cap, size, self.released) else {
+            return;
+        };
+        let start = self
+            .remaining
+            .as_mut_ptr()
+            .cast::<u8>()
+            .wrapping_add(range.start - base);
+        // SAFETY: `spent_granules` returns a range inside the vector's own
+        // allocation and at or past its `len` (the proptests below hold
+        // it to that for any `released`), so it is spare capacity: bytes
+        // Rust treats as uninitialised, that this stream never reads
+        // again (it only pops, and never pushes) and that no other object
+        // or allocator bookkeeping occupies while the vector owns them.
+        // `MADV_DONTNEED` neither unmaps nor moves them: on the private
+        // anonymous memory a heap is made of, the next touch (the
+        // allocator's own, once the vector is freed) maps zero-filled
+        // pages, and on any other mapping it reloads contents nobody
+        // reads. `start` is 64 KiB aligned, so page aligned on every page
+        // size up to that; on larger pages the call fails with `EINVAL`
+        // and changes nothing. Like any failure of this advice, that is
+        // ignored: the pages just stay resident.
+        unsafe {
+            madvise(start.cast(), range.len(), MADV_DONTNEED);
+        }
+        self.released = range.start;
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn release_spent(&mut self) {
+        self.remaining.shrink_to_fit();
+    }
+
+    /// Spent bytes still held: handed over but not yet given back.
+    #[cfg(test)]
+    fn unreleased_spent_bytes(&self) -> usize {
+        if self.remaining.capacity() == 0 {
+            return 0;
+        }
+        let spent_from =
+            self.remaining.as_ptr() as usize + self.remaining.len() * size_of::<Invocation>();
+        #[cfg(target_os = "linux")]
+        let held_to = self.released;
+        #[cfg(not(target_os = "linux"))]
+        let held_to =
+            self.remaining.as_ptr() as usize + self.remaining.capacity() * size_of::<Invocation>();
+        held_to.saturating_sub(spent_from)
+    }
+}
+
+/// The whole [`RELEASE_GRANULE`]s of spare capacity not yet discarded:
+/// the allocation at `base` holds `cap` elements of `size` bytes, the
+/// first `len` of them live, and everything from `released` on is already
+/// gone. `None` when no whole granule fits.
+fn spent_granules(
+    base: usize,
+    len: usize,
+    cap: usize,
+    size: usize,
+    released: usize,
+) -> Option<Range<usize>> {
+    let start = (base + len * size).next_multiple_of(RELEASE_GRANULE);
+    let end = released.min(base + cap * size) / RELEASE_GRANULE * RELEASE_GRANULE;
+    (start < end).then_some(start..end)
 }
 
 impl ArrivalStream for SortedTraceStream {
     fn next_invocation(&mut self) -> Option<Invocation> {
         let inv = self.remaining.pop()?;
-        if self.remaining.len().is_multiple_of(RELEASE_STEP) {
-            self.remaining.shrink_to_fit();
+        if self.remaining.is_empty() {
+            self.remaining = Vec::new();
+        } else if self.remaining.len().is_multiple_of(RELEASE_STEP) {
+            self.release_spent();
         }
         Some(inv)
     }
@@ -303,6 +401,7 @@ impl Iterator for WorkloadStream {
 mod tests {
     use super::*;
     use crate::faas::WorkloadSpec;
+    use proptest::prelude::*;
 
     fn collect(mut s: impl ArrivalStream) -> Vec<Invocation> {
         let mut out = Vec::new();
@@ -367,10 +466,11 @@ mod tests {
     fn sorted_trace_stream_releases_what_it_handed_over() {
         let trace = ramp(3 * RELEASE_STEP + 5);
         let mut stream = SortedTraceStream::new(trace.clone());
+        let bound = RELEASE_STEP * size_of::<Invocation>() + RELEASE_GRANULE;
         for want in &trace {
             assert_eq!(stream.next_invocation().as_ref(), Some(want));
-            let spent = stream.remaining.capacity() - stream.remaining.len();
-            assert!(spent < RELEASE_STEP, "{spent} spent slots held");
+            let held = stream.unreleased_spent_bytes();
+            assert!(held < bound, "{held} spent bytes held");
         }
         assert_eq!(stream.remaining.capacity(), 0);
         assert!(stream.next_invocation().is_none());
@@ -398,5 +498,63 @@ mod tests {
         let seeds = SeedFactory::new(9);
         let mut stream = WorkloadStream::from_spec(&spec, SimDuration::from_micros(1), &seeds);
         assert!(stream.next_invocation().is_none());
+    }
+
+    proptest! {
+        /// One release stays granule-aligned, inside the spare capacity
+        /// and below what an earlier release already gave back.
+        #[test]
+        fn a_release_covers_only_spare_whole_granules(
+            offset in 0..RELEASE_GRANULE / 8,
+            cap in 0..40_000usize,
+            live in 0..=1_000usize,
+            size in 1..=96usize,
+            seen in 0..=1_000usize,
+        ) {
+            let base = 8 * RELEASE_GRANULE + 8 * offset;
+            let len = cap * live / 1_000;
+            let (lo, hi) = (base + len * size, base + cap * size);
+            let released = lo + (hi - lo) * seen / 1_000;
+            if let Some(r) = spent_granules(base, len, cap, size, released) {
+                prop_assert_eq!(r.start % RELEASE_GRANULE, 0);
+                prop_assert_eq!(r.end % RELEASE_GRANULE, 0);
+                let inside = lo <= r.start && r.start < r.end && r.end <= hi;
+                prop_assert!(inside, "{r:?} outside {lo}..{hi}");
+                prop_assert!(r.end <= released, "{r:?} repeats past {released}");
+            }
+        }
+
+        /// Draining the vector and releasing every `step` pops gives back
+        /// each whole spent granule exactly once.
+        #[test]
+        fn a_full_drain_releases_every_whole_granule_once(
+            offset in 0..RELEASE_GRANULE / 8,
+            cap in 0..40_000usize,
+            step in 1..5_000usize,
+            size in 1..=96usize,
+        ) {
+            let base = 8 * RELEASE_GRANULE + 8 * offset;
+            let mut released = base + cap * size;
+            let mut covered = Vec::new();
+            for len in (0..cap).rev().filter(|len| len % step == 0) {
+                if let Some(r) = spent_granules(base, len, cap, size, released) {
+                    released = r.start;
+                    covered.push(r);
+                }
+            }
+            // Ranges come out highest first; each must end where the next
+            // one (below it) starts, so none overlaps and none is missed.
+            for pair in covered.windows(2) {
+                prop_assert_eq!(pair[1].end, pair[0].start);
+            }
+            let whole = base.next_multiple_of(RELEASE_GRANULE)
+                ..(base + cap * size) / RELEASE_GRANULE * RELEASE_GRANULE;
+            let got = covered.last().map(|r| r.start)..covered.first().map(|r| r.end);
+            if whole.start < whole.end {
+                prop_assert_eq!(got, Some(whole.start)..Some(whole.end));
+            } else {
+                prop_assert!(covered.is_empty());
+            }
+        }
     }
 }
