@@ -151,7 +151,7 @@ pub fn run_cell(
         prewarm_spawns: s.prewarm_spawns,
         prewarm_hits: s.prewarm_hits,
         wasted_prewarms: s.wasted_prewarms,
-        idle_mib_secs: s.idle_mib_secs,
+        idle_mib_secs: s.idle_mib_secs(),
     }
 }
 

@@ -266,7 +266,7 @@ pub fn run_point(
         prewarm_spawns: s.prewarm_spawns,
         prewarm_hits: s.prewarm_hits,
         wasted_prewarms: s.wasted_prewarms,
-        idle_mib_secs: s.idle_mib_secs,
+        idle_mib_secs: s.idle_mib_secs(),
         p99_phases: m.phases.as_ref().map(|a| a.percentile(99.0)),
     }
 }

@@ -360,10 +360,10 @@ pub enum Event {
     /// The resource monitor checks the capacity floor (replica 0 only).
     MonitorTick,
     /// One sampling train of an invoker block fires on the shared grid:
-    /// every live member contributes its utilization row. Per block (not
-    /// fleet-wide) so the event count is independent of how blocks are
-    /// partitioned over shards; partial samples are coalesced into
-    /// fleet-total rows when runs are merged.
+    /// every live member adds its utilization to the tick's integer
+    /// sums. Per block (not fleet-wide) so the event count is independent
+    /// of how blocks are partitioned over shards; the shards' sums add
+    /// into fleet-total rows when runs are merged.
     Sample {
         /// The block whose train fires.
         block: BlockIndex,

@@ -33,6 +33,7 @@ use hrv_trace::time::{SimDuration, SimTime};
 use crate::config::{PlatformConfig, VmTemplate, MIGRATION_MIN_REMAINING_SECS};
 use crate::event::{CompletionReport, Event, InvokerIndex, LossCause};
 use crate::mailbox::{invoker_entity, EntityId};
+use crate::metrics::add_idle;
 use crate::telemetry::Hop;
 use crate::world::Ctx;
 
@@ -98,6 +99,19 @@ pub struct Container {
 // The slab of every invoker holds ≈ 50 of these at the paper's operating
 // point: 40 B each is ≈ 2 KB per invoker.
 const _: () = assert!(std::mem::size_of::<Container>() <= 40);
+
+impl Container {
+    /// Memory-time of the idle span from `last_used` to `now`, MiB·µs.
+    ///
+    /// # Panics
+    ///
+    /// On `u64` overflow.
+    fn idle_mib_micros(&self, now: SimTime) -> u64 {
+        let span = now.saturating_since(self.last_used).as_micros();
+        span.checked_mul(u64::from(self.memory_mb))
+            .expect("idle memory-time overflows u64 MiB·µs")
+    }
+}
 
 /// One invoker's containers, kept sorted by local id in one contiguous
 /// slab.
@@ -320,10 +334,10 @@ pub struct InvokerState {
     pub prewarm_hits: u64,
     /// Prewarmed containers destroyed without ever serving.
     pub wasted_prewarms: u64,
-    /// Warm memory-time containers spent idle, MiB·s — the "wasted warm
-    /// memory" axis of the policy grid. Idle spans still open at run end
-    /// are censored.
-    pub idle_mib_secs: f64,
+    /// Warm memory-time containers spent idle, MiB·µs (exact, overflow
+    /// checked) — the "wasted warm memory" axis of the policy grid. Idle
+    /// spans still open at run end are censored.
+    pub idle_mib_micros: u64,
     /// Whether lifecycle spans are being collected.
     tel_enabled: bool,
     /// Buffered `(at, invocation, kind)` span events; the router drains
@@ -378,7 +392,7 @@ impl InvokerState {
             prewarm_spawns: 0,
             prewarm_hits: 0,
             wasted_prewarms: 0,
-            idle_mib_secs: 0.0,
+            idle_mib_micros: 0,
             tel_enabled: false,
             tel: Vec::new(),
             hops: IdMap::default(),
@@ -567,8 +581,7 @@ impl InvokerState {
             ContainerState::Idle,
             "destroyed a non-idle container"
         );
-        self.idle_mib_secs +=
-            now.saturating_since(c.last_used).as_secs_f64() * f64::from(c.memory_mb);
+        self.idle_mib_micros = add_idle(self.idle_mib_micros, c.idle_mib_micros(now));
         if c.prewarmed && c.served == 0 {
             self.wasted_prewarms += 1;
         }
@@ -589,8 +602,7 @@ impl InvokerState {
         if c.prewarmed && c.served == 0 {
             self.prewarm_hits += 1;
         }
-        self.idle_mib_secs +=
-            now.saturating_since(c.last_used).as_secs_f64() * f64::from(c.memory_mb);
+        self.idle_mib_micros = add_idle(self.idle_mib_micros, c.idle_mib_micros(now));
         self.deadline_cleared(expires, cal);
         let cid = self.cid(id);
         self.warm_starts += 1;
@@ -993,8 +1005,7 @@ impl InvokerState {
             // Close the idle spans and charge speculative spawns that the
             // eviction kills before they ever served.
             if c.state == ContainerState::Idle {
-                self.idle_mib_secs +=
-                    now.saturating_since(c.last_used).as_secs_f64() * f64::from(c.memory_mb);
+                self.idle_mib_micros = add_idle(self.idle_mib_micros, c.idle_mib_micros(now));
             }
             if c.prewarmed && c.served == 0 {
                 self.wasted_prewarms += 1;
@@ -1351,19 +1362,17 @@ impl InvokerState {
         });
     }
 
-    /// This member's turn in a firing of its block's sampling train: one
-    /// partial row on the shared utilization grid. The rows are coalesced
-    /// into fleet-wide samples after the run (after cross-shard merge),
-    /// summed in invoker order so the totals are bit-identical for every
-    /// shard count. Returns whether the member stays in its train: the
-    /// samples end with the VM's life.
+    /// This member's turn in a firing of its block's sampling train: it
+    /// adds its CPUs and cores in use to its shard collector's sums for
+    /// the tick. The sums are integers, so the fleet-wide samples come
+    /// out bit-identical for every shard count. Returns whether the
+    /// member stays in its train: the samples end with the VM's life.
     pub(crate) fn sample<C: EventCalendar<Event>>(&mut self, ctx: &mut Ctx<'_, C>) -> bool {
         if !self.alive {
             return false;
         }
         let used = self.snapshot().cpus_in_use;
-        ctx.metrics
-            .push_partial_sample(ctx.now, self.index, self.cpus(), used);
+        ctx.metrics.add_sample(ctx.now, self.cpus(), used);
         true
     }
 
@@ -1989,7 +1998,7 @@ mod tests {
         assert_eq!(iv.snapshot().memory_used_mb, 0);
         assert_eq!(iv.wasted_prewarms, 1);
         // ~30 s idle at 256 MiB (cold start ate the first 500 ms).
-        assert!(iv.idle_mib_secs > 0.0);
+        assert!(iv.idle_mib_micros > 0);
     }
 
     #[test]
@@ -2149,7 +2158,7 @@ mod tests {
             (lazy.cold_starts, lazy.warm_starts),
             (filled.cold_starts, filled.warm_starts)
         );
-        assert_eq!(lazy.idle_mib_secs, filled.idle_mib_secs);
+        assert_eq!(lazy.idle_mib_micros, filled.idle_mib_micros);
     }
 
     /// A one-VM platform with four controller replicas and no workload,

@@ -280,12 +280,12 @@ impl ShardedSimulation {
 
 /// Merges per-shard worlds into one [`SimOutput`]: every shard censors
 /// whatever its hosted replicas still have in flight at the latest shard
-/// clock (flushing its replica-occupancy rows on the way out), then
-/// shard 0 absorbs every peer's metrics; counters are sums, records
-/// append into room reserved once for every peer's and re-sort into
-/// canonical order, and buffered per-invoker utilization rows coalesce
-/// inside `canonicalize_records`. Every run is held to
-/// invocation conservation ([`SimOutput::assert_conservation`]).
+/// clock (flushing its replica-occupancy rows and invoker totals into its
+/// collector on the way out), then shard 0's collector absorbs every
+/// peer's, which only adds; records and phase rows append into room
+/// reserved once for every peer's and re-sort into canonical order.
+/// Every run is held to invocation conservation
+/// ([`SimOutput::assert_conservation`]).
 pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutput {
     let events: u64 = results.iter().map(|(_, r)| r.events).sum();
     let end_time = results
@@ -298,34 +298,19 @@ pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutpu
     for w in &mut worlds {
         w.censor_remaining(end_time);
     }
+    let cold_starts = worlds.iter().map(PlatformWorld::total_cold_starts).sum();
+    let warm_starts = worlds.iter().map(PlatformWorld::total_warm_starts).sum();
     let mut w0 = worlds.remove(0);
-    let peer_records = worlds.iter().map(|w| w.metrics.records.len()).sum();
-    w0.metrics.reserve_records(peer_records);
-    let mut cold_starts = w0.total_cold_starts();
-    let mut warm_starts = w0.total_warm_starts();
-    let mut dropped = w0.total_dropped_completions();
-    let mut prewarm_spawns = w0.total_prewarm_spawns();
-    let mut prewarm_hits = w0.total_prewarm_hits();
-    let mut wasted_prewarms = w0.total_wasted_prewarms();
-    let mut idle_mib_secs = w0.total_idle_mib_secs();
-    for w in worlds {
-        cold_starts += w.total_cold_starts();
-        warm_starts += w.total_warm_starts();
-        dropped += w.total_dropped_completions();
-        prewarm_spawns += w.total_prewarm_spawns();
-        prewarm_hits += w.total_prewarm_hits();
-        wasted_prewarms += w.total_wasted_prewarms();
-        idle_mib_secs += w.total_idle_mib_secs();
-        let mut peer = w;
-        let peer_metrics = std::mem::take(&mut peer.metrics);
-        w0.metrics.merge(peer_metrics);
+    let peers = || worlds.iter().map(|w| &w.metrics);
+    let records = peers().map(|m| m.records.len()).sum();
+    let phases = peers().map(|m| m.phases.len()).sum();
+    w0.metrics.reserve_rows(records, phases);
+    for mut peer in worlds {
+        w0.metrics.merge(std::mem::take(&mut peer.metrics));
         w0.tel
             .recorder
             .merge(std::mem::take(&mut peer.tel.recorder));
     }
-    w0.metrics.dropped_completions = dropped;
-    w0.metrics
-        .set_coldstart_totals(prewarm_spawns, prewarm_hits, wasted_prewarms, idle_mib_secs);
     w0.metrics.canonicalize_records();
     let out = SimOutput {
         cold_starts,
@@ -345,6 +330,7 @@ pub(crate) fn merge_outputs(results: Vec<(PlatformWorld, RunStats)>) -> SimOutpu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ColdStartConfig, HybridHistogramConfig};
     use hrv_fault::FaultSpec;
     use hrv_sim::calendar::{EventCalendar, EventId, Scheduled};
     use hrv_trace::faas::{Workload, WorkloadSpec};
@@ -535,6 +521,91 @@ mod tests {
             "storms produced {} evictions / {} migrations",
             c.vm_evictions,
             c.migrations
+        );
+    }
+
+    /// The claim benchmark's harness ends a solo world by hand instead of
+    /// through `merge_outputs`: `censor_remaining`, then the world's own
+    /// invoker totals installed over what censoring added, then
+    /// `canonicalize_records`. That path must report what
+    /// `Simulation::run` reports.
+    #[test]
+    fn a_solo_world_ended_by_hand_matches_the_simulation() {
+        let horizon = SimDuration::from_mins(4);
+        let storm = Storm {
+            at: SimTime::ZERO + SimDuration::from_mins(2),
+            fraction: 0.3,
+        };
+        let (spec, trace) = (fleet(horizon, vec![storm]), workload(horizon));
+        let cfg = PlatformConfig {
+            // Short bins, so the hybrid histogram learns and prewarms
+            // inside four minutes.
+            coldstart: ColdStartConfig::Hybrid(HybridHistogramConfig {
+                bin_width: SimDuration::from_secs(5),
+                min_samples: 4,
+                prewarm_window: SimDuration::from_secs(1),
+                ..HybridHistogramConfig::default()
+            }),
+            sample_interval: SimDuration::from_secs(5),
+            ..PlatformConfig::default()
+        };
+        let policy = PolicyKind::Mws;
+        let faults = FaultPlan::none();
+        let want = Simulation::with_faults(
+            spec.clone(),
+            trace.clone(),
+            policy.build(),
+            cfg.clone(),
+            SEED,
+            faults.clone(),
+        )
+        .run(horizon);
+
+        let mut cal = Calendar::new();
+        let arrivals = Box::new(SortedTraceStream::new(trace));
+        let solo = ShardPlan::solo();
+        let mut w = PlatformWorld::from_stream_sharded_in(
+            spec,
+            arrivals,
+            policy.build(),
+            cfg,
+            SEED,
+            faults,
+            solo,
+            &mut cal,
+        );
+        let run = run_rounds(&mut w, &mut cal, SimTime::ZERO + horizon);
+        w.censor_remaining(cal.now());
+        w.metrics.dropped_completions = w.total_dropped_completions();
+        w.metrics.set_coldstart_totals(
+            w.total_prewarm_spawns(),
+            w.total_prewarm_hits(),
+            w.total_wasted_prewarms(),
+            w.total_idle_mib_secs(),
+        );
+        w.metrics.canonicalize_records();
+
+        let (got, want_c) = (&w.metrics, &want.collector);
+        let prewarms = |s: &crate::metrics::StreamingMetrics| {
+            (s.prewarm_spawns, s.prewarm_hits, s.wasted_prewarms)
+        };
+        assert_eq!(run, want.run);
+        assert_eq!(got.records, want_c.records);
+        assert_eq!(got.samples, want_c.samples);
+        assert_eq!(prewarms(&got.streaming), prewarms(&want_c.streaming));
+        assert_eq!(
+            got.streaming.idle_mib_micros,
+            want_c.streaming.idle_mib_micros
+        );
+        assert_eq!(got.dropped_completions, want_c.dropped_completions);
+        assert!(
+            want_c.streaming.prewarm_spawns > 0
+                && want_c.streaming.idle_mib_micros > 0
+                && !want_c.samples.is_empty(),
+            "the comparison degenerated: prewarms {:?}, idle {} MiB·µs, {} samples",
+            prewarms(&want_c.streaming),
+            want_c.streaming.idle_mib_micros,
+            want_c.samples.len()
         );
     }
 

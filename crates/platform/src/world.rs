@@ -32,7 +32,7 @@ use crate::invoker::{HealthSnapshot, InvokerState, PingTurn, SlotSource};
 use crate::mailbox::{
     block_of, invoker_entity, replica_entity, Entity, EntityId, Envelope, ShardPlan,
 };
-use crate::metrics::MetricsCollector;
+use crate::metrics::{add_idle, MetricsCollector};
 use crate::replica::ReplicaState;
 use crate::telemetry::TelemetrySink;
 
@@ -452,7 +452,8 @@ impl PlatformWorld {
 
     /// Fleet-wide warm memory-time spent idle, MiB·s.
     pub fn total_idle_mib_secs(&self) -> f64 {
-        self.invokers.iter().map(|i| i.idle_mib_secs).sum()
+        let micros = self.invokers.iter().map(|i| i.idle_mib_micros);
+        micros.fold(0, add_idle) as f64 / 1e6
     }
 
     /// The platform configuration.
@@ -499,12 +500,23 @@ impl PlatformWorld {
             .collect()
     }
 
-    /// Marks everything still in flight as censored (call after the run,
-    /// on every world — each censors the replicas it hosts) and flushes
-    /// per-replica occupancy counters into the metrics.
+    /// Marks everything still in flight as censored (call once after the
+    /// run, on every world — each censors the replicas it hosts), flushes
+    /// per-replica occupancy counters into the metrics and adds the
+    /// invokers' dropped completions, prewarm counts and idle memory-time
+    /// to them, so a merge of every world's collector holds the
+    /// fleet-wide sums.
     pub fn censor_remaining(&mut self, now: SimTime) {
         for replica in &mut self.replicas {
             replica.censor_remaining(now, &mut self.metrics, &mut self.tel);
+        }
+        let m = &mut self.metrics;
+        for i in &self.invokers {
+            m.dropped_completions += i.dropped_completions;
+            m.streaming.prewarm_spawns += i.prewarm_spawns;
+            m.streaming.prewarm_hits += i.prewarm_hits;
+            m.streaming.wasted_prewarms += i.wasted_prewarms;
+            m.streaming.idle_mib_micros = add_idle(m.streaming.idle_mib_micros, i.idle_mib_micros);
         }
     }
 }
@@ -716,7 +728,9 @@ impl Simulation {
     /// gets `policy` itself, the others `policy.fresh()`. With the record
     /// sink on, each shard's sink is sized to its trace up front: every
     /// arrival ends in exactly one record, written on the shard that
-    /// pulled it, so the sink never regrows.
+    /// pulled it, so the sink never regrows. With telemetry on too, the
+    /// phase rows get as much room: at most one per arrival, written on
+    /// the shard of the invoker that ran it (so exact at one shard).
     pub fn sharded(
         spec: ClusterSpec,
         workload: Vec<Invocation>,
@@ -727,26 +741,28 @@ impl Simulation {
         shards: u32,
     ) -> Self {
         let shards = shards.max(1);
+        let telemetry = cfg.telemetry.enabled();
+        let phase_rows = |arrivals: usize| if telemetry { arrivals } else { 0 };
         let mut traces = split_by_owner(workload, cfg.sharding.replicas, shards).into_iter();
         let own = traces.next().expect("at least one shard");
         let peers: Vec<_> = (1..shards)
             .zip(traces)
             .map(|(s, trace)| {
-                let records = trace.len();
+                let (records, phases) = (trace.len(), phase_rows(trace.len()));
                 let arrivals = Box::new(SortedTraceStream::new(trace));
                 let (spec, cfg, faults) = (spec.clone(), cfg.clone(), faults.clone());
                 let plan = ShardPlan::new(s, shards);
                 let mut shard =
                     Simulation::build(spec, arrivals, policy.fresh(), cfg, seed, faults, plan);
-                shard.0.metrics.reserve_records(records);
+                shard.0.metrics.reserve_rows(records, phases);
                 shard
             })
             .collect();
-        let records = own.len();
+        let (records, phases) = (own.len(), phase_rows(own.len()));
         let arrivals = Box::new(SortedTraceStream::new(own));
         let plan = ShardPlan::new(0, shards);
         let mut first = Simulation::build(spec, arrivals, policy, cfg, seed, faults, plan);
-        first.0.metrics.reserve_records(records);
+        first.0.metrics.reserve_rows(records, phases);
         Simulation {
             shards: std::iter::once(first).chain(peers).collect(),
         }
@@ -1873,6 +1889,22 @@ mod block_timer_tests {
                 assert_eq!(off.collector.records.capacity(), 0, "{at}, sink off");
             }
         }
+    }
+
+    /// With telemetry on, one shard's phase rows (at most one per
+    /// arrival) fill room reserved beside the records: they never
+    /// regrow.
+    #[test]
+    fn the_phase_rows_are_allocated_once() {
+        let (spec, trace, mut cfg) = inputs();
+        let arrivals = trace.len();
+        cfg.telemetry = crate::config::TelemetryConfig::on();
+        let policy = PolicyKind::Mws.build();
+        let out = Simulation::sharded(spec, trace, policy, cfg, 5, FaultPlan::none(), 1)
+            .run(SimDuration::from_secs(HORIZON_S));
+        let phases = &out.collector.phases;
+        assert!(phases.len() > arrivals / 2, "{} phase rows", phases.len());
+        assert_eq!(phases.capacity(), arrivals);
     }
 
     /// The solo world `inputs` builds, with `tweak` applied to its config.

@@ -150,8 +150,8 @@ fn sharded_run(seed: u64, shards: u32) -> SimOutput {
 
 /// The recovery and prewarm counts a run reports: retries,
 /// re-dispatches, quarantines, quarantined microseconds, prewarm spawns,
-/// hits and waste.
-fn reliability_counts(o: &SimOutput) -> [u64; 7] {
+/// hits and waste, and idle memory-time (the bits of its MiB·s reading).
+fn reliability_counts(o: &SimOutput) -> [u64; 8] {
     let (c, s) = (&o.collector, &o.collector.streaming);
     [
         s.retries,
@@ -161,15 +161,18 @@ fn reliability_counts(o: &SimOutput) -> [u64; 7] {
         s.prewarm_spawns,
         s.prewarm_hits,
         s.wasted_prewarms,
+        s.idle_mib_secs().to_bits(),
     ]
 }
 
-/// The byte-identity contract: records, event counts, start counters,
-/// the recovery and prewarm counts and the counter registry must
-/// not depend on how the cluster is partitioned.
+/// The byte-identity contract: records, utilization samples, event
+/// counts, start counters, the recovery and prewarm counts, idle
+/// memory-time and the counter registry must not depend on how the
+/// cluster is partitioned.
 fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
     let same = a.run.events == b.run.events
         && a.collector.records == b.collector.records
+        && a.collector.samples == b.collector.samples
         && a.collector.arrivals == b.collector.arrivals
         && a.cold_starts == b.cold_starts
         && a.warm_starts == b.warm_starts
@@ -198,6 +201,10 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
         a.collector.records, b.collector.records,
         "records diverged: {label}"
     );
+    assert_eq!(
+        a.collector.samples, b.collector.samples,
+        "utilization samples diverged: {label}"
+    );
     assert_eq!(a.collector.arrivals, b.collector.arrivals, "{label}");
     assert_eq!(a.cold_starts, b.cold_starts, "cold starts: {label}");
     assert_eq!(a.warm_starts, b.warm_starts, "warm starts: {label}");
@@ -209,7 +216,7 @@ fn assert_shard_invariant(a: &SimOutput, b: &SimOutput, label: &str) {
         reliability_counts(a),
         reliability_counts(b),
         "retries, redispatches, quarantines, quarantine µs, prewarm \
-         spawns, hits, waste: {label}"
+         spawns, hits, waste, idle memory-time bits: {label}"
     );
     assert_eq!(
         a.collector.counters, b.collector.counters,

@@ -5,9 +5,7 @@
 //! * every per-invocation phase decomposition must tile its end-to-end
 //!   latency *exactly* (integer microseconds, no residue);
 //! * the flight recorder and its Perfetto export must be invariant under
-//!   the shard count;
-//! * the assign-once discipline on fleet-wide cold-start totals must
-//!   trip its debug asserts when violated.
+//!   the shard count.
 
 use harvest_faas::hrv_fault::FaultPlan;
 use harvest_faas::hrv_lb::policy::PolicyKind;
@@ -251,27 +249,4 @@ fn perfetto_export_is_shard_invariant_and_parses() {
     // Both process groups: pid 0 entity spans, pid 1 invocation phases.
     assert!(events.iter().any(|e| e.pid == 0));
     assert!(events.iter().any(|e| e.pid == 1));
-}
-
-// `debug_assert!` guards compile away in release builds, so these
-// violation tests only exist where they can actually panic.
-#[cfg(debug_assertions)]
-mod assign_once {
-    use harvest_faas::hrv_platform::MetricsCollector;
-
-    #[test]
-    #[should_panic(expected = "assigned twice")]
-    fn coldstart_totals_cannot_install_twice() {
-        let mut c = MetricsCollector::default();
-        c.set_coldstart_totals(1, 1, 0, 0.0);
-        c.set_coldstart_totals(1, 1, 0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "before shard merge")]
-    fn merge_after_install_is_rejected() {
-        let mut a = MetricsCollector::default();
-        a.set_coldstart_totals(1, 0, 0, 0.0);
-        a.merge(MetricsCollector::default());
-    }
 }
