@@ -41,17 +41,6 @@ use crate::world::Ctx;
 /// microsecond, so finished jobs may retain up to ~rate·1 µs of demand.
 const COMPLETION_SLACK: f64 = 1e-5;
 
-/// Lifecycle state of one container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContainerState {
-    /// Cold start in progress.
-    Starting,
-    /// Executing an invocation.
-    Busy,
-    /// Warm, waiting for the next invocation (keep-alive running).
-    Idle,
-}
-
 /// A keep-alive deadline in eight bytes: `Option<Deadline>` uses the
 /// zero niche. It stores the instant plus one microsecond, so a deadline
 /// saturates one microsecond before `SimTime::MAX` — an instant no run's
@@ -80,8 +69,9 @@ pub struct Container {
     pub function: FunctionId,
     /// Memory footprint, MiB.
     pub memory_mb: u32,
-    /// Current state.
-    pub state: ContainerState,
+    /// Warm and waiting for the next invocation. A container that is
+    /// not idle has exactly one entry in its invoker's work table.
+    pub idle: bool,
     /// Last time it finished serving (for LRU eviction; doubles as the
     /// idle-span start for warm memory-time accounting).
     pub last_used: SimTime,
@@ -170,7 +160,7 @@ impl ContainerStore {
     fn find_idle(&self, function: FunctionId) -> Option<u32> {
         self.slab
             .iter()
-            .find(|c| c.state == ContainerState::Idle && c.function == function)
+            .find(|c| c.idle && c.function == function)
             .map(|c| c.id)
     }
 
@@ -178,7 +168,7 @@ impl ContainerStore {
     fn idle_peers(&self, function: FunctionId) -> usize {
         self.slab
             .iter()
-            .filter(|c| c.state == ContainerState::Idle && c.function == function)
+            .filter(|c| c.idle && c.function == function)
             .count()
     }
 
@@ -186,7 +176,7 @@ impl ContainerStore {
     fn lru_idle(&self) -> Option<u32> {
         self.slab
             .iter()
-            .filter(|c| c.state == ContainerState::Idle)
+            .filter(|c| c.idle)
             .min_by_key(|c| (c.last_used, c.id))
             .map(|c| c.id)
     }
@@ -228,6 +218,21 @@ pub struct RunningInvocation {
     /// When execution (or the cold start) began.
     pub exec_start: SimTime,
 }
+
+/// What a container that is not idle is doing: its entry in the
+/// invoker's work table.
+#[derive(Debug, Clone, Copy)]
+enum Work {
+    /// Cold-starting for the invocation it will run.
+    ColdStart(Invocation),
+    /// Warming for a policy's prewarm order; the TTL to arm once warm.
+    Prewarm(SimDuration),
+    /// Executing an invocation.
+    Running(RunningInvocation),
+}
+
+// Every busy or starting container of every invoker holds one.
+const _: () = assert!(std::mem::size_of::<Work>() <= 64);
 
 /// Work destroyed by a VM eviction.
 #[derive(Debug, Default)]
@@ -279,9 +284,8 @@ pub struct InvokerState {
     pub index: InvokerIndex,
     /// True between deploy and eviction.
     pub alive: bool,
-    /// True once the 30-second eviction warning arrived.
-    pub warned: bool,
-    /// When the warning arrived (for migration grace budgeting).
+    /// When the 30-second eviction warning arrived (for migration grace
+    /// budgeting); `None` until it does.
     pub warned_at: Option<SimTime>,
     /// Memory capacity, MiB.
     pub memory_mb: u64,
@@ -296,17 +300,17 @@ pub struct InvokerState {
     derate: f64,
     ps: PsQueue,
     containers: ContainerStore,
-    /// Invocation parked in each starting container.
-    starting: BTreeMap<u64, Invocation>,
+    /// The work of every container that is not idle, by platform-wide
+    /// container id.
+    work: BTreeMap<u64, Work>,
     /// Invocations accepted but not yet started (admission / memory).
     queue: VecDeque<Invocation>,
-    running: BTreeMap<u64, RunningInvocation>,
-    completion_timer: Option<EventId>,
-    /// The `(time, job)` pair the completion timer is armed for. Kept so
-    /// `rearm_completion` can skip the cancel + reschedule when the PS
-    /// queue's next completion has not actually changed — on a hot path
-    /// (every deliver/resize/drain) this avoids most calendar churn.
-    armed: Option<(SimTime, JobId)>,
+    /// The completion timer and the `(time, job)` pair it is armed for.
+    /// The pair lets `rearm_completion` skip the cancel + reschedule when
+    /// the PS queue's next completion has not actually changed — on a
+    /// hot path (every deliver/resize/drain) this avoids most calendar
+    /// churn.
+    completion: Option<(SimTime, JobId, EventId)>,
     /// The one keep-alive timer: armed if and only if some idle container
     /// has a deadline, and always at the earliest one (DESIGN.md,
     /// *Keep-alive deadline*).
@@ -326,8 +330,6 @@ pub struct InvokerState {
     /// Prewarm orders decided this completion tick, drained by the
     /// completion handler into cross-entity envelopes.
     prewarm_requests: Vec<PrewarmRequest>,
-    /// TTL to arm when each in-flight prewarmed container becomes warm.
-    prewarming: BTreeMap<u64, SimDuration>,
     /// Prewarm containers this invoker spawned.
     pub prewarm_spawns: u64,
     /// Warm starts served by a prewarmed container's first use.
@@ -367,7 +369,6 @@ impl InvokerState {
         InvokerState {
             index,
             alive: false,
-            warned: false,
             warned_at: None,
             memory_mb,
             dropped_completions: 0,
@@ -375,11 +376,9 @@ impl InvokerState {
             derate: 1.0,
             ps: PsQueue::new(0.0),
             containers: ContainerStore::default(),
-            starting: BTreeMap::new(),
+            work: BTreeMap::new(),
             queue: VecDeque::new(),
-            running: BTreeMap::new(),
-            completion_timer: None,
-            armed: None,
+            completion: None,
             reaper: None,
             memory_used: 0,
             next_container: 0,
@@ -388,7 +387,6 @@ impl InvokerState {
             warm_starts: 0,
             policy: Box::new(FixedKeepAlive),
             prewarm_requests: Vec::new(),
-            prewarming: BTreeMap::new(),
             prewarm_spawns: 0,
             prewarm_hits: 0,
             wasted_prewarms: 0,
@@ -414,7 +412,6 @@ impl InvokerState {
     pub fn deploy(&mut self, now: SimTime, cpus: u32) {
         assert!(!self.alive, "invoker {} deployed twice", self.index);
         self.alive = true;
-        self.warned = false;
         // A new life's first ping always reports, whatever the last one
         // said before the VM died.
         self.last_report = None;
@@ -446,7 +443,7 @@ impl InvokerState {
             cpus: self.cpus(),
             cpus_in_use: self.ps.cores_in_use(),
             memory_used_mb: self.memory_used,
-            eviction_pending: self.warned,
+            eviction_pending: self.warned_at.is_some(),
             pressure: self.ps.pressure(),
         }
     }
@@ -484,14 +481,14 @@ impl InvokerState {
         cid as u32
     }
 
-    /// Adds a container under the next local id, charges its memory and
-    /// returns its platform-wide id.
+    /// Adds a container doing `work` under the next local id, charges
+    /// its memory and returns its platform-wide id.
     fn add_container(
         &mut self,
         now: SimTime,
         function: FunctionId,
         memory_mb: u64,
-        state: ContainerState,
+        work: Work,
         prewarmed: bool,
         served: u32,
     ) -> u64 {
@@ -501,14 +498,16 @@ impl InvokerState {
             id,
             function,
             memory_mb: u32::try_from(memory_mb).expect("container memory exceeds u32 MiB"),
-            state,
+            idle: false,
             last_used: now,
             expires: None,
             prewarmed,
             served,
         });
         self.memory_used += memory_mb;
-        self.cid(id)
+        let cid = self.cid(id);
+        self.work.insert(cid, work);
+        cid
     }
 
     /// Accepts a delivered invocation: queue it and try to start work.
@@ -576,10 +575,9 @@ impl InvokerState {
             .containers
             .remove(id)
             .expect("destroying unknown container");
-        debug_assert_eq!(
-            c.state,
-            ContainerState::Idle,
-            "destroyed a non-idle container"
+        debug_assert!(
+            c.idle && !self.work.contains_key(&self.cid(id)),
+            "destroyed a container with work"
         );
         self.idle_mib_micros = add_idle(self.idle_mib_micros, c.idle_mib_micros(now));
         if c.prewarmed && c.served == 0 {
@@ -598,7 +596,7 @@ impl InvokerState {
     ) {
         let c = self.containers.get_mut(id).expect("warm container exists");
         let expires = c.expires.take();
-        c.state = ContainerState::Busy;
+        c.idle = false;
         if c.prewarmed && c.served == 0 {
             self.prewarm_hits += 1;
         }
@@ -615,14 +613,12 @@ impl InvokerState {
             invocation.duration.as_secs_f64() * invocation.cpu_demand,
             invocation.cpu_demand,
         );
-        self.running.insert(
-            cid,
-            RunningInvocation {
-                invocation,
-                cold: false,
-                exec_start: now,
-            },
-        );
+        let run = RunningInvocation {
+            invocation,
+            cold: false,
+            exec_start: now,
+        };
+        self.work.insert(cid, Work::Running(run));
     }
 
     fn start_cold(
@@ -636,7 +632,7 @@ impl InvokerState {
             now,
             invocation.function,
             invocation.memory_mb,
-            ContainerState::Starting,
+            Work::ColdStart(invocation),
             false,
             0,
         );
@@ -645,7 +641,6 @@ impl InvokerState {
             self.tel
                 .push((now, invocation.id, SpanKind::ColdStartBegin));
         }
-        self.starting.insert(cid, invocation);
         self.starting_cap += invocation.cpu_demand;
         cal.schedule(
             now.saturating_add(cfg.cold_start_delay),
@@ -670,18 +665,20 @@ impl InvokerState {
             self.dropped_completions += 1;
             return;
         }
-        let Some(invocation) = self.starting.remove(&cid) else {
+        let Some(work) = self.work.get_mut(&cid) else {
             // Container destroyed by eviction handling; same accounting.
             self.dropped_completions += 1;
             return;
         };
+        let Work::ColdStart(invocation) = *work else {
+            unreachable!("StartupDone for a container that is not cold-starting");
+        };
+        *work = Work::Running(RunningInvocation {
+            invocation,
+            cold: true,
+            exec_start: now,
+        });
         self.starting_cap = (self.starting_cap - invocation.cpu_demand).max(0.0);
-        let id = self.local(cid);
-        let c = self
-            .containers
-            .get_mut(id)
-            .expect("starting container exists");
-        c.state = ContainerState::Busy;
         self.ps.advance(now);
         if self.tel_enabled {
             self.tel
@@ -691,14 +688,6 @@ impl InvokerState {
             JobId(cid),
             invocation.duration.as_secs_f64() * invocation.cpu_demand + cfg.cold_start_cpu_secs,
             invocation.cpu_demand,
-        );
-        self.running.insert(
-            cid,
-            RunningInvocation {
-                invocation,
-                cold: true,
-                exec_start: now,
-            },
         );
         self.rearm_completion(cal);
     }
@@ -719,21 +708,19 @@ impl InvokerState {
         // The event driving this tick is the armed timer (stale timers are
         // always cancelled before re-arming, so they never fire); it has
         // been consumed by the calendar.
-        self.completion_timer = None;
-        self.armed = None;
+        self.completion = None;
         self.ps.advance(now);
         let done = self.ps.take_completed(COMPLETION_SLACK);
         let mut finished = Vec::with_capacity(done.len());
         let mut reap_now: Vec<u32> = Vec::new();
         for JobId(cid) in done {
-            let run = self
-                .running
-                .remove(&cid)
-                .expect("completed job has a running record");
+            let Some(Work::Running(run)) = self.work.remove(&cid) else {
+                unreachable!("completed job has a running record");
+            };
             let function = run.invocation.function;
             // Ask the lifecycle policy what to do with the idle
-            // container. The peer count excludes this one (still Busy)
-            // and is only taken for a policy that reads it.
+            // container. The peer count excludes this one (not yet
+            // idle) and is only taken for a policy that reads it.
             let ctx = IdleCtx {
                 now,
                 fixed_keep_alive: cfg.keep_alive,
@@ -751,7 +738,7 @@ impl InvokerState {
                 .containers
                 .get_mut(id)
                 .expect("completed job has a container");
-            c.state = ContainerState::Idle;
+            c.idle = true;
             c.last_used = now;
             c.served = c.served.saturating_add(1);
             match decision.keep_alive {
@@ -782,11 +769,7 @@ impl InvokerState {
         }
         self.drain(now, cal, cfg);
         for id in reap_now {
-            if self
-                .containers
-                .get(id)
-                .is_some_and(|c| c.state == ContainerState::Idle)
-            {
+            if self.containers.get(id).is_some_and(|c| c.idle) {
                 self.destroy_container(now, id, cal);
             }
         }
@@ -812,25 +795,23 @@ impl InvokerState {
         cal: &mut impl EventCalendar<Event>,
         cfg: &PlatformConfig,
     ) -> bool {
-        if !self.alive || self.warned {
+        if !self.alive || self.warned_at.is_some() {
             return false;
         }
         // An idle or starting container for the function makes the
         // order moot (the keep-alive outlived the prediction, or an
         // invocation already cold-started one).
-        if self
-            .containers
-            .iter()
-            .any(|c| c.function == function && c.state != ContainerState::Busy)
-        {
+        if self.containers.iter().any(|c| {
+            c.function == function
+                && (c.idle || !matches!(self.work.get(&self.cid(c.id)), Some(Work::Running(_))))
+        }) {
             return false;
         }
         if !self.make_room(now, memory_mb, cal) {
             return false;
         }
-        let cid = self.add_container(now, function, memory_mb, ContainerState::Starting, true, 0);
+        let cid = self.add_container(now, function, memory_mb, Work::Prewarm(ttl), true, 0);
         self.prewarm_spawns += 1;
-        self.prewarming.insert(cid, ttl);
         cal.schedule(
             now.saturating_add(cfg.cold_start_delay),
             Event::PrewarmReady {
@@ -856,7 +837,9 @@ impl InvokerState {
             self.dropped_completions += 1;
             return;
         }
-        let Some(ttl) = self.prewarming.remove(&cid) else {
+        // Only a prewarm schedules `PrewarmReady`, and container ids are
+        // never reused, so an entry for `cid` is this prewarm's.
+        let Some(Work::Prewarm(ttl)) = self.work.remove(&cid) else {
             self.dropped_completions += 1;
             return;
         };
@@ -865,8 +848,7 @@ impl InvokerState {
             .containers
             .get_mut(id)
             .expect("prewarming container exists");
-        debug_assert_eq!(c.state, ContainerState::Starting);
-        c.state = ContainerState::Idle;
+        c.idle = true;
         c.last_used = now;
         let deadline = Deadline::new(now.saturating_add(ttl));
         c.expires = Some(deadline);
@@ -979,7 +961,6 @@ impl InvokerState {
     /// Records the 30-second eviction warning.
     pub fn warn(&mut self, now: SimTime) {
         if self.alive {
-            self.warned = true;
             self.warned_at = Some(now);
         }
     }
@@ -991,38 +972,50 @@ impl InvokerState {
             return EvictedWork::default();
         }
         self.alive = false;
-        self.warned = false;
         self.warned_at = None;
         self.ps.advance(now);
-        if let Some(ev) = self.completion_timer.take() {
+        if let Some((_, _, ev)) = self.completion.take() {
             cal.cancel(ev);
         }
-        self.armed = None;
         if let Some((_, ev)) = self.reaper.take() {
             cal.cancel(ev);
         }
+        debug_assert!(
+            self.containers
+                .iter()
+                .all(|c| c.idle != self.work.contains_key(&self.cid(c.id)))
+                && self.work.len() == self.containers.iter().filter(|c| !c.idle).count(),
+            "a container is idle or has exactly one work entry"
+        );
         for c in self.containers.iter() {
             // Close the idle spans and charge speculative spawns that the
             // eviction kills before they ever served.
-            if c.state == ContainerState::Idle {
+            if c.idle {
                 self.idle_mib_micros = add_idle(self.idle_mib_micros, c.idle_mib_micros(now));
             }
             if c.prewarmed && c.served == 0 {
                 self.wasted_prewarms += 1;
             }
         }
-        self.prewarming.clear();
         self.prewarm_requests.clear();
         self.hops.clear();
-        let mut started: Vec<RunningInvocation> =
-            std::mem::take(&mut self.running).into_values().collect();
-        for (_, invocation) in std::mem::take(&mut self.starting) {
-            started.push(RunningInvocation {
-                invocation,
-                cold: true,
-                exec_start: now,
-            });
+        // Running work first, then cold starts (as started at `now`),
+        // each in container order: re-dispatch follows this order, and so
+        // does every fingerprint. A prewarm takes no invocation with it.
+        let mut started = Vec::new();
+        let mut cold = Vec::new();
+        for work in std::mem::take(&mut self.work).into_values() {
+            match work {
+                Work::Running(run) => started.push(run),
+                Work::ColdStart(invocation) => cold.push(RunningInvocation {
+                    invocation,
+                    cold: true,
+                    exec_start: now,
+                }),
+                Work::Prewarm(_) => {}
+            }
         }
+        started.append(&mut cold);
         let queued = std::mem::take(&mut self.queue).into_iter().collect();
         self.starting_cap = 0.0;
         self.containers.clear();
@@ -1036,7 +1029,10 @@ impl InvokerState {
 
     /// The running record behind a container, if any.
     pub fn running_invocation(&self, cid: u64) -> Option<&RunningInvocation> {
-        self.running.get(&cid)
+        match self.work.get(&cid) {
+            Some(Work::Running(run)) => Some(run),
+            _ => None,
+        }
     }
 
     /// Lists running invocations whose remaining demand exceeds
@@ -1048,9 +1044,12 @@ impl InvokerState {
             return Vec::new();
         }
         self.ps.advance(now);
-        self.running
+        self.work
             .iter()
-            .filter_map(|(&cid, run)| {
+            .filter_map(|(&cid, work)| {
+                let Work::Running(run) = work else {
+                    return None;
+                };
                 let remaining = self.ps.remaining(JobId(cid))?;
                 if remaining / run.invocation.cpu_demand > MIGRATION_MIN_REMAINING_SECS {
                     Some((cid, remaining, run.invocation.memory_mb))
@@ -1081,12 +1080,13 @@ impl InvokerState {
             return None;
         }
         self.ps.remove(JobId(cid));
-        let run = self.running.remove(&cid)?;
+        let Some(Work::Running(run)) = self.work.remove(&cid) else {
+            unreachable!("a PS job without a running record");
+        };
         let c = self
             .containers
             .remove(self.local(cid))
             .expect("running container exists");
-        debug_assert_eq!(c.state, ContainerState::Busy);
         self.memory_used -= u64::from(c.memory_mb);
         self.rearm_completion(cal);
         Some((run, remaining))
@@ -1114,13 +1114,12 @@ impl InvokerState {
             now,
             run.invocation.function,
             run.invocation.memory_mb,
-            ContainerState::Busy,
+            Work::Running(run),
             false,
             1,
         );
         self.ps
             .add(JobId(cid), remaining, run.invocation.cpu_demand);
-        self.running.insert(cid, run);
         self.rearm_completion(cal);
         true
     }
@@ -1133,29 +1132,16 @@ impl InvokerState {
     /// pure churn. This matters because `drain` — and through it every
     /// delivery and resize — ends here.
     fn rearm_completion(&mut self, cal: &mut impl EventCalendar<Event>) {
-        match self.ps.next_completion() {
-            Some(next) => {
-                if self.completion_timer.is_some() && self.armed == Some(next) {
-                    return;
-                }
-                if let Some(ev) = self.completion_timer.take() {
-                    cal.cancel(ev);
-                }
-                self.completion_timer = Some(cal.schedule(
-                    next.0,
-                    Event::Completion {
-                        invoker: self.index,
-                    },
-                ));
-                self.armed = Some(next);
-            }
-            None => {
-                if let Some(ev) = self.completion_timer.take() {
-                    cal.cancel(ev);
-                }
-                self.armed = None;
-            }
+        let next = self.ps.next_completion();
+        if self.completion.map(|(at, job, _)| (at, job)) == next {
+            return;
         }
+        if let Some((_, _, ev)) = self.completion.take() {
+            cal.cancel(ev);
+        }
+        let invoker = self.index;
+        self.completion =
+            next.map(|(at, job)| (at, job, cal.schedule(at, Event::Completion { invoker })));
     }
 }
 
@@ -1820,6 +1806,45 @@ mod tests {
     }
 
     #[test]
+    fn eviction_returns_running_then_cold_starting_work_in_container_order() {
+        let (mut iv, mut cal) = fresh(8, 64 * 1024);
+        let c = cfg();
+        // Container 0 runs a 1 s job and idles at 1.5 s; container 1
+        // runs a 100 s job from its cold start's end at 0.5 s.
+        iv.deliver(SimTime::ZERO, inv(0, 1, 1.0, 256), &mut cal, &c);
+        iv.deliver(SimTime::ZERO, inv(1, 2, 100.0, 256), &mut cal, &c);
+        let _ = drive(&mut iv, &mut cal, &c, SimTime::from_secs(5));
+        // At 5 s a warm start reuses container 0, container 2 prewarms,
+        // and containers 3 and 4 cold-start invocations 6 and 5.
+        let t5 = SimTime::from_secs(5);
+        iv.deliver(t5, inv(2, 1, 100.0, 256), &mut cal, &c);
+        let ttl = SimDuration::from_secs(60);
+        assert!(iv.start_prewarm(t5, fid(9), 256, ttl, &mut cal, &c));
+        iv.deliver(t5, inv(6, 6, 100.0, 256), &mut cal, &c);
+        iv.deliver(t5, inv(5, 5, 100.0, 256), &mut cal, &c);
+        assert_eq!((iv.container_count(), iv.cold_starts), (5, 4));
+        // Evicted before the cold starts and the prewarm finish.
+        let at = secs(5.2);
+        let work = iv.evict(at, &mut cal);
+        let run = |id, app, dur, cold, exec_start| RunningInvocation {
+            invocation: inv(id, app, dur, 256),
+            cold,
+            exec_start,
+        };
+        assert_eq!(
+            work.started,
+            [
+                run(2, 1, 100.0, false, t5),
+                run(1, 2, 100.0, true, secs(0.5)),
+                run(6, 6, 100.0, true, at),
+                run(5, 5, 100.0, true, at),
+            ]
+        );
+        assert!(work.queued.is_empty());
+        assert_eq!(iv.wasted_prewarms, 1);
+    }
+
+    #[test]
     fn dispatch_hops_die_with_the_vm() {
         // Every invocation here dies with the VM, so the hops noted at
         // delivery go too: work implanted after a redeploy without a hop
@@ -2437,32 +2462,32 @@ mod tests {
         fn find_idle(&self, function: FunctionId) -> Option<u32> {
             self.0
                 .values()
-                .find(|c| c.state == ContainerState::Idle && c.function == function)
+                .find(|c| c.idle && c.function == function)
                 .map(|c| c.id)
         }
 
         fn idle_peers(&self, function: FunctionId) -> usize {
             self.0
                 .values()
-                .filter(|c| c.state == ContainerState::Idle && c.function == function)
+                .filter(|c| c.idle && c.function == function)
                 .count()
         }
 
         fn lru_idle(&self) -> Option<u32> {
             self.0
                 .values()
-                .filter(|c| c.state == ContainerState::Idle)
+                .filter(|c| c.idle)
                 .min_by_key(|c| (c.last_used, c.id))
                 .map(|c| c.id)
         }
     }
 
-    fn container(id: u32, app: u32, state: ContainerState, last_used: u64) -> Container {
+    fn container(id: u32, app: u32, idle: bool, last_used: u64) -> Container {
         Container {
             id,
             function: fid(app),
             memory_mb: 256,
-            state,
+            idle,
             last_used: SimTime::from_secs(last_used),
             expires: None,
             prewarmed: false,
@@ -2472,26 +2497,23 @@ mod tests {
 
     proptest! {
         /// The slab against the map it replaced under random inserts,
-        /// removals and state flips: the same warm container from
+        /// removals and idle flips: the same warm container from
         /// `find_idle`, the same peer count, the same LRU victim (few
         /// distinct `last_used` values, so id tie-breaks are exercised)
         /// and the same contents in the same order after every step.
         #[test]
         fn container_store_matches_btreemap_model(
-            ops in prop::collection::vec((0u32..6, 0u32..4, (0usize..3, 0u64..3), 0usize..64), 1..150),
+            ops in prop::collection::vec((0u32..6, 0u32..4, (any::<bool>(), 0u64..3), 0usize..64), 1..150),
         ) {
-            const STATES: [ContainerState; 3] =
-                [ContainerState::Starting, ContainerState::Busy, ContainerState::Idle];
             let mut store = ContainerStore::default();
             let mut model = ModelStore::default();
             let mut next_id = 7u32;
-            for (op, app, (state, last_used), pick) in ops {
-                let state = STATES[state];
+            for (op, app, (idle, last_used), pick) in ops {
                 let picked = model.0.keys().nth(pick % (model.0.len() + 1)).copied();
                 match (op, picked) {
                     (0..=2, _) => {
-                        store.insert(container(next_id, app, state, last_used));
-                        model.0.insert(next_id, container(next_id, app, state, last_used));
+                        store.insert(container(next_id, app, idle, last_used));
+                        model.0.insert(next_id, container(next_id, app, idle, last_used));
                         next_id += 1;
                     }
                     (3, Some(cid)) => {
@@ -2500,7 +2522,7 @@ mod tests {
                     }
                     (_, Some(cid)) => {
                         for c in [store.get_mut(cid).unwrap(), model.0.get_mut(&cid).unwrap()] {
-                            c.state = state;
+                            c.idle = idle;
                             c.last_used = SimTime::from_secs(last_used);
                         }
                     }
@@ -2513,8 +2535,8 @@ mod tests {
                 prop_assert_eq!(store.idle_peers(fid(app)), model.idle_peers(fid(app)));
                 prop_assert_eq!(store.lru_idle(), model.lru_idle());
                 prop_assert_eq!(store.len(), model.0.len());
-                let slab: Vec<(u32, ContainerState)> = store.iter().map(|c| (c.id, c.state)).collect();
-                let map: Vec<(u32, ContainerState)> = model.0.values().map(|c| (c.id, c.state)).collect();
+                let slab: Vec<(u32, bool)> = store.iter().map(|c| (c.id, c.idle)).collect();
+                let map: Vec<(u32, bool)> = model.0.values().map(|c| (c.id, c.idle)).collect();
                 prop_assert_eq!(slab, map);
             }
         }

@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use hrv_telemetry::{CounterRegistry, LatencyAttribution, PhaseRecord};
-use hrv_trace::stats::{Cdf, LogHistogram, OnlineStats};
+use hrv_trace::stats::{Cdf, LogHistogram};
 use hrv_trace::time::{SimDuration, SimTime};
 
 /// How one invocation's life ended.
@@ -168,10 +168,6 @@ pub struct StreamingMetrics {
     /// Total invoker time spent quarantined out of placement, µs (an
     /// integer, so shard merges sum it exactly).
     pub quarantine_micros: u64,
-    /// Moments of the cores-in-use utilization signal, folded from the
-    /// fleet-wide samples that [`MetricsCollector::canonicalize_records`]
-    /// forms.
-    pub utilization: OnlineStats,
     /// Containers spawned by a cold-start policy's prewarm orders.
     pub prewarm_spawns: u64,
     /// Warm starts served by a prewarmed container's first use.
@@ -203,7 +199,6 @@ impl Default for StreamingMetrics {
             retries: 0,
             redispatches: 0,
             quarantine_micros: 0,
-            utilization: OnlineStats::new(),
             prewarm_spawns: 0,
             prewarm_hits: 0,
             wasted_prewarms: 0,
@@ -240,9 +235,7 @@ impl StreamingMetrics {
 
     /// Merges another shard's aggregates into this one: counters add and
     /// the histogram adds bin-wise, so the result is exact in any merge
-    /// order. The utilization moments are folded from the samples, which
-    /// exist only once [`MetricsCollector::canonicalize_records`] has run
-    /// on the merged collector, so a run's merges add empty moments.
+    /// order.
     pub fn merge(&mut self, other: &StreamingMetrics) {
         self.latency_hist.merge(&other.latency_hist);
         self.completed += other.completed;
@@ -253,7 +246,6 @@ impl StreamingMetrics {
         self.retries += other.retries;
         self.redispatches += other.redispatches;
         self.quarantine_micros += other.quarantine_micros;
-        self.utilization.merge(&other.utilization);
         self.prewarm_spawns += other.prewarm_spawns;
         self.prewarm_hits += other.prewarm_hits;
         self.wasted_prewarms += other.wasted_prewarms;
@@ -303,9 +295,8 @@ pub struct MetricsCollector {
     /// record sink on; empty otherwise).
     pub phases: Vec<PhaseRecord>,
     /// Utilization sums per grid tick, in tick order, one entry per tick
-    /// (kept with the record sink off too: they feed
-    /// `streaming.utilization`). `canonicalize_records` turns them into
-    /// `samples`.
+    /// (empty when the record sink is off). `canonicalize_records` turns
+    /// them into `samples`.
     ticks: Vec<TickSum>,
     record_sink: bool,
 }
@@ -475,15 +466,11 @@ impl MetricsCollector {
     /// [`UtilizationSample`]s, in tick order.
     pub fn canonicalize_records(&mut self) {
         for t in std::mem::take(&mut self.ticks) {
-            let cpus_in_use = t.used as f64 / CORE_UNITS;
-            self.streaming.utilization.push(cpus_in_use);
-            if self.record_sink {
-                self.samples.push(UtilizationSample {
-                    at: t.at,
-                    total_cpus: t.total_cpus,
-                    cpus_in_use,
-                });
-            }
+            self.samples.push(UtilizationSample {
+                at: t.at,
+                total_cpus: t.total_cpus,
+                cpus_in_use: t.used as f64 / CORE_UNITS,
+            });
         }
         sort_unique(&mut self.records, |r| r.finished, |r| r.id);
         self.replica_occupancy.sort_by_key(|r| r.replica);
@@ -491,9 +478,13 @@ impl MetricsCollector {
     }
 
     /// Adds one invoker's utilization reading to its grid tick's sums
-    /// (cores in use rounded to 2⁻³² cores). A world samples in time
-    /// order, so a reading joins the last tick or opens the next one.
+    /// (cores in use rounded to 2⁻³² cores) when the record sink is on.
+    /// A world samples in time order, so a reading joins the last tick or
+    /// opens the next one.
     pub(crate) fn add_sample(&mut self, at: SimTime, total_cpus: u32, cpus_in_use: f64) {
+        if !self.record_sink {
+            return;
+        }
         let reading = TickSum {
             at,
             total_cpus,
@@ -771,8 +762,6 @@ mod tests {
         };
         assert_eq!(on.samples, [sample]);
         assert!(off.samples.is_empty());
-        assert_eq!(on.streaming.utilization.count(), 1);
-        assert_eq!(off.streaming.utilization.count(), 1);
     }
 
     #[test]
@@ -888,10 +877,6 @@ mod tests {
                 }
                 merged.canonicalize_records();
                 assert_eq!(merged.samples, whole.samples, "{parts} parts");
-                assert_eq!(
-                    merged.streaming.utilization, whole.streaming.utilization,
-                    "{parts} parts"
-                );
             }
         }
     }

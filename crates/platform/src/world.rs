@@ -1306,7 +1306,6 @@ mod tests {
         let s = &out.collector.streaming;
         assert!(s.completed > 500, "completed {}", s.completed);
         assert!(s.latency_percentile(50.0).unwrap() > 0.0);
-        assert!(s.utilization.count() > 0);
     }
 
     #[test]

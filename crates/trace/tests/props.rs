@@ -7,7 +7,7 @@ use hrv_trace::dist::{BoundedPareto, Clamped, LogUniform, Sampler, UniformDist};
 use hrv_trace::faas::{Workload, WorkloadSpec};
 use hrv_trace::harvest::{CpuChange, VmEnd, VmTrace};
 use hrv_trace::rng::SeedFactory;
-use hrv_trace::stats::{Cdf, OnlineStats};
+use hrv_trace::stats::Cdf;
 use hrv_trace::stream::{ArrivalStream, WorkloadStream};
 use hrv_trace::time::{SimDuration, SimTime};
 
@@ -61,31 +61,6 @@ proptest! {
             prev_frac = frac;
         }
         prop_assert!((cdf.fraction_at_or_below(cdf.max()) - 1.0).abs() < 1e-12);
-    }
-
-    /// Welford merging equals sequential accumulation for any split point.
-    #[test]
-    fn online_stats_merge_is_associative(
-        xs in prop::collection::vec(-1.0e3f64..1.0e3, 2..200),
-        split in 1usize..199,
-    ) {
-        let split = split.min(xs.len() - 1);
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..split] {
-            a.push(x);
-        }
-        for &x in &xs[split..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-4);
     }
 
     /// Samplers respect their advertised support.
