@@ -429,7 +429,7 @@ fn bench_mws(c: &mut Criterion) {
 
 fn bench_histograms(c: &mut Criterion) {
     // The hybrid cold-start policy's hot path: one IAT record per
-    // arrival, two percentile walks per idle decision.
+    // arrival, one walk over the occupied bins per idle decision.
     c.bench_function("histogram/hybrid_idle_decision", |b| {
         use harvest_faas::hrv_policy::{
             ColdStartPolicy, HybridHistogram, HybridHistogramConfig, IdleCtx,

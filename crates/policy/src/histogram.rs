@@ -91,6 +91,13 @@ impl HybridHistogramConfig {
         );
         assert!(self.bins >= 1, "histogram needs at least one bin");
         assert!(
+            u64::from(self.bins)
+                .checked_mul(self.bin_width.as_micros())
+                .is_some(),
+            "histogram range bins * bin_width overflows u64 microseconds: \
+             percentile readings would wrap"
+        );
+        assert!(
             self.head_pct > 0.0 && self.head_pct <= self.tail_pct && self.tail_pct <= 100.0,
             "percentile cutoffs must satisfy 0 < head <= tail <= 100"
         );
@@ -109,28 +116,48 @@ impl HybridHistogramConfig {
 /// Fixed-width inter-arrival-time histogram with an out-of-bounds
 /// bucket. Integer bins keyed by `IAT / bin_width` — no floats touch the
 /// decision path, so decisions are exactly reproducible.
+///
+/// Only occupied bins are stored: most of a function's bins never see an
+/// arrival, and an empty bin never moves the cumulative count across a
+/// percentile's rank, so the readings are those of the dense histogram.
 #[derive(Debug, Clone)]
 pub struct IdleHistogram {
-    counts: Vec<u64>,
+    /// `(bin, count)` of every occupied bin, ascending by bin.
+    occupied: Vec<(u32, u32)>,
+    bins: u32,
     oob: u64,
     total: u64,
 }
 
 impl IdleHistogram {
-    /// An empty histogram with `bins` in-range bins.
+    /// An empty histogram with `bins` in-range bins. Allocates nothing.
     pub fn new(bins: u32) -> Self {
         IdleHistogram {
-            counts: vec![0; bins as usize],
+            occupied: Vec::new(),
+            bins,
             oob: 0,
             total: 0,
         }
     }
 
     /// Records one inter-arrival time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one bin's count would pass `u32::MAX`.
     pub fn record(&mut self, iat: SimDuration, bin_width: SimDuration) {
-        let idx = (iat.as_micros() / bin_width.as_micros().max(1)) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
+        let idx = iat.as_micros() / bin_width.as_micros().max(1);
+        if idx < u64::from(self.bins) {
+            let bin = idx as u32;
+            match self.occupied.binary_search_by_key(&bin, |&(b, _)| b) {
+                Ok(at) => {
+                    let count = &mut self.occupied[at].1;
+                    *count = count
+                        .checked_add(1)
+                        .expect("histogram bin count overflows u32");
+                }
+                Err(at) => self.occupied.insert(at, (bin, 1)),
+            }
         } else {
             self.oob += 1;
         }
@@ -152,16 +179,35 @@ impl IdleHistogram {
     /// the rank lands in the OOB mass, returns the histogram range
     /// (`bins * bin_width`) — the most conservative in-range answer.
     pub fn percentile(&self, p: f64, bin_width: SimDuration) -> SimDuration {
+        let [at] = self.percentiles([p], bin_width);
+        at
+    }
+
+    /// [`Self::percentile`] of each of `ps`, in one walk over the
+    /// occupied bins.
+    fn percentiles<const N: usize>(
+        &self,
+        ps: [f64; N],
+        bin_width: SimDuration,
+    ) -> [SimDuration; N] {
         debug_assert!(self.total > 0, "percentile of an empty histogram");
-        let target = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
+        let mut ranks = ps.map(|p| Some(((p / 100.0) * self.total as f64).ceil().max(1.0) as u64));
+        // Upper bin edges, in bins; the range until a rank is crossed.
+        let mut edges = [self.bins; N];
         let mut cum = 0u64;
-        for (idx, &n) in self.counts.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                return SimDuration::from_micros((idx as u64 + 1) * bin_width.as_micros());
+        for &(bin, n) in &self.occupied {
+            cum += u64::from(n);
+            for (rank, edge) in ranks.iter_mut().zip(&mut edges) {
+                if rank.is_some_and(|r| cum >= r) {
+                    *rank = None;
+                    *edge = bin + 1;
+                }
+            }
+            if ranks.iter().all(Option::is_none) {
+                break;
             }
         }
-        SimDuration::from_micros(self.counts.len() as u64 * bin_width.as_micros())
+        edges.map(|e| SimDuration::from_micros(u64::from(e) * bin_width.as_micros()))
     }
 }
 
@@ -233,11 +279,10 @@ impl ColdStartPolicy for HybridHistogram {
             // representative, fall back (the paper's OOB escape hatch).
             return IdleDecision::keep(ctx.fixed_keep_alive);
         }
-        let head = st.hist.percentile(self.cfg.head_pct, self.cfg.bin_width);
-        let tail = st
+        let [head, tail] = st
             .hist
-            .percentile(self.cfg.tail_pct, self.cfg.bin_width)
-            .max(head);
+            .percentiles([self.cfg.head_pct, self.cfg.tail_pct], self.cfg.bin_width);
+        let tail = tail.max(head);
         // The earliest plausible arrival is the head bin's *lower* edge —
         // conservative against unloading: a head reading of "within the
         // first bin" must never unload a hot function.
@@ -282,6 +327,7 @@ impl ColdStartPolicy for HybridHistogram {
 mod tests {
     use super::*;
     use hrv_trace::faas::AppId;
+    use proptest::prelude::*;
 
     fn f(app: u32) -> FunctionId {
         FunctionId {
@@ -325,6 +371,95 @@ mod tests {
         h.record(SimDuration::from_hours(2), w);
         assert_eq!(h.oob(), 1);
         assert_eq!(h.percentile(99.0, w), SimDuration::from_secs(240));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 microseconds")]
+    fn overflowing_histogram_range_is_rejected() {
+        HybridHistogramConfig {
+            bins: u32::MAX,
+            bin_width: SimDuration::from_days(1),
+            ..HybridHistogramConfig::default()
+        }
+        .validate(SimDuration::from_millis(2));
+    }
+
+    #[test]
+    fn widest_representable_histogram_range_is_accepted() {
+        HybridHistogramConfig {
+            bins: u32::MAX,
+            bin_width: SimDuration::from_micros(u64::MAX / u64::from(u32::MAX)),
+            ..HybridHistogramConfig::default()
+        }
+        .validate(SimDuration::from_millis(2));
+    }
+
+    /// The dense histogram the sparse one must read like: one `u64` per
+    /// bin, the percentile walk crossing every bin, empty or not.
+    struct Dense {
+        counts: Vec<u64>,
+        oob: u64,
+        total: u64,
+    }
+
+    impl Dense {
+        fn record(&mut self, iat: SimDuration, bin_width: SimDuration) {
+            let idx = (iat.as_micros() / bin_width.as_micros()) as usize;
+            match self.counts.get_mut(idx) {
+                Some(n) => *n += 1,
+                None => self.oob += 1,
+            }
+            self.total += 1;
+        }
+
+        fn percentile(&self, p: f64, bin_width: SimDuration) -> SimDuration {
+            let target = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
+            let mut cum = 0u64;
+            for (idx, &n) in self.counts.iter().enumerate() {
+                cum += n;
+                if cum >= target {
+                    return SimDuration::from_micros((idx as u64 + 1) * bin_width.as_micros());
+                }
+            }
+            SimDuration::from_micros(self.counts.len() as u64 * bin_width.as_micros())
+        }
+    }
+
+    proptest! {
+        /// The sparse histogram counts and reads exactly like the dense
+        /// one, on IATs of zero, exact bin edges, the first out-of-bounds
+        /// value (`bins * bin_width`), arbitrary in-range values and huge
+        /// gaps.
+        #[test]
+        fn sparse_histogram_reads_like_the_dense_one(
+            bins in 1..=300u32,
+            width in prop_oneof![1..=1_000u64, 1..=600_000_000u64],
+            draws in prop::collection::vec((0..6u32, any::<u64>()), 1..400),
+            random_pct in 1..=10_000u32,
+        ) {
+            let w = SimDuration::from_micros(width);
+            let range = u64::from(bins) * width;
+            let mut sparse = IdleHistogram::new(bins);
+            let mut dense = Dense { counts: vec![0; bins as usize], oob: 0, total: 0 };
+            for (kind, raw) in draws {
+                let iat = match kind {
+                    0 => 0,
+                    1 => raw % (u64::from(bins) + 2) * width,
+                    2 => range,
+                    3 => range - 1,
+                    4 => raw % range,
+                    _ => raw,
+                };
+                sparse.record(SimDuration::from_micros(iat), w);
+                dense.record(SimDuration::from_micros(iat), w);
+            }
+            prop_assert_eq!(sparse.total(), dense.total);
+            prop_assert_eq!(sparse.oob(), dense.oob);
+            let ps = [5.0, 99.0, f64::from(random_pct) / 100.0];
+            let want = ps.map(|p| dense.percentile(p, w));
+            prop_assert_eq!(ps.map(|p| sparse.percentile(p, w)), want);
+            prop_assert_eq!(sparse.percentiles(ps, w), want);
+        }
     }
 
     #[test]

@@ -82,7 +82,9 @@ const RELEASE_GRANULE: usize = 64 * 1024;
 /// off the back. Each time the arrivals left reach a multiple of 16 384,
 /// the whole 64 KiB granules of spare capacity behind them are discarded
 /// in place (`madvise(MADV_DONTNEED)` on Linux; other targets shrink the
-/// vector). The last pop drops the allocation.
+/// vector). The last pop releases every whole granule still held, then
+/// drops the allocation, so a freed trace leaves the allocator none of its
+/// pages resident beyond the partial granules at its two ends.
 #[derive(Debug)]
 pub struct SortedTraceStream {
     /// The arrivals not yet handed over, latest first.
@@ -197,10 +199,11 @@ fn spent_granules(
 impl ArrivalStream for SortedTraceStream {
     fn next_invocation(&mut self) -> Option<Invocation> {
         let inv = self.remaining.pop()?;
+        if self.remaining.len().is_multiple_of(RELEASE_STEP) {
+            self.release_spent();
+        }
         if self.remaining.is_empty() {
             self.remaining = Vec::new();
-        } else if self.remaining.len().is_multiple_of(RELEASE_STEP) {
-            self.release_spent();
         }
         Some(inv)
     }
@@ -474,6 +477,26 @@ mod tests {
         }
         assert_eq!(stream.remaining.capacity(), 0);
         assert!(stream.next_invocation().is_none());
+    }
+
+    /// Once the last arrival is out, every whole granule of the trace's
+    /// allocation has been discarded before the allocation is freed.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sorted_trace_stream_releases_the_whole_allocation_before_freeing_it() {
+        for n in [5_000, 3 * RELEASE_STEP + 5] {
+            let mut stream = SortedTraceStream::new(ramp(n));
+            let base = stream.remaining.as_ptr() as usize;
+            let end = base + stream.remaining.capacity() * size_of::<Invocation>();
+            let first_whole = base.next_multiple_of(RELEASE_GRANULE);
+            assert!(first_whole < end / RELEASE_GRANULE * RELEASE_GRANULE);
+            while stream.next_invocation().is_some() {}
+            assert_eq!(
+                stream.released, first_whole,
+                "{n} arrivals: whole granules from {first_whole:#x} to {:#x} left resident",
+                stream.released
+            );
+        }
     }
 
     #[test]

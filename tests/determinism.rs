@@ -414,6 +414,19 @@ fn sharded_run_with_policy(seed: u64, shards: u32, coldstart: ColdStartConfig) -
     .run(horizon)
 }
 
+/// Records fingerprints of `sharded_run_with_policy(17, 1, _)` for each
+/// policy of [`ColdStartConfig::all`] (fixed, null, default hybrid, warm
+/// pool) and then the short-bin hybrid below. The default hybrid never
+/// leaves the fixed keep-alive in an 8-minute run, so it reads the fixed
+/// policy's records; the short-bin hybrid pins real histogram decisions.
+const POLICY_RECORDS_17: [u64; 5] = [
+    PREPOLICY_SHARDED_17,
+    0x0a93_8b2f_6484_b60d,
+    PREPOLICY_SHARDED_17,
+    0x5259_356a_96f3_35d4,
+    0xa727_4821_77ba_9ffa,
+];
+
 #[test]
 fn every_coldstart_policy_is_shard_invariant() {
     // The determinism contract holds for every policy, not just the
@@ -430,8 +443,14 @@ fn every_coldstart_policy_is_shard_invariant() {
         ..HybridHistogramConfig::default()
     });
     let mut spawned = 0;
-    for coldstart in ColdStartConfig::all().into_iter().chain([short_bins]) {
+    let policies = ColdStartConfig::all().into_iter().chain([short_bins]);
+    for (coldstart, pinned) in policies.zip(POLICY_RECORDS_17) {
         let baseline = sharded_run_with_policy(17, 1, coldstart);
+        assert_eq!(
+            records_fingerprint(&baseline),
+            pinned,
+            "{coldstart:?} decided differently at S=1"
+        );
         assert!(
             baseline.collector.records.len() > 500,
             "only {} records under {:?} — the check degenerated",
